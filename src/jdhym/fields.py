@@ -8,7 +8,12 @@ the ``2n`` real coordinates.  Grid arrays carry the axes
 Differentiation is spectral.  For the mode ``exp(2*pi*i*(k.x + l.y))`` the
 symbol of ``d/dz_j = (d/dx_j - i d/dy_j)/2`` is ``zeta_j = pi*(l_j + i*k_j)``,
 so the complex Hessian entry ``(i, j)`` has multiplier ``-zeta_i*conj(zeta_j)``.
-Nyquist columns are zeroed so real input always yields Hermitian output; all
+Potentials are real, so the transforms are real (``rfftn``/``irfftn``) and
+the multipliers live on the half spectrum, which halves the last axis.  Each
+multiplier splits into real parts that are even in the frequency, and each
+part gives one real inverse transform.  Diagonal symbols ``-|zeta_i|^2`` keep
+their Nyquist content; odd-order symbols have the Nyquist frequency zeroed
+(its sign is ambiguous there), so the Hessian is exactly Hermitian.  All
 exactness claims are for band-limited data (max frequency < N/2).
 
 Density convention (fixed once, used everywhere): a wedge of ``n``
@@ -92,33 +97,82 @@ class TorusGeometry:
         return list(np.meshgrid(*([axes] * (2 * self.n)), indexing="ij", sparse=True))
 
 
-@functools.lru_cache(maxsize=8)
-def _zeta(geom: TorusGeometry) -> np.ndarray:
-    """Symbols of d/dz_j, shape (n,) + grid; Nyquist columns zeroed."""
+def _frequencies(geom: TorusGeometry, half: bool = False,
+                 odd: bool = False) -> list[np.ndarray]:
+    """Broadcastable integer frequencies ``(k_1..k_n, l_1..l_n)`` of the FFT grid.
+
+    ``half`` lays the last axis out as ``rfftn`` does (``0..N/2``); ``odd``
+    zeroes the Nyquist frequency, whose sign is ambiguous in odd-order symbols.
+    """
     N = geom.N
-    freq = sfft.fftfreq(N, d=1.0 / N)
-    freq[N // 2] = 0.0  # Nyquist is sign-ambiguous for odd-order symbols
-    out = np.zeros((geom.n,) + geom.shape, dtype=complex)
-    for j in range(geom.n):
-        kx = freq.reshape((1,) * j + (N,) + (1,) * (2 * geom.n - j - 1))
-        ky = freq.reshape((1,) * (geom.n + j) + (N,) + (1,) * (geom.n - j - 1))
-        out[j] = math.pi * (ky + 1j * kx)
-    out.setflags(write=False)
+    m = 2 * geom.n
+    out = []
+    for a in range(m):
+        f = sfft.rfftfreq(N, d=1.0 / N) if half and a == m - 1 else sfft.fftfreq(N, d=1.0 / N)
+        if odd:
+            f[N // 2] = 0.0
+        out.append(f.reshape((1,) * a + (-1,) + (1,) * (m - a - 1)))
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _axis_laplace(geom: TorusGeometry) -> np.ndarray:
-    """Symbols of |d/dz_j|^2 per axis pair; even in k, so Nyquist-safe."""
-    N = geom.N
-    freq = sfft.fftfreq(N, d=1.0 / N)  # includes -N/2
-    out = np.zeros((geom.n,) + geom.shape)
-    for j in range(geom.n):
-        kx = freq.reshape((1,) * j + (N,) + (1,) * (2 * geom.n - j - 1))
-        ky = freq.reshape((1,) * (geom.n + j) + (N,) + (1,) * (geom.n - j - 1))
-        out[j] = math.pi ** 2 * (kx * kx + ky * ky)
+    """Symbols of |d/dz_j|^2 per axis pair on the full grid; even in k, so Nyquist-safe."""
+    f = _frequencies(geom)
+    n = geom.n
+    out = np.stack([np.broadcast_to(math.pi ** 2 * (f[j] * f[j] + f[n + j] * f[n + j]),
+                                    geom.shape) for j in range(n)])
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Off-diagonal index pairs ``i < j``, in the order the Hessian symbols use."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
+@functools.lru_cache(maxsize=8)
+def _hessian_symbols(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
+    """The ``n*n`` real half-spectrum multipliers of the complex Hessian.
+
+    First the diagonal symbols ``-|zeta_i|^2``; then, for each pair of
+    :func:`_pairs`, the real and the imaginary part of ``-zeta_i*conj(zeta_j)``
+    (Nyquist zeroed).  Every multiplier is real and even in k, so for real
+    ``u`` with ``uhat = rfftn(u)`` the diagonal entry is
+    ``irfftn(S_ii * uhat)`` and ``H_ij = irfftn(Re * uhat) + i*irfftn(Im * uhat)``.
+    Arrays broadcast to the half grid; each depends only on its axes.
+    """
+    n = geom.n
+    f = _frequencies(geom, half=True)
+    g = _frequencies(geom, half=True, odd=True)
+    pi2 = math.pi ** 2
+    out = [-pi2 * (f[i] * f[i] + f[n + i] * f[n + i]) for i in range(n)]
+    for i, j in _pairs(n):
+        ki, li, kj, lj = g[i], g[n + i], g[j], g[n + j]
+        out += [-pi2 * (li * lj + ki * kj), -pi2 * (ki * lj - li * kj)]
+    for a in out:
+        a.setflags(write=False)
+    return tuple(out)
+
+
+def _hermitian_rows(diag, upper) -> np.ndarray:
+    """Real rows of a Hermitian field, paired one to one with :func:`_hessian_symbols`.
+
+    ``diag`` holds the n real diagonal entries and ``upper`` the entries
+    ``M_ij``, ``i < j``, in :func:`_pairs` order.  The rows are the diagonal,
+    then ``2 Re M_ij`` and ``2 Im M_ij``, so that for Hermitian ``H``
+    ``tr(M H) = sum_k row_k * part_k(H)``.
+    """
+    rows = list(diag)
+    for m in upper:
+        rows += [2.0 * m.real, 2.0 * m.imag]
+    return np.stack(rows)
+
+
+def _irfft(geom: TorusGeometry, spectrum: np.ndarray) -> np.ndarray:
+    """Real grid values of a half spectrum that is Hermitian in the full one."""
+    return sfft.irfftn(spectrum, s=geom.shape, workers=-1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -237,35 +291,42 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
 
     Diagonal entries use the even per-axis Laplace symbol so they keep
     Nyquist content; off-diagonal symbols are Nyquist-zeroed (sign-ambiguous
-    there).  Exact for band-limited potentials either way.
+    there).  Exact for band-limited potentials either way.  The output is
+    exactly Hermitian: ``H_ji`` is the conjugate of ``H_ij`` and the diagonal
+    is real.
     """
     if not np.all(np.isfinite(phi.values)):
         raise DataError("potential contains non-finite values")
-    return _hessian_raw(phi.geometry, sfft.fftn(phi.values, workers=-1))
+    return _hessian_raw(phi.geometry, sfft.rfftn(phi.values, workers=-1))
 
 
 def _hessian_raw(geom: TorusGeometry, phat: np.ndarray) -> np.ndarray:
-    zeta = _zeta(geom)
-    lap = _axis_laplace(geom)
+    """Hessian grid from the half spectrum ``phat = rfftn(phi)``."""
+    sym = _hessian_symbols(geom)
     n = geom.n
     out = np.empty(geom.shape + (n, n), dtype=complex)
     for i in range(n):
-        out[..., i, i] = sfft.ifftn(-lap[i] * phat, workers=-1).real
-        for j in range(i + 1, n):
-            entry = sfft.ifftn(-zeta[i] * np.conj(zeta[j]) * phat, workers=-1)
-            out[..., i, j] = entry
-            out[..., j, i] = np.conj(entry)
+        out[..., i, i] = _irfft(geom, sym[i] * phat)
+    for p, (i, j) in enumerate(_pairs(n)):
+        entry = out[..., i, j]
+        entry.real = _irfft(geom, sym[n + 2 * p] * phat)
+        entry.imag = _irfft(geom, sym[n + 2 * p + 1] * phat)
+        out[..., j, i] = np.conj(entry)
     return out
 
 
 def complex_gradient(phi: ScalarField) -> np.ndarray:
     """``(d phi / dz_j)`` as a grid of n complex components (last axis)."""
     geom = phi.geometry
-    zeta = _zeta(geom)
-    phat = sfft.fftn(phi.values, workers=-1)
-    out = np.empty(geom.shape + (geom.n,), dtype=complex)
-    for j in range(geom.n):
-        out[..., j] = sfft.ifftn(zeta[j] * phat, workers=-1)
+    n = geom.n
+    g = _frequencies(geom, half=True, odd=True)
+    phat = sfft.rfftn(phi.values, workers=-1)
+    out = np.empty(geom.shape + (n,), dtype=complex)
+    for j in range(n):
+        # zeta_j = pi*(l_j + i*k_j): i*pi*k_j is Hermitian and gives the real
+        # part; pi*l_j = i*(-i*pi*l_j) gives i times a real field
+        out[..., j].real = _irfft(geom, (1j * math.pi) * g[j] * phat)
+        out[..., j].imag = _irfft(geom, (-1j * math.pi) * g[n + j] * phat)
     return out
 
 

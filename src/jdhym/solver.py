@@ -27,9 +27,9 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .errors import (ConeBreachError, ContinuationError, DomainError,
                      EllipticityLostError, NotKahlerError, PreconditionError,
                      UsageError)
-from .fields import (FormField, ScalarField, TorusGeometry, _zeta,
-                     complex_hessian, hessian_values, mixed_density,
-                     relative_spectrum_field)
+from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
+                     _hessian_symbols, _irfft, _pairs, complex_hessian,
+                     hessian_values, mixed_density, relative_spectrum_field)
 from .hermitian import ConeSpec
 
 __all__ = [
@@ -171,22 +171,58 @@ def _j_coefficient(chi_vals: np.ndarray, omega_vals: np.ndarray, lam: np.ndarray
     return 0.5 * (W + W.conj().swapaxes(-1, -2))
 
 
-def _tr_m_hessian(geom: TorusGeometry, M: np.ndarray, phat: np.ndarray) -> np.ndarray:
-    """``tr(M Hess u)`` from the FFT of u, without materializing the Hessian."""
-    from .fields import _axis_laplace
-    zeta = _zeta(geom)
-    lap = _axis_laplace(geom)
-    n = geom.n
-    out = None
-    for i in range(n):
-        e = sfft.ifftn(-lap[i] * phat, workers=-1).real
-        term = M[..., i, i].real * e
-        out = term if out is None else out + term
-        for j in range(i + 1, n):
-            # entry (j, i) of the Hessian has multiplier -zeta_j * conj(zeta_i)
-            e = sfft.ifftn(-zeta[j] * np.conj(zeta[i]) * phat, workers=-1)
-            mij = M[..., i, j]
-            out += 2.0 * (mij.real * e.real - mij.imag * e.imag)
+# Closed-form n = 2 kernels.  A Hermitian 2 x 2 field is held as the triple
+# (real diagonal 0, real diagonal 1, complex upper entry); the fields are
+# Hermitian by construction, so the lower entry is not read.
+
+
+def _herm2(m: np.ndarray) -> tuple:
+    return m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+
+
+def _inv2(m: tuple) -> tuple:
+    m0, m1, m01 = m
+    det = m0 * m1 - (m01.real * m01.real + m01.imag * m01.imag)
+    return m1 / det, m0 / det, -m01 / det
+
+
+def _gxg2(g: tuple, x: tuple) -> tuple:
+    """The product ``G X G`` of Hermitian 2 x 2 fields, written out entrywise."""
+    g0, g1, g01 = g
+    x0, x1, x01 = x
+    gx = g01 * np.conj(x01)
+    c = 2.0 * gx.real
+    gg = g01.real * g01.real + g01.imag * g01.imag
+    t0 = g0 * (g0 * x0 + c) + gg * x1
+    t1 = g1 * (g1 * x1 + c) + gg * x0
+    t01 = g01 * (g0 * x0 + g1 * x1 + gx) + (g0 * g1) * x01
+    return t0, t1, t01
+
+
+def _coefficient_rows(M: np.ndarray) -> np.ndarray:
+    """The rows (see :func:`fields._hermitian_rows`) of a Hermitian coefficient field."""
+    n = M.shape[-1]
+    return _hermitian_rows([M[..., i, i].real for i in range(n)],
+                           [M[..., i, j] for i, j in _pairs(n)])
+
+
+def _j_coefficient_rows2(chi2: tuple, omega_vals: np.ndarray, lam: np.ndarray,
+                         f_vals: np.ndarray) -> np.ndarray:
+    """Coefficient rows of :func:`_j_coefficient` at n = 2, ``W = G chi G + q G``
+    with ``G = omega^-1``, in closed form."""
+    g = _inv2(_herm2(omega_vals))
+    q = f_vals / np.prod(lam, axis=-1)  # f * chi^n / omega^n
+    t0, t1, t01 = _gxg2(g, chi2)
+    return _hermitian_rows([t0 + q * g[0], t1 + q * g[1]], [t01 + q * g[2]])
+
+
+def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np.ndarray:
+    """``tr(M Hess u)`` from ``rfftn(u)`` and the rows of M, without the Hessian."""
+    out = np.zeros(geom.shape)
+    for row, sym in zip(coef, _hessian_symbols(geom)):
+        e = _irfft(geom, sym * phat)
+        e *= row
+        out += e
     return out
 
 
@@ -297,6 +333,26 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
     return ScalarField(geom, vals)
 
 
+def _dhym_coefficient_rows2(chi_inv: tuple, omega_vals: np.ndarray, lam: np.ndarray,
+                            f_vals: np.ndarray, theta0: float) -> np.ndarray:
+    """Coefficient rows of the dHYM projector sum ``w_1 P_1 + w_2 P_2`` at n = 2.
+
+    The weights are ``w(lam) = (C + g*lam)/(lam^2 + 1)`` with ``C`` and ``g``
+    symmetric in the eigenvalues, so the sum is ``a chi^-1 + b chi^-1 omega
+    chi^-1`` with ``b`` the divided difference of the weights (continuous at
+    ``lam_1 = lam_2``) and ``a = w_1 - b*lam_1``.
+    """
+    l1, l2 = lam[..., 0], lam[..., 1]
+    q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
+    C = np.cos(theta0 - (np.arctan(1.0 / l1) + np.arctan(1.0 / l2)))
+    g = f_vals * math.cos(theta0) / (np.sqrt(q1) * np.sqrt(q2))
+    b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
+    a = (C + g * l1) / q1 - b * l1
+    t0, t1, t01 = _gxg2(chi_inv, _herm2(omega_vals))
+    return _hermitian_rows([a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1],
+                           [a * chi_inv[2] + b * t01])
+
+
 def _min_relative_gap(lam: np.ndarray) -> float:
     if lam.shape[-1] == 1:
         return math.inf
@@ -326,7 +382,8 @@ class _NewtonProblem:
     kind: str
     geometry: TorusGeometry
     evaluate: Callable[[ScalarField, bool], _Eval]
-    linear_coefficient: Callable[[_Eval], tuple]
+    # (rows of M as in fields._hermitian_rows, sign): d(residual)(u) = sign * tr(M Hess u)
+    linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
     describe: str = ""
     meta: dict = dataclass_field(default_factory=dict)
@@ -358,9 +415,14 @@ def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
             weight = det_chi * prod
         return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
 
+    if n == 2:
+        chi2 = _herm2(chi.base if chi.potential is None else chi.values)
+
     def linear_coefficient(ev: _Eval):
+        if n == 2:
+            return _j_coefficient_rows2(chi2, ev.omega_vals, ev.lam, f.values), -1.0
         W = _j_coefficient(chi.values, ev.omega_vals, ev.lam, f.values)
-        return W, -1.0, None  # d(residual)(u) = sign * tr(W Hess u)
+        return _coefficient_rows(W), -1.0
 
     return _NewtonProblem("J", geom, evaluate, linear_coefficient, gauge,
                           describe=f"J equation, c = {c:.6g}")
@@ -378,6 +440,8 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     det_chi = np.linalg.det(chi.values).real
     gauge = mixed_density([omega0.values] * n)
     cos0 = math.cos(theta0)
+    if n == 2:
+        chi_inv = _inv2(_herm2(chi.base if chi.potential is None else chi.values))
 
     def evaluate(phi: ScalarField, with_residual: bool = True) -> _Eval:
         lam, omega_vals = _lam_field(chi, omega0, phi)
@@ -399,10 +463,13 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
         # The spectral-projector form sum_i w_i v_i v_i^H is stable through
         # eigenvalue crossings (the weights coincide on clusters), so no
         # finite-difference fallback is needed inside the Newton loop.
+        if n == 2:
+            return _dhym_coefficient_rows2(chi_inv, ev.omega_vals, ev.lam, f.values,
+                                           theta0), 1.0
         lam, V = _generalized_eig(chi, ev.omega_vals)
         w = _dhym_grad_weights(lam, f.values, theta0)
         M = np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex), np.conj(V))
-        return 0.5 * (M + M.conj().swapaxes(-1, -2)), 1.0, None
+        return _coefficient_rows(0.5 * (M + M.conj().swapaxes(-1, -2))), 1.0
 
     return _NewtonProblem("dHYM", geom, evaluate, linear_coefficient, gauge,
                           describe=f"dHYM equation, theta0 = {theta0:.6g}")
@@ -412,64 +479,58 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
 # linear solve machinery
 
 
-def _symbol(geom: TorusGeometry, Mbar: np.ndarray) -> np.ndarray:
-    """Fourier symbol of ``u -> -tr(Mbar Hess u)``; positive away from the mean."""
-    from .fields import _axis_laplace
-    zeta = _zeta(geom)
-    lap = _axis_laplace(geom)
-    n = geom.n
-    sym = np.zeros(geom.shape)
-    for i in range(n):
-        sym += Mbar[i, i].real * lap[i]
-        for j in range(n):
-            if j != i:
-                sym += (Mbar[i, j] * zeta[j] * np.conj(zeta[i])).real
+def _symbol(geom: TorusGeometry, coef_mean: np.ndarray) -> np.ndarray:
+    """Half-spectrum symbol of ``u -> tr(Mbar Hess u)``; negative away from the mean.
+
+    ``coef_mean`` holds the grid means of the coefficient rows of M.
+    """
+    sym = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,))
+    for c, part in zip(coef_mean, _hessian_symbols(geom)):
+        sym += c * part
     return sym
 
 
-def _solve_linear(geom: TorusGeometry, apply_tr: Callable[[np.ndarray], np.ndarray],
-                  rhs: np.ndarray, Mbar: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Solve ``tr(M Hess u) = rhs`` on mean-zero functions.
+def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
+                  config: SolverConfig) -> tuple[np.ndarray, int]:
+    """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
-    ``apply_tr`` maps grid values of u to grid values of ``tr(M Hess u)``;
-    the Fourier symbol of the mean coefficient preconditions the iteration.
+    The Fourier symbol of the mean coefficient preconditions the iteration.
+    Returns the solution and the ``lgmres`` info (0 when it converged).
     """
     G = geom.grid_size
     shape = geom.shape
-    sym = _symbol(geom, Mbar)
+    sym = _symbol(geom, coef.reshape(len(coef), -1).mean(axis=1))
     # zero symbol = modes the discrete operator annihilates (mean, Nyquist);
     # the preconditioner suppresses them and the projection handles the mean
     scale = float(np.max(np.abs(sym)))
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
-    sym_safe = np.where(dead, 1.0, sym)
+    inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
 
+    # every Hessian symbol vanishes at k = 0, so the operator needs no
+    # projection of its input; inv_sym is 0 there, so the preconditioner
+    # output is mean-zero
     def matvec(v):
-        v = v.reshape(shape)
-        v = v - v.mean()
-        out = apply_tr(v)
-        out = out - out.mean()
+        out = _tr_m_hessian(geom, coef, sfft.rfftn(v.reshape(shape), workers=-1))
+        out -= out.mean()
         return out.reshape(-1)
 
     def precond(v):
-        vhat = sfft.fftn(v.reshape(shape), workers=-1)
-        # symbol of tr(M Hess) is -<zeta, M zeta>
-        vhat = np.where(dead, 0.0, vhat / (-sym_safe))
-        out = sfft.ifftn(vhat, workers=-1).real
-        return (out - out.mean()).reshape(-1)
+        vhat = sfft.rfftn(v.reshape(shape), workers=-1)
+        return _irfft(geom, vhat * inv_sym).reshape(-1)
 
     # drop unresolvable (annihilated-mode) content from the right-hand side;
     # it is quadrature junk and would otherwise stall the Krylov iteration
-    bhat = np.where(dead, 0.0, sfft.fftn(rhs, workers=-1))
-    b = sfft.ifftn(bhat, workers=-1).real.reshape(-1)
+    bhat = np.where(dead, 0.0, sfft.rfftn(rhs, workers=-1))
+    b = _irfft(geom, bhat).reshape(-1)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(shape)
+        return np.zeros(shape), 0
     A = LinearOperator((G, G), matvec=matvec, dtype=float)
     M = LinearOperator((G, G), matvec=precond, dtype=float)
     x, info = lgmres(A, b, M=M, rtol=config.linear_tol, atol=0.0,
                      maxiter=config.linear_max_iter, inner_m=30)
     u = x.reshape(shape)
-    return u - u.mean()
+    return u - u.mean(), int(info)
 
 
 def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:
@@ -507,20 +568,12 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
         if iterations >= config.max_newton:
             status = "no-convergence"
             break
-        Mfield, sign, fallback = problem.linear_coefficient(ev)
-        if fallback is None:
-            Mbar = np.mean(Mfield.reshape(-1, geom.n, geom.n), axis=0)
-
-            def apply_tr(v, _M=Mfield):
-                return _tr_m_hessian(geom, _M, sfft.fftn(v, workers=-1))
-        else:
-            fd_apply, Mbar = fallback
-
-            def apply_tr(v, _fd=fd_apply):
-                return _fd(ScalarField(geom, v))
+        coef, sign = problem.linear_coefficient(ev)
         # Newton step: sign * tr(M Hess u) = -residual
-        rhs = -sign * ev.residual
-        u = _solve_linear(geom, apply_tr, rhs, Mbar, config)
+        u, info = _solve_linear(geom, coef, -sign * ev.residual, config)
+        if info != 0:
+            status = "krylov-failure"
+            break
         u = u - _weighted_mean(u, gauge)  # mean-zero gauge against omega_0^n
         step = ScalarField(geom, u)
         alpha = config.damping
@@ -559,38 +612,61 @@ def _build_report(problem: _NewtonProblem, ev: _Eval, history, margin_min,
 # continuity paths
 
 
+# halvings allowed per target gap of a continuity stage
+PATH_HALVINGS = 8
+
+
 def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
            targets, stage: str, history: list) -> tuple[ScalarField, SolveReport]:
-    """Warm-started marching with bisection on step failure (8 refinements)."""
-    pending = [(float(t), 0) for t in targets]
+    """Warm-started marching with bisection on step failure.
+
+    A failed step inserts the midpoint of the gap from the last accepted
+    ``t``.  Each target allows ``PATH_HALVINGS`` such halvings, and the stage
+    allows ``2 * (len(targets) + PATH_HALVINGS)`` Newton solves in all
+    (twice the plain march plus one full chain of halvings, each of which
+    costs a midpoint and a retry); past either budget the stage raises
+    :class:`ContinuationError`.
+    """
+    targets = [float(t) for t in targets]
+    budget = 2 * (len(targets) + PATH_HALVINGS)
+    solves = 0
     t_prev = float(t_start)
     report = None
-    while pending:
-        t, depth = pending[0]
-        problem = make_problem(t)
-        failure = None
-        try:
-            report = newton_solve(problem, phi, config)
-            if not report.success:
-                failure = report.status
-        except ConeBreachError as exc:
-            failure = "cone-breach"
-            report = exc.report
-        if failure is not None:
-            if depth >= 8:
+    for target in targets:
+        pending = [target]
+        halvings = 0
+        while pending:
+            t = pending[-1]
+            if solves >= budget:
                 raise ContinuationError(
-                    f"stage {stage} failed at t = {t:.6g} ({failure})",
-                    stage=stage, t=t, cause=failure, report=report)
-            pending.insert(0, (0.5 * (t_prev + t), depth + 1))
-            continue
-        phi = report.phi
-        history.append({
-            "stage": stage, "t": t, "iterations": report.iterations,
-            "residual": report.final_residual, "cone_margin": report.cone_margin_min,
-            "multiplier": report.multiplier,
-        })
-        t_prev = t
-        pending.pop(0)
+                    f"stage {stage} used its {budget} solves before t = {t:.6g}",
+                    stage=stage, t=t, cause="solve-budget", report=report)
+            solves += 1
+            problem = make_problem(t)
+            failure = None
+            try:
+                report = newton_solve(problem, phi, config)
+                if not report.success:
+                    failure = report.status
+            except ConeBreachError as exc:
+                failure = "cone-breach"
+                report = exc.report
+            if failure is not None:
+                if halvings >= PATH_HALVINGS:
+                    raise ContinuationError(
+                        f"stage {stage} failed at t = {t:.6g} ({failure})",
+                        stage=stage, t=t, cause=failure, report=report)
+                halvings += 1
+                pending.append(0.5 * (t_prev + t))
+                continue
+            phi = report.phi
+            history.append({
+                "stage": stage, "t": t, "iterations": report.iterations,
+                "residual": report.final_residual, "cone_margin": report.cone_margin_min,
+                "multiplier": report.multiplier,
+            })
+            t_prev = t
+            pending.pop()
     return phi, report
 
 

@@ -228,6 +228,12 @@ class TestExitCodeRouting:
         cfg = write_config(tmp_path, "c.json", solve_j_config())
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_krylov_failure_maps_to_3(self, tmp_path, monkeypatch):
+        import jdhym.solver as solver
+        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+        cfg = write_config(tmp_path, "c.json", solve_j_config())
+        assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
 
 class TestTrivialFixture:
     def test_proportional_chi_fixture_converges_immediately(self, tmp_path):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from jdhym.errors import DataError, NotKahlerError, UsageError
-from jdhym.fields import (ScalarField, TorusGeometry,
-                          complex_hessian, constant_form, field_from_modes,
+from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
+                          complex_gradient, complex_hessian, constant_form,
+                          field_from_modes,
                           form_field, hessian_values, integrate, kahler_form,
                           load_scalar_field, mixed_density, mollifier_profile,
                           mollifier_normalization, mollify,
@@ -92,6 +94,72 @@ class TestComplexHessian:
         vals[0, 0] = np.nan
         with pytest.raises(DataError):
             hessian_values(ScalarField(g1, vals))
+
+
+# Complex-FFT reference for the real-transform calculus: full spectrum,
+# Nyquist-zeroed odd symbols, diagonal Laplace symbols with Nyquist kept.
+REAL_FFT_RTOL = 1e-12  # fixed before the comparison; the arithmetic order differs
+
+
+def reference_zeta(geom):
+    N = geom.N
+    freq = sfft.fftfreq(N, d=1.0 / N)
+    freq[N // 2] = 0.0
+    out = np.zeros((geom.n,) + geom.shape, dtype=complex)
+    for j in range(geom.n):
+        kx = freq.reshape((1,) * j + (N,) + (1,) * (2 * geom.n - j - 1))
+        ky = freq.reshape((1,) * (geom.n + j) + (N,) + (1,) * (geom.n - j - 1))
+        out[j] = math.pi * (ky + 1j * kx)
+    return out
+
+
+def reference_hessian(phi):
+    geom = phi.geometry
+    zeta = reference_zeta(geom)
+    lap = _axis_laplace(geom)
+    phat = sfft.fftn(phi.values)
+    n = geom.n
+    out = np.empty(geom.shape + (n, n), dtype=complex)
+    for i in range(n):
+        out[..., i, i] = sfft.ifftn(-lap[i] * phat).real
+        for j in range(i + 1, n):
+            entry = sfft.ifftn(-zeta[i] * np.conj(zeta[j]) * phat)
+            out[..., i, j] = entry
+            out[..., j, i] = np.conj(entry)
+    return out
+
+
+def reference_gradient(phi):
+    zeta = reference_zeta(phi.geometry)
+    phat = sfft.fftn(phi.values)
+    return np.stack([sfft.ifftn(z * phat) for z in zeta], axis=-1)
+
+
+def relative_error(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+class TestRealTransformCalculus:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hessian_matches_complex_reference(self, n):
+        # white noise is not band-limited, so Nyquist content is exercised
+        geom = TorusGeometry(n, 8)
+        phi = ScalarField(geom, np.random.default_rng(n).standard_normal(geom.shape))
+        assert relative_error(hessian_values(phi), reference_hessian(phi)) <= REAL_FFT_RTOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hessian_exactly_hermitian(self, n):
+        geom = TorusGeometry(n, 8)
+        phi = ScalarField(geom, np.random.default_rng(10 + n).standard_normal(geom.shape))
+        H = hessian_values(phi)
+        assert np.array_equal(H, H.conj().swapaxes(-1, -2))
+        assert np.all(np.diagonal(H, axis1=-2, axis2=-1).imag == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_matches_complex_reference(self, n):
+        geom = TorusGeometry(n, 8)
+        phi = ScalarField(geom, np.random.default_rng(20 + n).standard_normal(geom.shape))
+        assert relative_error(complex_gradient(phi), reference_gradient(phi)) <= REAL_FFT_RTOL
 
 
 class TestKahlerForm:

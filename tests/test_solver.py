@@ -1,16 +1,20 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
-from jdhym.errors import (ConeBreachError, DomainError,
+from jdhym import solver
+from jdhym.errors import (ConeBreachError, ContinuationError, DomainError,
                           EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
-from jdhym.fields import (ScalarField, TorusGeometry, complex_hessian,
+from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, complex_hessian,
                           constant_form, field_from_modes, form_field,
                           mixed_density, relative_spectrum_field)
 from jdhym.functionals import compute_c0
-from jdhym.solver import (SolverConfig, continuity_path_dhym,
+from jdhym.solver import (SolveReport, SolverConfig, continuity_path_dhym,
                           continuity_path_j, dhym_linearization_apply,
                           dhym_residual, j_linearization_apply, j_residual,
                           make_dhym_problem, make_j_problem, newton_solve)
@@ -392,3 +396,191 @@ class TestConfigValidation:
             SolverConfig(damping=0.0)
         with pytest.raises(UsageError):
             SolverConfig(path_steps=0)
+
+
+# Complex-FFT and eigh references for the real-transform Newton kernels.
+KERNEL_RTOL = 1e-12  # fixed before the comparison; the arithmetic order differs
+
+
+def reference_zeta(geom):
+    N = geom.N
+    freq = sfft.fftfreq(N, d=1.0 / N)
+    freq[N // 2] = 0.0
+    out = np.zeros((geom.n,) + geom.shape, dtype=complex)
+    for j in range(geom.n):
+        kx = freq.reshape((1,) * j + (N,) + (1,) * (2 * geom.n - j - 1))
+        ky = freq.reshape((1,) * (geom.n + j) + (N,) + (1,) * (geom.n - j - 1))
+        out[j] = math.pi * (ky + 1j * kx)
+    return out
+
+
+def reference_tr_m_hessian(geom, M, u):
+    zeta = reference_zeta(geom)
+    lap = _axis_laplace(geom)
+    phat = sfft.fftn(u)
+    out = None
+    for i in range(geom.n):
+        e = sfft.ifftn(-lap[i] * phat).real
+        term = M[..., i, i].real * e
+        out = term if out is None else out + term
+        for j in range(i + 1, geom.n):
+            e = sfft.ifftn(-zeta[j] * np.conj(zeta[i]) * phat)
+            mij = M[..., i, j]
+            out += 2.0 * (mij.real * e.real - mij.imag * e.imag)
+    return out
+
+
+def hermitize(M):
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def reference_j_coefficient(chi, omega_vals, lam, f):
+    gi = np.linalg.inv(omega_vals)
+    q = f.values / np.prod(lam, axis=-1)
+    return hermitize(gi @ np.ascontiguousarray(chi.values) @ gi + q[..., None, None] * gi)
+
+
+def reference_dhym_coefficient(chi, omega_vals, f, theta0):
+    Linv = np.linalg.inv(np.linalg.cholesky(np.ascontiguousarray(chi.values)))
+    lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
+    V = Linv.conj().swapaxes(-1, -2) @ U
+    s = np.sum(np.arctan(1.0 / lam), axis=-1, keepdims=True)
+    r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1, keepdims=True)
+    g = f.values[..., None] * math.cos(theta0) / r
+    w = np.cos(theta0 - s) / (lam * lam + 1.0) + g * lam / (lam * lam + 1.0)
+    return hermitize(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex), np.conj(V)))
+
+
+def matrix_from_rows(rows, n):
+    """Hermitian field from coefficient rows: diagonal, then 2 Re / 2 Im per pair."""
+    M = np.empty(rows.shape[1:] + (n, n), dtype=complex)
+    for i in range(n):
+        M[..., i, i] = rows[i]
+    for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        M[..., i, j] = 0.5 * (rows[n + 2 * p] + 1j * rows[n + 2 * p + 1])
+        M[..., j, i] = np.conj(M[..., i, j])
+    return M
+
+
+def relative_error(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+def random_hermitian_field(geom, rng, base):
+    a = rng.standard_normal(geom.shape + base.shape) \
+        + 1j * rng.standard_normal(geom.shape + base.shape)
+    return base + 0.05 * hermitize(a)
+
+
+def random_kernel_instance(n, seed):
+    """Forms with white-noise potentials (not band-limited) and a positive f."""
+    geom = TorusGeometry(n, 8)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    base = g @ g.conj().T / n + np.eye(n)
+
+    def noise():
+        return ScalarField(geom, 2e-4 * rng.standard_normal(geom.shape))
+
+    chi = form_field(geom, base, noise())
+    omega0 = form_field(geom, 2.0 * np.eye(n), noise())
+    f = ScalarField(geom, 0.1 + 0.05 * rng.uniform(size=geom.shape))
+    return geom, chi, omega0, noise(), f
+
+
+class TestRealTransformKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tr_m_hessian_matches_complex_reference(self, n):
+        geom = TorusGeometry(n, 8)
+        rng = np.random.default_rng(30 + n)
+        M = random_hermitian_field(geom, rng, np.eye(n))
+        u = rng.standard_normal(geom.shape)
+        out = solver._tr_m_hessian(geom, solver._coefficient_rows(M), sfft.rfftn(u))
+        assert relative_error(out, reference_tr_m_hessian(geom, M, u)) <= KERNEL_RTOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_j_coefficient_matches_reference(self, n):
+        geom, chi, omega0, phi, f = random_kernel_instance(n, 40 + n)
+        problem = make_j_problem(chi, omega0, f, 4.0 * n)
+        ev = problem.evaluate(phi, True)
+        rows, sign = problem.linear_coefficient(ev)
+        ref = reference_j_coefficient(chi, ev.omega_vals, ev.lam, f)
+        assert sign == -1.0
+        assert relative_error(matrix_from_rows(rows, n), ref) <= KERNEL_RTOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dhym_coefficient_matches_reference(self, n):
+        geom, chi, omega0, phi, f = random_kernel_instance(n, 50 + n)
+        theta0 = math.pi / 5
+        problem = make_dhym_problem(chi, omega0, f, theta0)
+        ev = problem.evaluate(phi, True)
+        rows, sign = problem.linear_coefficient(ev)
+        ref = reference_dhym_coefficient(chi, ev.omega_vals, f, theta0)
+        assert sign == 1.0
+        assert relative_error(matrix_from_rows(rows, n), ref) <= KERNEL_RTOL
+
+    def test_dhym_coefficient_on_degenerate_spectrum(self):
+        # omega = kappa * chi: both relative eigenvalues equal kappa everywhere,
+        # so the projector sum is w(kappa) * chi^-1
+        geom = TorusGeometry(2, 8)
+        theta0 = math.pi / 5
+        kappa = 3.2
+        chi = form_field(geom, np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]]),
+                         field_from_modes(geom, [((1, 0, 0, 0), 0.02), ((0, 1, 1, 0), 0.01)]))
+        f = ScalarField.constant(geom, 0.05)
+        problem = make_dhym_problem(chi, kappa * chi, f, theta0)
+        rows, _ = problem.linear_coefficient(problem.evaluate(ScalarField.zeros(geom), True))
+        r = kappa * kappa + 1.0
+        w = (math.cos(theta0 - 2.0 * math.atan(1.0 / kappa))
+             + 0.05 * math.cos(theta0) / r * kappa) / r
+        assert np.all(np.isfinite(rows))
+        assert relative_error(matrix_from_rows(rows, 2),
+                              w * np.linalg.inv(chi.values)) <= 1e-6
+
+
+class TestFailureBounds:
+    def test_krylov_failure_ends_newton_without_step(self, monkeypatch):
+        geom = TorusGeometry(1, 32)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.ones_like(b), 1))
+        rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
+                           SolverConfig())
+        assert rep.status == "krylov-failure" and not rep.success
+        assert rep.iterations == 0 and len(rep.residual_history) == 1
+        assert np.all(rep.phi.values == 0.0)
+
+    @staticmethod
+    def stub_solver(monkeypatch, accept):
+        """Replace the Newton solve by ``accept(t, t_prev)``; phi carries t."""
+        calls = []
+
+        def stub(t, phi, config):
+            calls.append(t)
+            status = "converged" if accept(t, float(phi.values.flat[0])) else "no-convergence"
+            return SolveReport(ScalarField.constant(phi.geometry, t), [0.0], 1.0, 0.0, 0.0,
+                               0.0, status, 0)
+
+        monkeypatch.setattr(solver, "newton_solve", stub)
+        return calls
+
+    def test_bisection_bounded_per_target(self, monkeypatch):
+        calls = self.stub_solver(monkeypatch, lambda t, t_prev: t < 0.5)
+        with pytest.raises(ContinuationError) as exc:
+            solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                          SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", [])
+        assert exc.value.t == 0.5 and exc.value.cause == "no-convergence"
+        # one attempt at the target, then 8 halvings of one failure and one midpoint
+        assert len([t for t in calls if t > 0.375]) <= 17
+
+    def test_stage_solve_budget(self, monkeypatch):
+        # every step longer than a quarter of the target spacing fails, so each
+        # target costs 7 solves and the stage runs out of its 32
+        calls = self.stub_solver(monkeypatch, lambda t, t_prev: t - t_prev <= 1.0 / 32)
+        history = []
+        with pytest.raises(ContinuationError) as exc:
+            solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                          SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
+        assert exc.value.cause == "solve-budget"
+        assert len(calls) == 2 * (8 + solver.PATH_HALVINGS)
+        assert [h["t"] for h in history if h["t"] in (0.125, 0.25, 0.375, 0.5)] \
+            == [0.125, 0.25, 0.375, 0.5]
