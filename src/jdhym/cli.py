@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,7 @@ from .hermitian import ConeSpec
 from .functionals import (FunctionalReport, aubin_i, compute_c0,
                           coercivity_probe, j_chi_functional,
                           j_omega0_functional)
-from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
-                     newton_solve)
+from .solver import SolverConfig, continuity_path_dhym, continuity_path_j
 from .stability import (IntersectionData, dhym_hypothesis_check,
                         max_uniform_epsilon, slope_test)
 
@@ -162,6 +160,18 @@ def _emit_solve(report, out: Path, chi, omega0) -> None:
     _write_history_csv(out / "residual_history.csv", report)
 
 
+def _run_path(path, out: Path, chi, omega0, *args) -> int:
+    """Run a continuity path and write its artifacts, a failed path's partial ones too."""
+    try:
+        report = path(chi, omega0, *args)
+    except ContinuationError as exc:
+        if exc.report is not None:
+            _emit_solve(exc.report, out, chi, omega0)
+        raise
+    _emit_solve(report, out, chi, omega0)
+    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
+
+
 def _with_cone(config: SolverConfig, cfg: dict, make_cone) -> SolverConfig:
     slack = float(cfg.get("solver", {}).get("cone_slack", 0.0))
     if slack <= 0.0:
@@ -179,9 +189,7 @@ def _cmd_solve_j(cfg: dict, out: Path, args) -> int:
     f_target = _constant_or_modes(cfg, "f", "f", geom)
     config = _with_cone(_parse_solver(cfg), cfg,
                         lambda s: ConeSpec.j(float(c), s))
-    report = continuity_path_j(chi, omega0, f_target, float(c), config)
-    _emit_solve(report, out, chi, omega0)
-    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
+    return _run_path(continuity_path_j, out, chi, omega0, f_target, float(c), config)
 
 
 def _cmd_solve_dhym(cfg: dict, out: Path, args) -> int:
@@ -197,9 +205,7 @@ def _cmd_solve_dhym(cfg: dict, out: Path, args) -> int:
     f_target = _constant_or_modes(cfg, "f", "f", geom)
     config = _with_cone(_parse_solver(cfg), cfg,
                         lambda s: ConeSpec.dhym(theta0, s))
-    report = continuity_path_dhym(chi, omega0, f_target, theta0, config)
-    _emit_solve(report, out, chi, omega0)
-    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
+    return _run_path(continuity_path_dhym, out, chi, omega0, f_target, theta0, config)
 
 
 def _parse_datasets(cfg: dict) -> list[IntersectionData]:
@@ -221,13 +227,11 @@ def _parse_datasets(cfg: dict) -> list[IntersectionData]:
 
 def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
     datasets = _parse_datasets(cfg)
-    jobs = max(1, int(args.jobs))
     out.mkdir(parents=True, exist_ok=True)
     warnings = [w for d in datasets for w in d.kahler_warnings()]
     if "c" in cfg:
         c = float(cfg["c"])
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            margins = list(pool.map(lambda d: slope_test(d, c, 0.0), datasets))
+        margins = [slope_test(d, c, 0.0) for d in datasets]
         eps = max_uniform_epsilon(datasets, c)
         verdict = {
             "mode": "slope",
@@ -355,7 +359,7 @@ def main(argv=None) -> int:
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--jobs", type=int, default=1, help="worker bound for batch checks")
+        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
         p.add_argument("--trials", type=int, default=1000,
                        help="trial count for verify-lemmas")
     args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ reciprocals ``1/lam_i``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,12 +24,12 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (ConeBreachError, ContinuationError, DomainError,
+from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, NotKahlerError, PreconditionError,
                      UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, complex_hessian,
-                     hessian_values, mixed_density, relative_spectrum_field)
+                     mixed_density, relative_spectrum_field)
 from .hermitian import ConeSpec
 
 __all__ = [
@@ -45,10 +45,6 @@ __all__ = [
     "continuity_path_j",
     "continuity_path_dhym",
 ]
-
-# relative spectral gap below which eigenvector chain rules are distrusted
-DEGENERATE_GAP = 1e-9
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -146,31 +142,6 @@ def j_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     return ScalarField(geom, vals)
 
 
-def _inv_herm(m: np.ndarray) -> np.ndarray:
-    """Batched inverse of small Hermitian matrices (closed form for n <= 2)."""
-    n = m.shape[-1]
-    if n == 1:
-        return 1.0 / m
-    if n == 2:
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        out = np.empty(np.broadcast_shapes(m.shape), dtype=complex)
-        out[..., 0, 0] = m[..., 1, 1] / det
-        out[..., 1, 1] = m[..., 0, 0] / det
-        out[..., 0, 1] = -m[..., 0, 1] / det
-        out[..., 1, 0] = -m[..., 1, 0] / det
-        return out
-    return np.linalg.inv(m)
-
-
-def _j_coefficient(chi_vals: np.ndarray, omega_vals: np.ndarray, lam: np.ndarray,
-                   f_vals: np.ndarray) -> np.ndarray:
-    """Hermitian coefficient W with d(residual)(u) = -tr(W * Hess(u))."""
-    gi = _inv_herm(omega_vals)
-    q = f_vals / np.prod(lam, axis=-1)  # f * chi^n / omega^n
-    W = gi @ np.ascontiguousarray(chi_vals) @ gi + q[..., None, None] * gi
-    return 0.5 * (W + W.conj().swapaxes(-1, -2))
-
-
 # Closed-form n = 2 kernels.  A Hermitian 2 x 2 field is held as the triple
 # (real diagonal 0, real diagonal 1, complex upper entry); the fields are
 # Hermitian by construction, so the lower entry is not read.
@@ -199,21 +170,70 @@ def _gxg2(g: tuple, x: tuple) -> tuple:
     return t0, t1, t01
 
 
+def _chi2(chi: FormField) -> tuple:
+    """``chi`` as a 2 x 2 triple; a constant form is read from its base matrix."""
+    return _herm2(chi.base if chi.potential is None else chi.values)
+
+
 def _coefficient_rows(M: np.ndarray) -> np.ndarray:
-    """The rows (see :func:`fields._hermitian_rows`) of a Hermitian coefficient field."""
+    """The rows (see :func:`fields._hermitian_rows`) of the Hermitian part of ``M``."""
     n = M.shape[-1]
     return _hermitian_rows([M[..., i, i].real for i in range(n)],
-                           [M[..., i, j] for i, j in _pairs(n)])
+                           [0.5 * (M[..., i, j] + np.conj(M[..., j, i])) for i, j in _pairs(n)])
 
 
-def _j_coefficient_rows2(chi2: tuple, omega_vals: np.ndarray, lam: np.ndarray,
-                         f_vals: np.ndarray) -> np.ndarray:
-    """Coefficient rows of :func:`_j_coefficient` at n = 2, ``W = G chi G + q G``
-    with ``G = omega^-1``, in closed form."""
-    g = _inv2(_herm2(omega_vals))
-    q = f_vals / np.prod(lam, axis=-1)  # f * chi^n / omega^n
-    t0, t1, t01 = _gxg2(g, chi2)
-    return _hermitian_rows([t0 + q * g[0], t1 + q * g[1]], [t01 + q * g[2]])
+def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+            f_vals: np.ndarray) -> np.ndarray:
+    """Rows of the Hermitian W with ``d(j_residual)(u) = -tr(W Hess u)``.
+
+    ``W = G chi G + q G`` with ``G = omega^-1`` and ``q = f chi^n/omega^n``;
+    written out entrywise at n = 2.
+    """
+    q = f_vals / np.prod(lam, axis=-1)
+    if chi.geometry.n == 2:
+        g = _inv2(_herm2(omega_vals))
+        t0, t1, t01 = _gxg2(g, _chi2(chi))
+        return _hermitian_rows([t0 + q * g[0], t1 + q * g[1]], [t01 + q * g[2]])
+    gi = np.linalg.inv(omega_vals)
+    return _coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
+                             + q[..., None, None] * gi)
+
+
+def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+               f_vals: np.ndarray, theta0: float) -> np.ndarray:
+    """Rows of the projector sum ``M = sum_i w(lam_i) v_i v_i^H`` with
+    ``d(dhym_residual)(u) = tr(M Hess u)``, where ``omega v_i = lam_i chi v_i``,
+    ``v_i^H chi v_j = delta_ij`` and ``w(lam) = (C + g*lam)/(lam^2 + 1)``.
+
+    ``C = cos(theta0 - sum arctan(1/lam_i))`` and ``g = f cos(theta0)/prod
+    sqrt(lam_i^2 + 1)`` are symmetric in the eigenvalues, so the weights
+    coincide on clusters and ``M`` is continuous through eigenvalue
+    crossings.  At n = 2 the sum is ``a chi^-1 + b chi^-1 omega chi^-1`` with
+    ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``;
+    otherwise the pairs ``(lam_i, v_i)`` come from ``eigh`` in the Cholesky
+    frame of ``chi``.
+    """
+    if chi.geometry.n == 2:
+        chi_inv = _inv2(_chi2(chi))
+        l1, l2 = lam[..., 0], lam[..., 1]
+        q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
+        C = np.cos(theta0 - (np.arctan(1.0 / l1) + np.arctan(1.0 / l2)))
+        g = f_vals * math.cos(theta0) / (np.sqrt(q1) * np.sqrt(q2))
+        b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
+        a = (C + g * l1) / q1 - b * l1
+        t0, t1, t01 = _gxg2(chi_inv, _herm2(omega_vals))
+        return _hermitian_rows([a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1],
+                               [a * chi_inv[2] + b * t01])
+    Linv = np.linalg.inv(np.linalg.cholesky(chi.base if chi.potential is None
+                                            else chi.values))
+    lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
+    V = Linv.conj().swapaxes(-1, -2) @ U
+    s = np.sum(np.arctan(1.0 / lam), axis=-1, keepdims=True)
+    r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1, keepdims=True)
+    g = f_vals[..., None] * math.cos(theta0) / r
+    w = (np.cos(theta0 - s) + g * lam) / (lam * lam + 1.0)
+    return _coefficient_rows(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex),
+                                       np.conj(V)))
 
 
 def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np.ndarray:
@@ -226,14 +246,23 @@ def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np
     return out
 
 
+def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
+                u: ScalarField) -> ScalarField:
+    """``sign * tr(M Hess u)`` with M given by its rows."""
+    if not np.all(np.isfinite(u.values)):
+        raise DataError("direction contains non-finite values")
+    return ScalarField(geom, sign * _tr_m_hessian(geom, rows, sfft.rfftn(u.values, workers=-1)))
+
+
 def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
                           f: ScalarField, u: ScalarField,
                           c: float | None = None) -> ScalarField:
     """Directional derivative of :func:`j_residual` at ``phi`` along ``u``.
 
-    Elliptic (definite Fourier symbol) exactly when the coefficient is
-    positive, which the strict c-subsolution condition guarantees; ``c``
-    enables the explicit cone check when provided.
+    Elliptic (definite Fourier symbol) exactly when the coefficient
+    ``W = G (chi + q omega) G`` is positive, i.e. when ``1 + q*lam_i > 0``
+    for every relative eigenvalue; the strict c-subsolution condition
+    guarantees it, and ``c`` enables that explicit cone check when provided.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
     lam, omega_vals = _lam_field(chi, omega0, phi)
@@ -241,13 +270,10 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
         loo = np.sum(1.0 / lam, axis=-1) - 1.0 / lam[..., -1]
         if float(np.max(loo)) >= c:
             raise EllipticityLostError("iterate is not a strict c-subsolution")
-    W = _j_coefficient(chi.values, omega_vals, lam, f.values)
-    from .fields import min_eigenvalue_field
-    if float(np.min(min_eigenvalue_field(W))) <= 0.0:
+    q = f.values / np.prod(lam, axis=-1)
+    if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
         raise EllipticityLostError("linearized coefficient lost positivity")
-    H = hessian_values(u)
-    vals = -np.einsum("...ij,...ji->...", W, H).real
-    return ScalarField(geom, vals)
+    return _apply_rows(geom, _j_rows(chi, omega_vals, lam, f.values), -1.0, u)
 
 
 def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -285,80 +311,18 @@ def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     return ScalarField(geom, vals)
 
 
-def _generalized_eig(chi: FormField, omega_vals: np.ndarray):
-    """Pointwise (lam, V) with ``omega V = chi V diag(lam)`` and ``V^H chi V = I``."""
-    n = chi.geometry.n
-    if n == 1:
-        lam = (omega_vals[..., 0, 0].real / chi.values[..., 0, 0].real)[..., None]
-        V = (1.0 / np.sqrt(chi.values[..., 0, 0].real))[..., None, None].astype(complex)
-        return lam, V
-    if chi.potential is None:
-        L = np.linalg.cholesky(chi.base)
-        Linv = np.linalg.inv(L)
-    else:
-        Linv = np.linalg.inv(np.linalg.cholesky(chi.values))
-    reduced = Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2)
-    lam, U = np.linalg.eigh(reduced)
-    V = Linv.conj().swapaxes(-1, -2) @ U
-    return lam, V
-
-
-def _dhym_grad_weights(lam: np.ndarray, f_vals: np.ndarray, theta0: float) -> np.ndarray:
-    s = np.sum(np.arctan(1.0 / lam), axis=-1, keepdims=True)
-    r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1, keepdims=True)
-    g = f_vals[..., None] * math.cos(theta0) / r
-    return np.cos(theta0 - s) / (lam * lam + 1.0) + g * lam / (lam * lam + 1.0)
-
-
 def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
                              f: ScalarField, theta0: float, u: ScalarField) -> ScalarField:
     """Directional derivative of :func:`dhym_residual` at ``phi`` along ``u``.
 
-    Differentiates through the spectrum with first-order eigenvalue
-    perturbation; falls back to central differences of the residual when the
-    relative spectral gap drops below ``1e-9``.
+    Applies the spectral-projector coefficient of :func:`_dhym_rows`, the
+    derivative of a symmetric function of the relative spectrum; it is
+    continuous through eigenvalue crossings, so degenerate spectra need no
+    special treatment.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    omega = omega0 + complex_hessian(phi)
-    lam, V = _generalized_eig(chi, omega.values)
-    if _min_relative_gap(lam) < DEGENERATE_GAP:
-        h = 1e-6 * (1.0 + phi.sup_norm()) / max(u.sup_norm(), 1e-30)
-        rp = dhym_residual(chi, omega0, phi + h * u, f, theta0)
-        rm = dhym_residual(chi, omega0, phi - h * u, f, theta0)
-        return ScalarField(geom, (rp.values - rm.values) / (2.0 * h))
-    w = _dhym_grad_weights(lam, f.values, theta0)
-    M = np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex), np.conj(V))
-    H = hessian_values(u)
-    vals = np.einsum("...ij,...ji->...", M, H).real
-    return ScalarField(geom, vals)
-
-
-def _dhym_coefficient_rows2(chi_inv: tuple, omega_vals: np.ndarray, lam: np.ndarray,
-                            f_vals: np.ndarray, theta0: float) -> np.ndarray:
-    """Coefficient rows of the dHYM projector sum ``w_1 P_1 + w_2 P_2`` at n = 2.
-
-    The weights are ``w(lam) = (C + g*lam)/(lam^2 + 1)`` with ``C`` and ``g``
-    symmetric in the eigenvalues, so the sum is ``a chi^-1 + b chi^-1 omega
-    chi^-1`` with ``b`` the divided difference of the weights (continuous at
-    ``lam_1 = lam_2``) and ``a = w_1 - b*lam_1``.
-    """
-    l1, l2 = lam[..., 0], lam[..., 1]
-    q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
-    C = np.cos(theta0 - (np.arctan(1.0 / l1) + np.arctan(1.0 / l2)))
-    g = f_vals * math.cos(theta0) / (np.sqrt(q1) * np.sqrt(q2))
-    b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
-    a = (C + g * l1) / q1 - b * l1
-    t0, t1, t01 = _gxg2(chi_inv, _herm2(omega_vals))
-    return _hermitian_rows([a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1],
-                           [a * chi_inv[2] + b * t01])
-
-
-def _min_relative_gap(lam: np.ndarray) -> float:
-    if lam.shape[-1] == 1:
-        return math.inf
-    gaps = np.diff(lam, axis=-1)
-    scale = np.maximum(1.0, lam[..., -1:])
-    return float(np.min(gaps / scale))
+    lam, omega_vals = _lam_field(chi, omega0, phi)
+    return _apply_rows(geom, _dhym_rows(chi, omega_vals, lam, f.values, float(theta0)), 1.0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +349,6 @@ class _NewtonProblem:
     # (rows of M as in fields._hermitian_rows, sign): d(residual)(u) = sign * tr(M Hess u)
     linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
-    describe: str = ""
-    meta: dict = dataclass_field(default_factory=dict)
 
 
 def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
@@ -415,17 +377,10 @@ def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
             weight = det_chi * prod
         return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
 
-    if n == 2:
-        chi2 = _herm2(chi.base if chi.potential is None else chi.values)
-
     def linear_coefficient(ev: _Eval):
-        if n == 2:
-            return _j_coefficient_rows2(chi2, ev.omega_vals, ev.lam, f.values), -1.0
-        W = _j_coefficient(chi.values, ev.omega_vals, ev.lam, f.values)
-        return _coefficient_rows(W), -1.0
+        return _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0
 
-    return _NewtonProblem("J", geom, evaluate, linear_coefficient, gauge,
-                          describe=f"J equation, c = {c:.6g}")
+    return _NewtonProblem("J", geom, evaluate, linear_coefficient, gauge)
 
 
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
@@ -440,8 +395,6 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     det_chi = np.linalg.det(chi.values).real
     gauge = mixed_density([omega0.values] * n)
     cos0 = math.cos(theta0)
-    if n == 2:
-        chi_inv = _inv2(_herm2(chi.base if chi.potential is None else chi.values))
 
     def evaluate(phi: ScalarField, with_residual: bool = True) -> _Eval:
         lam, omega_vals = _lam_field(chi, omega0, phi)
@@ -460,19 +413,9 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
         return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
 
     def linear_coefficient(ev: _Eval):
-        # The spectral-projector form sum_i w_i v_i v_i^H is stable through
-        # eigenvalue crossings (the weights coincide on clusters), so no
-        # finite-difference fallback is needed inside the Newton loop.
-        if n == 2:
-            return _dhym_coefficient_rows2(chi_inv, ev.omega_vals, ev.lam, f.values,
-                                           theta0), 1.0
-        lam, V = _generalized_eig(chi, ev.omega_vals)
-        w = _dhym_grad_weights(lam, f.values, theta0)
-        M = np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex), np.conj(V))
-        return _coefficient_rows(0.5 * (M + M.conj().swapaxes(-1, -2))), 1.0
+        return _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0
 
-    return _NewtonProblem("dHYM", geom, evaluate, linear_coefficient, gauge,
-                          describe=f"dHYM equation, theta0 = {theta0:.6g}")
+    return _NewtonProblem("dHYM", geom, evaluate, linear_coefficient, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +568,28 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
     allows ``2 * (len(targets) + PATH_HALVINGS)`` Newton solves in all
     (twice the plain march plus one full chain of halvings, each of which
     costs a midpoint and a retry); past either budget the stage raises
-    :class:`ContinuationError`.
+    :class:`ContinuationError`.  It carries the last report, with the path
+    history so far and the cause of the failure as its status.
     """
     targets = [float(t) for t in targets]
     budget = 2 * (len(targets) + PATH_HALVINGS)
     solves = 0
     t_prev = float(t_start)
     report = None
+
+    def abort(message: str, t: float, cause: str) -> ContinuationError:
+        if report is not None:
+            report.path_history, report.status = history, cause
+        return ContinuationError(message, stage=stage, t=t, cause=cause, report=report)
+
     for target in targets:
         pending = [target]
         halvings = 0
         while pending:
             t = pending[-1]
             if solves >= budget:
-                raise ContinuationError(
-                    f"stage {stage} used its {budget} solves before t = {t:.6g}",
-                    stage=stage, t=t, cause="solve-budget", report=report)
+                raise abort(f"stage {stage} used its {budget} solves before t = {t:.6g}",
+                            t, "solve-budget")
             solves += 1
             problem = make_problem(t)
             failure = None
@@ -653,9 +602,7 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
                 report = exc.report
             if failure is not None:
                 if halvings >= PATH_HALVINGS:
-                    raise ContinuationError(
-                        f"stage {stage} failed at t = {t:.6g} ({failure})",
-                        stage=stage, t=t, cause=failure, report=report)
+                    raise abort(f"stage {stage} failed at t = {t:.6g} ({failure})", t, failure)
                 halvings += 1
                 pending.append(0.5 * (t_prev + t))
                 continue

@@ -234,6 +234,19 @@ class TestExitCodeRouting:
         cfg = write_config(tmp_path, "c.json", solve_j_config())
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_failed_solve_writes_artifacts(self, tmp_path, monkeypatch):
+        import jdhym.solver as solver
+        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+        cfg = write_config(tmp_path, "c.json", solve_j_config())
+        out = tmp_path / "o"
+        assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "krylov-failure"
+        # stage 1 is exact at phi = 0 and needs no Krylov solve; stage 2 fails
+        assert [h["stage"] for h in report["path_history"]] == ["j-stage1"] * 3
+        assert (out / "phi.bin").exists()
+        assert (out / "residual_history.csv").exists()
+
 
 class TestTrivialFixture:
     def test_proportional_chi_fixture_converges_immediately(self, tmp_path):

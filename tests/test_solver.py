@@ -7,8 +7,8 @@ import pytest
 import scipy.fft as sfft
 
 from jdhym import solver
-from jdhym.errors import (ConeBreachError, ContinuationError, DomainError,
-                          EllipticityLostError, NotKahlerError,
+from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
+                          DomainError, EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
 from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, complex_hessian,
                           constant_form, field_from_modes, form_field,
@@ -139,6 +139,42 @@ class TestJLinearization:
         with pytest.raises(EllipticityLostError):
             j_linearization_apply(chi, omega0, ScalarField.zeros(geom),
                                   ScalarField.zeros(geom), u, c=1.5)
+
+    def test_matches_finite_differences_n3(self):
+        geom = TorusGeometry(3, 8)
+        chi = form_field(geom, np.diag([1.0, 1.5, 2.0]).astype(complex),
+                         field_from_modes(geom, [((1, 0, 0, 0, 0, 0), 0.01)]))
+        omega0 = form_field(geom, np.eye(3), field_from_modes(geom, [((0, 0, 0, 1, 0, 0), 0.01)]))
+        phi = field_from_modes(geom, [((0, 1, 0, 0, 0, 0), 0.005)])
+        f = ScalarField.constant(geom, 0.1)
+        c = 5.0
+        u = field_from_modes(geom, [((1, 0, 1, 0, 0, 0), 0.2), ((0, 0, 0, 0, 2, 0), 0.1)])
+        L = j_linearization_apply(chi, omega0, phi, f, u, c)
+        h = 1e-5
+        fd = (j_residual(chi, omega0, phi + h * u, f, c).values
+              - j_residual(chi, omega0, phi - h * u, f, c).values) / (2 * h)
+        assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-6
+
+    def test_ellipticity_lost_on_negative_coefficient(self):
+        # W = G (chi + q omega) G with q = f/prod(lam); lam = (1, 3) here, so
+        # f = -5 gives 1 + q*lam_1 = -2/3 < 0 and f = -0.5 keeps W positive
+        geom = TorusGeometry(2, 8)
+        chi = constant_form(geom, np.eye(2))
+        omega0 = constant_form(geom, np.diag([1.0, 3.0]))
+        u = field_from_modes(geom, [((1, 0, 0, 0), 1.0)])
+        with pytest.raises(EllipticityLostError):
+            j_linearization_apply(chi, omega0, ScalarField.zeros(geom),
+                                  ScalarField.constant(geom, -5.0), u)
+        out = j_linearization_apply(chi, omega0, ScalarField.zeros(geom),
+                                    ScalarField.constant(geom, -0.5), u)
+        assert np.all(np.isfinite(out.values))
+
+    def test_rejects_non_finite_direction(self):
+        geom = TorusGeometry(2, 8)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        u = ScalarField(geom, np.full(geom.shape, np.nan))
+        with pytest.raises(DataError):
+            j_linearization_apply(chi, omega0, phistar, f, u, c)
 
 
 class TestNewtonSolve:
@@ -337,6 +373,32 @@ class TestDhymResidual:
         fd = (dhym_residual(chi, omega0, h * u, f, theta0).values
               - dhym_residual(chi, omega0, (-h) * u, f, theta0).values) / (2 * h)
         assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_linearization_on_degenerate_spectrum(self, n):
+        # omega0 = kappa * chi makes every relative eigenvalue equal kappa; the
+        # projector form needs no gap between them
+        geom = TorusGeometry(n, 8)
+        theta0 = math.pi / 5
+        kappa = 1.0 / math.tan(theta0 / n)
+        chi = constant_form(geom, np.eye(n))
+        omega0 = constant_form(geom, kappa * np.eye(n))
+        u = field_from_modes(geom, [((1,) + (0,) * (2 * n - 1), 1.0),
+                                    ((0,) * (2 * n - 1) + (1,), 0.5)])
+        f = ScalarField.constant(geom, 0.05)
+        L = dhym_linearization_apply(chi, omega0, ScalarField.zeros(geom), f, theta0, u)
+        h = 1e-5
+        fd = (dhym_residual(chi, omega0, h * u, f, theta0).values
+              - dhym_residual(chi, omega0, (-h) * u, f, theta0).values) / (2 * h)
+        assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    def test_linearization_rejects_non_finite_direction(self):
+        geom = TorusGeometry(1, 16)
+        form = constant_form(geom, np.eye(1))
+        u = ScalarField(geom, np.full(geom.shape, np.inf))
+        with pytest.raises(DataError):
+            dhym_linearization_apply(form, 3.0 * form, ScalarField.zeros(geom),
+                                     ScalarField.zeros(geom), 0.5, u)
 
 
 class TestContinuityPathDhym:
@@ -584,3 +646,14 @@ class TestFailureBounds:
         assert len(calls) == 2 * (8 + solver.PATH_HALVINGS)
         assert [h["t"] for h in history if h["t"] in (0.125, 0.25, 0.375, 0.5)] \
             == [0.125, 0.25, 0.375, 0.5]
+
+    def test_failure_report_carries_cause_and_history(self, monkeypatch):
+        # the last solve before the budget runs out converged; the report
+        # handed out with the failure must not read as converged
+        self.stub_solver(monkeypatch, lambda t, t_prev: t - t_prev <= 1.0 / 32)
+        history = []
+        with pytest.raises(ContinuationError) as exc:
+            solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                          SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
+        assert exc.value.report.status == "solve-budget"
+        assert exc.value.report.path_history is history and len(history) == 18
