@@ -8,8 +8,9 @@ omega_0 + i d dbar(phi)`` and are driven by the relative eigenvalues
 * dHYM:   ``sin(theta0 - sum arctan(1/lam_i)) - f cos(theta0)/prod sqrt(lam_i^2+1) = 0``.
 
 The linearized operators annihilate constants, so each Newton step solves
-the mean-zero projection of the linear system with a Krylov iteration
-preconditioned by the constant-coefficient Fourier symbol; the component of
+the mean-zero projection ``A u = b`` of the linear system: ``lgmres`` solves
+``(A P) y = b`` with ``P`` the inverse constant-coefficient Fourier symbol,
+``u = P y``, and stops on the true residual ``b - A u``; the component of
 the residual outside the numerical range (its volume-weighted mean) is
 surfaced as ``multiplier`` instead of silently absorbed.
 """
@@ -343,7 +344,6 @@ class _Eval:
 class _NewtonProblem:
     """Bundle of closures consumed by :func:`newton_solve`."""
 
-    kind: str
     geometry: TorusGeometry
     evaluate: Callable[[ScalarField, bool], _Eval]
     # (rows of M as in fields._hermitian_rows, sign): d(residual)(u) = sign * tr(M Hess u)
@@ -380,7 +380,7 @@ def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
     def linear_coefficient(ev: _Eval):
         return _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0
 
-    return _NewtonProblem("J", geom, evaluate, linear_coefficient, gauge)
+    return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
 
 
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
@@ -415,7 +415,7 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     def linear_coefficient(ev: _Eval):
         return _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0
 
-    return _NewtonProblem("dHYM", geom, evaluate, linear_coefficient, gauge)
+    return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -437,29 +437,30 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
                   config: SolverConfig) -> tuple[np.ndarray, int]:
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
-    The Fourier symbol of the mean coefficient preconditions the iteration.
-    Returns the solution and the ``lgmres`` info (0 when it converged).
+    With ``A v = tr(M Hess v) - mean`` and ``P`` the inverse Fourier symbol of
+    the mean coefficient, ``lgmres`` solves ``(A P) y = b`` (P folds into the
+    spectrum A computes anyway) and ``u = P y``; it stops on the true residual
+    ``|b - A u| <= linear_tol |b|``.  It restarts every ``min(30,
+    linear_max_iter)`` steps, so ``linear_max_iter`` bounds the inner steps
+    (plus one residual per cycle).  Returns ``u`` and the ``lgmres`` info.
     """
     G = geom.grid_size
     shape = geom.shape
     sym = _symbol(geom, coef.reshape(len(coef), -1).mean(axis=1))
     # zero symbol = modes the discrete operator annihilates (mean, Nyquist);
-    # the preconditioner suppresses them and the projection handles the mean
+    # P suppresses them and the projection handles the mean
     scale = float(np.max(np.abs(sym)))
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
     inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
 
-    # every Hessian symbol vanishes at k = 0, so the operator needs no
-    # projection of its input; inv_sym is 0 there, so the preconditioner
-    # output is mean-zero
-    def matvec(v):
-        out = _tr_m_hessian(geom, coef, sfft.rfftn(v.reshape(shape), workers=-1))
+    # every Hessian symbol vanishes at k = 0, so A P needs only its output
+    # projected; inv_sym is 0 there, so u = P y is mean-zero
+    def matvec(y):
+        vhat = sfft.rfftn(y.reshape(shape), workers=-1)
+        vhat *= inv_sym
+        out = _tr_m_hessian(geom, coef, vhat)
         out -= out.mean()
         return out.reshape(-1)
-
-    def precond(v):
-        vhat = sfft.rfftn(v.reshape(shape), workers=-1)
-        return _irfft(geom, vhat * inv_sym).reshape(-1)
 
     # drop unresolvable (annihilated-mode) content from the right-hand side;
     # it is quadrature junk and would otherwise stall the Krylov iteration
@@ -468,12 +469,11 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(shape), 0
-    A = LinearOperator((G, G), matvec=matvec, dtype=float)
-    M = LinearOperator((G, G), matvec=precond, dtype=float)
-    x, info = lgmres(A, b, M=M, rtol=config.linear_tol, atol=0.0,
-                     maxiter=config.linear_max_iter, inner_m=30)
-    u = x.reshape(shape)
-    return u - u.mean(), int(info)
+    inner_m = min(30, config.linear_max_iter)
+    y, info = lgmres(LinearOperator((G, G), matvec=matvec, dtype=float), b,
+                     rtol=config.linear_tol, atol=0.0, inner_m=inner_m,
+                     maxiter=math.ceil(config.linear_max_iter / inner_m))
+    return _irfft(geom, inv_sym * sfft.rfftn(y.reshape(shape), workers=-1)), int(info)
 
 
 def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:

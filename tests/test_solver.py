@@ -360,7 +360,7 @@ class TestDhymResidual:
               - dhym_residual(chi, omega0, phi - h * u, f, theta0).values) / (2 * h)
         assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-6
 
-    def test_linearization_fd_fallback_on_degenerate_spectrum(self):
+    def test_linearization_on_degenerate_spectrum_n2(self):
         # proportional forms have an exactly degenerate relative spectrum
         geom = TorusGeometry(2, 8)
         theta0 = math.pi / 5
@@ -598,6 +598,49 @@ class TestRealTransformKernels:
         assert np.all(np.isfinite(rows))
         assert relative_error(matrix_from_rows(rows, 2),
                               w * np.linalg.inv(chi.values)) <= 1e-6
+
+
+def j_newton_rows(n, seed):
+    """The J Newton coefficient rows at the white-noise kernel instance."""
+    geom, chi, omega0, phi, f = random_kernel_instance(n, seed)
+    problem = make_j_problem(chi, omega0, f, 4.0 * n)
+    rows, _ = problem.linear_coefficient(problem.evaluate(phi, True))
+    return geom, rows
+
+
+def white_noise_rhs(geom, seed):
+    rhs = np.random.default_rng(seed).standard_normal(geom.shape)
+    return rhs - rhs.mean()
+
+
+class TestLinearSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_contract(self, n):
+        geom, rows = j_newton_rows(n, 60 + n)
+        rhs = white_noise_rhs(geom, 70 + n)
+        u, info = solver._solve_linear(geom, rows, rhs, SolverConfig())
+        assert info == 0
+        assert abs(u.mean()) <= 1e-14 * np.max(np.abs(u))
+        out = solver._tr_m_hessian(geom, rows, sfft.rfftn(u))
+        # bound fixed before measuring; the stop test is linear_tol = 1e-10
+        assert np.linalg.norm(out - out.mean() - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("max_iter", [3, 10, 60])
+    def test_linear_max_iter_bounds_operator_applications(self, monkeypatch, max_iter):
+        geom, rows = j_newton_rows(1, 61)
+        calls = []
+        tr_m_hessian = solver._tr_m_hessian
+
+        def counted(*args):
+            calls.append(1)
+            return tr_m_hessian(*args)
+
+        monkeypatch.setattr(solver, "_tr_m_hessian", counted)
+        config = SolverConfig(linear_tol=0.0, linear_max_iter=max_iter)
+        _, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
+        cycles = math.ceil(max_iter / min(30, max_iter))
+        assert info != 0
+        assert len(calls) <= max_iter + cycles + 1
 
 
 class TestFailureBounds:
