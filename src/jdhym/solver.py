@@ -13,6 +13,8 @@ the mean-zero projection ``A u = b`` of the linear system: ``lgmres`` solves
 ``u = P y``, and stops on the true residual ``b - A u``; the component of
 the residual outside the numerical range (its volume-weighted mean) is
 surfaced as ``multiplier`` instead of silently absorbed.
+Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
+term with ``linear_tol`` as its floor (see :func:`newton_solve`).
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class SolverConfig:
     linear_max_iter: int = 400
 
     def __post_init__(self):
-        if self.tolerance < 1e-12:
-            raise UsageError("tolerance must be >= 1e-12")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 1e-12):
+            raise UsageError("tolerance must be finite and >= 1e-12")
+        if not 0.0 <= self.linear_tol < 1.0:
+            raise UsageError("linear_tol must lie in [0, 1)")
         if not 0.0 < self.damping <= 1.0:
             raise UsageError("damping must lie in (0, 1]")
         if self.path_steps < 1:
@@ -433,16 +437,20 @@ def _symbol(geom: TorusGeometry, coef_mean: np.ndarray) -> np.ndarray:
     return sym
 
 
+class _KrylovBudget(Exception):
+    """Raised by the Krylov operator when ``linear_max_iter`` is used up."""
+
+
 def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
-                  config: SolverConfig) -> tuple[np.ndarray, int]:
+                  config: SolverConfig, rtol: float | None = None) -> tuple[np.ndarray, int]:
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
     With ``A v = tr(M Hess v) - mean`` and ``P`` the inverse Fourier symbol of
     the mean coefficient, ``lgmres`` solves ``(A P) y = b`` (P folds into the
     spectrum A computes anyway) and ``u = P y``; it stops on the true residual
-    ``|b - A u| <= linear_tol |b|``.  It restarts every ``min(30,
-    linear_max_iter)`` steps, so ``linear_max_iter`` bounds the inner steps
-    (plus one residual per cycle).  Returns ``u`` and the ``lgmres`` info.
+    ``|b - A u| <= rtol |b|`` (default ``linear_tol``).  Asking for more than
+    ``linear_max_iter`` applications of ``A`` ends the solve.  Returns ``u``
+    and the ``lgmres`` info (non-zero, with ``u`` unusable, on failure).
     """
     G = geom.grid_size
     shape = geom.shape
@@ -452,10 +460,13 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     scale = float(np.max(np.abs(sym)))
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
     inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
+    budget = iter(range(config.linear_max_iter))  # one item per application of A
 
     # every Hessian symbol vanishes at k = 0, so A P needs only its output
     # projected; inv_sym is 0 there, so u = P y is mean-zero
     def matvec(y):
+        if next(budget, None) is None:
+            raise _KrylovBudget
         vhat = sfft.rfftn(y.reshape(shape), workers=-1)
         vhat *= inv_sym
         out = _tr_m_hessian(geom, coef, vhat)
@@ -469,10 +480,14 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(shape), 0
-    inner_m = min(30, config.linear_max_iter)
-    y, info = lgmres(LinearOperator((G, G), matvec=matvec, dtype=float), b,
-                     rtol=config.linear_tol, atol=0.0, inner_m=inner_m,
-                     maxiter=math.ceil(config.linear_max_iter / inner_m))
+    # each restart cycle applies A, so the budget ends a solve before maxiter
+    try:
+        y, info = lgmres(LinearOperator((G, G), matvec=matvec, dtype=float), b,
+                         rtol=config.linear_tol if rtol is None else rtol, atol=0.0,
+                         inner_m=min(30, config.linear_max_iter),
+                         maxiter=config.linear_max_iter)
+    except _KrylovBudget:
+        return np.zeros(shape), config.linear_max_iter
     return _irfft(geom, inv_sym * sfft.rfftn(y.reshape(shape), workers=-1)), int(info)
 
 
@@ -480,9 +495,18 @@ def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:
     return float(np.sum(values * weight) / np.sum(weight))
 
 
+ETA_MAX = 1e-2  # Eisenstat-Walker forcing terms: the cap of eta_k
+ETA_GAMMA = 0.9  # and its factor
+
+
 def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
                  config: SolverConfig) -> SolveReport:
-    """Damped Newton with cone clamping and solvability projection.
+    """Damped inexact Newton with cone clamping and solvability projection.
+
+    Step ``k`` solves the linearization to the relative Krylov residual of the
+    forcing term ``eta_0 = ETA_MAX``, ``eta_k = min(ETA_MAX, ETA_GAMMA * (r_k /
+    r_{k-1})**2)`` from the sup residuals ``r`` (Eisenstat & Walker, SIAM J.
+    Sci. Comput. 17, 1996, choice 2), floored at ``linear_tol``.
 
     Every accepted iterate stays strictly inside the cone (positivity plus
     the strict subsolution margin, deepened by ``config.cone.slack`` when
@@ -512,8 +536,11 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
             status = "no-convergence"
             break
         coef, sign = problem.linear_coefficient(ev)
-        # Newton step: sign * tr(M Hess u) = -residual
-        u, info = _solve_linear(geom, coef, -sign * ev.residual, config)
+        eta = ETA_MAX if iterations == 0 else min(
+            ETA_MAX, ETA_GAMMA * (history[-1] / history[-2]) ** 2)
+        # Newton step: sign * tr(M Hess u) = -residual, to relative residual eta
+        u, info = _solve_linear(geom, coef, -sign * ev.residual, config,
+                                max(eta, config.linear_tol))
         if info != 0:
             status = "krylov-failure"
             break

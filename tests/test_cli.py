@@ -67,6 +67,12 @@ class TestSolveJ:
         cfg = write_config(tmp_path, "c.json", solve_j_config(c=2.5, f=None))
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_linear_tol_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", solve_j_config(
+            solver={"path_steps": 3, "linear_tol": -1e-3}))
+        assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config field 'solver': linear_tol" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"geometry": {')

@@ -459,6 +459,13 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             SolverConfig(path_steps=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"linear_tol": -1.0}, {"linear_tol": math.nan}, {"linear_tol": 5.0},
+        {"linear_tol": 1.0}, {"tolerance": math.nan}, {"tolerance": math.inf}])
+    def test_tolerances_validated(self, kwargs):
+        with pytest.raises(UsageError):
+            SolverConfig(**kwargs)
+
 
 # Complex-FFT and eigh references for the real-transform Newton kernels.
 KERNEL_RTOL = 1e-12  # fixed before the comparison; the arithmetic order differs
@@ -641,6 +648,64 @@ class TestLinearSolve:
         cycles = math.ceil(max_iter / min(30, max_iter))
         assert info != 0
         assert len(calls) <= max_iter + cycles + 1
+
+    @pytest.mark.parametrize("max_iter", [3, 10, 45, 60])
+    def test_linear_max_iter_is_an_exact_cap(self, monkeypatch, max_iter):
+        geom, rows = j_newton_rows(1, 61)
+        calls = []
+        tr_m_hessian = solver._tr_m_hessian
+
+        def counted(*args):
+            calls.append(1)
+            return tr_m_hessian(*args)
+
+        monkeypatch.setattr(solver, "_tr_m_hessian", counted)
+        config = SolverConfig(linear_tol=0.0, linear_max_iter=max_iter)
+        _, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
+        assert info != 0
+        assert len(calls) == max_iter
+
+
+class TestForcingTerms:
+    """Eisenstat-Walker forcing terms on criterion 5's instance at n = 2, N = 16."""
+
+    @staticmethod
+    def solve(monkeypatch, **overrides):
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        tols = []
+        solve_linear = solver._solve_linear
+
+        def recorded(geom, coef, rhs, config, rtol=None):
+            tols.append(rtol)
+            return solve_linear(geom, coef, rhs, config, rtol)
+
+        monkeypatch.setattr(solver, "_solve_linear", recorded)
+        config = SolverConfig(tolerance=1e-10, **overrides)
+        rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom), config)
+        d = rep.phi.values - phistar.values
+        return rep, tols, float(np.max(np.abs(d - d.mean())))
+
+    def test_forcing_rule(self, monkeypatch):
+        rep, tols, _ = self.solve(monkeypatch)
+        r = rep.residual_history
+        assert rep.success and len(tols) == rep.iterations
+        assert tols[0] == 1e-2
+        for k in range(1, len(tols)):
+            assert tols[k] == max(1e-10, min(1e-2, 0.9 * (r[k] / r[k - 1]) ** 2))
+
+    def test_linear_tol_is_the_floor(self, monkeypatch):
+        _, tols, _ = self.solve(monkeypatch, linear_tol=1e-2)
+        assert tols and all(t == 1e-2 for t in tols)
+
+    def test_newton_count_matches_exact_solves(self, monkeypatch):
+        rep, _, recovery = self.solve(monkeypatch)
+        monkeypatch.setattr(solver, "ETA_MAX", 1e-10)
+        rep_exact, tols, recovery_exact = self.solve(monkeypatch)
+        assert all(t == 1e-10 for t in tols)
+        assert rep.success and rep_exact.success
+        assert rep.iterations == rep_exact.iterations
+        assert recovery <= 1e-7 and recovery_exact <= 1e-7
 
 
 class TestFailureBounds:
