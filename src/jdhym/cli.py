@@ -24,7 +24,7 @@ from .errors import (BranchUndefinedError, ConeBreachError, ContinuationError,
                      DataError, DomainError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
-from .hermitian import ConeSpec
+from .hermitian import ConeSpec, hermitian_defect
 from .functionals import (FunctionalReport, aubin_i, compute_c0,
                           coercivity_probe, j_chi_functional,
                           j_omega0_functional)
@@ -71,7 +71,7 @@ def _parse_matrix(entry, path: str, n: int) -> np.ndarray:
         rows.append(prow)
     mat = np.array(rows)
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * scale:
+    if hermitian_defect(mat) > 1e-10 * scale:
         raise ConfigError(path, "matrix is not Hermitian to 1e-10")
     if np.any(np.linalg.eigvalsh(mat) <= 1e-10 * scale):
         raise ConfigError(path, "matrix is not positive definite to 1e-10")
@@ -359,7 +359,6 @@ def main(argv=None) -> int:
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
         p.add_argument("--trials", type=int, default=1000,
                        help="trial count for verify-lemmas")
     args = parser.parse_args(argv)

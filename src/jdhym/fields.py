@@ -38,7 +38,9 @@ from pathlib import Path
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import DataError, DomainError, NotKahlerError, UsageError
+from .errors import DataError, DomainError, UsageError
+from .hermitian import (_check_geoms, _relative_eigvals, _require_positive,
+                        ensure_hermitian)
 
 __all__ = [
     "TorusGeometry",
@@ -53,7 +55,6 @@ __all__ = [
     "kahler_form",
     "mixed_density",
     "integrate",
-    "wedge_integral",
     "complex_gradient",
     "relative_spectrum_field",
     "min_eigenvalue_field",
@@ -219,7 +220,7 @@ class ScalarField:
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
-            _same_geometry(self, other)
+            _check_geoms(self, other)
             return ScalarField(self.geometry, self.values + other.values)
         return ScalarField(self.geometry, self.values + float(other))
 
@@ -227,7 +228,7 @@ class ScalarField:
 
     def __sub__(self, other):
         if isinstance(other, ScalarField):
-            _same_geometry(self, other)
+            _check_geoms(self, other)
             return ScalarField(self.geometry, self.values - other.values)
         return ScalarField(self.geometry, self.values - float(other))
 
@@ -238,11 +239,6 @@ class ScalarField:
 
     def __neg__(self):
         return ScalarField(self.geometry, -self.values)
-
-
-def _same_geometry(a, b) -> None:
-    if a.geometry != b.geometry:
-        raise UsageError("fields live on different grids")
 
 
 def field_from_modes(geom: TorusGeometry, modes) -> ScalarField:
@@ -356,7 +352,7 @@ class FormField:
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "FormField") -> "FormField":
-        _same_geometry(self, other)
+        _check_geoms(self, other)
         pot = _combine_potentials((1.0, self.potential), (1.0, other.potential), geom=self.geometry)
         base = self.base + other.base
         if pot is None:
@@ -373,9 +369,8 @@ class FormField:
 
     def min_eigenvalue(self) -> float:
         """Smallest pointwise eigenvalue over the grid (positivity margin)."""
-        if self.potential is None:
-            return float(np.linalg.eigvalsh(self.base)[0])
-        return float(np.min(min_eigenvalue_field(self.values)))
+        return float(np.min(min_eigenvalue_field(self.base if self.potential is None
+                                                 else self.values)))
 
 
 def _combine_potentials(*terms, geom: TorusGeometry) -> ScalarField | None:
@@ -390,26 +385,15 @@ def _combine_potentials(*terms, geom: TorusGeometry) -> ScalarField | None:
 def form_field(geom: TorusGeometry, base: np.ndarray,
                potential: ScalarField | None = None) -> FormField:
     """The (1,1)-form ``base + i d dbar(potential)``."""
-    base = np.asarray(base, dtype=complex)
+    base = ensure_hermitian(base)
     if base.shape != (geom.n, geom.n):
         raise UsageError(f"base must be {geom.n} x {geom.n}")
-    if hermitian_defect_matrix(base) > 1e-10 * max(1.0, float(np.max(np.abs(base)))):
-        raise UsageError("base matrix is not Hermitian to 1e-10")
     if potential is None:
         vals = np.broadcast_to(base, geom.shape + base.shape)
     else:
-        _require_geom(potential, geom)
+        _check_geoms(potential, geom)
         vals = hessian_values(potential) + base
     return FormField(geom, base, potential, vals)
-
-
-def hermitian_defect_matrix(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
-
-
-def _require_geom(fieldlike, geom: TorusGeometry) -> None:
-    if fieldlike.geometry != geom:
-        raise UsageError("field lives on a different grid")
 
 
 def constant_form(geom: TorusGeometry, base: np.ndarray) -> FormField:
@@ -432,16 +416,8 @@ def kahler_form(geom: TorusGeometry, base: np.ndarray, phi: ScalarField | None) 
     if not np.all(np.linalg.eigvalsh(0.5 * (base + base.conj().T)) > 0):
         raise DomainError("base matrix must be positive definite")
     form = form_field(geom, base, phi)
-    if phi is None:
-        return form
-    margins = min_eigenvalue_field(form.values)
-    idx_flat = int(np.argmin(margins))
-    margin = float(margins.reshape(-1)[idx_flat])
-    if margin <= 0.0:
-        idx = np.unravel_index(idx_flat, geom.shape)
-        raise NotKahlerError(
-            f"form is not positive at grid index {idx} (margin {margin:.3e})",
-            grid_index=idx, margin=margin)
+    if phi is not None:
+        _require_positive(min_eigenvalue_field(form.values), "form")
     return form
 
 
@@ -449,51 +425,14 @@ def kahler_form(geom: TorusGeometry, base: np.ndarray, phi: ScalarField | None) 
 # batched small-matrix kernels
 
 
-def _eigvalsh_grid(mats: np.ndarray, n: int) -> np.ndarray:
-    """Ascending eigenvalues of a grid of Hermitian n x n matrices."""
-    if n == 1:
-        return mats[..., 0, 0].real[..., None]
-    if n == 2:
-        a = mats[..., 0, 0].real
-        d = mats[..., 1, 1].real
-        b2 = np.abs(mats[..., 0, 1]) ** 2
-        m = 0.5 * (a + d)
-        r = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b2, 0.0))
-        return np.stack([m - r, m + r], axis=-1)
-    return np.linalg.eigvalsh(mats)
-
-
 def min_eigenvalue_field(mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    return _eigvalsh_grid(mats, n)[..., 0]
+    """Smallest eigenvalue of every matrix of a grid (the relative spectrum against I)."""
+    return _relative_eigvals(None, mats)[..., 0]
 
 
-def relative_spectrum_field(chi_vals: np.ndarray, omega_vals: np.ndarray) -> np.ndarray:
-    """Ascending generalized eigenvalues of (omega, chi) at every grid point.
-
-    ``chi`` must be pointwise positive definite; reduction goes through its
-    Cholesky factor so the result is congruence-invariant.
-    """
-    n = chi_vals.shape[-1]
-    if n == 1:
-        return (omega_vals[..., 0, 0].real / chi_vals[..., 0, 0].real)[..., None]
-    if n == 2:
-        det_chi = (chi_vals[..., 0, 0] * chi_vals[..., 1, 1]
-                   - chi_vals[..., 0, 1] * chi_vals[..., 1, 0]).real
-        det_om = (omega_vals[..., 0, 0] * omega_vals[..., 1, 1]
-                  - omega_vals[..., 0, 1] * omega_vals[..., 1, 0]).real
-        mixed = (omega_vals[..., 0, 0] * chi_vals[..., 1, 1]
-                 + omega_vals[..., 1, 1] * chi_vals[..., 0, 0]
-                 - omega_vals[..., 0, 1] * chi_vals[..., 1, 0]
-                 - omega_vals[..., 1, 0] * chi_vals[..., 0, 1]).real
-        disc = np.sqrt(np.maximum(mixed * mixed - 4.0 * det_chi * det_om, 0.0))
-        lo = (mixed - disc) / (2.0 * det_chi)
-        hi = (mixed + disc) / (2.0 * det_chi)
-        return np.stack([lo, hi], axis=-1)
-    L = np.linalg.cholesky(chi_vals)
-    Linv = np.linalg.inv(L)
-    reduced = Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(reduced)
+# ascending eigenvalues of omega relative to chi at every grid point; the one
+# spectrum kernel, which the pointwise hermitian.relative_spectrum shares
+relative_spectrum_field = _relative_eigvals
 
 
 # ---------------------------------------------------------------------------
@@ -538,38 +477,20 @@ def mixed_density(mats) -> np.ndarray:
     return np.asarray(out.real)
 
 
-def wedge_integral(geom: TorusGeometry, mats, scalar: np.ndarray | None = None) -> float:
-    """Grid mean of ``scalar * D(mats)`` (unit total volume)."""
-    dens = mixed_density(mats)
-    if scalar is not None:
-        dens = dens * scalar
-    return float(np.mean(dens))
-
-
 def integrate(field: ScalarField | None, weights, geom: TorusGeometry | None = None) -> float:
-    """Integral of a scalar against a wedge of forms.
+    """Integral of a scalar against a wedge of forms: the grid mean of
+    ``field * D(weights)`` (unit total volume).
 
     ``weights`` is a list of :class:`FormField` (or raw matrix grids) whose
-    length must equal ``n``.  Geometry mismatches raise ``UsageError``.
+    length must equal ``n``.  The factors and ``geom`` must fix exactly one
+    grid; otherwise ``UsageError``.
     """
-    forms = []
-    geoms = set()
-    for w in weights:
-        if isinstance(w, FormField):
-            geoms.add(w.geometry)
-            forms.append(w.values)
-        else:
-            forms.append(np.asarray(w))
+    _check_geoms(field, geom, *(w for w in weights if isinstance(w, FormField)))
+    dens = mixed_density([w.values if isinstance(w, FormField) else np.asarray(w)
+                          for w in weights])
     if field is not None:
-        geoms.add(field.geometry)
-    if geom is not None:
-        geoms.add(geom)
-    if len(geoms) > 1:
-        raise UsageError("integrate: geometry mismatch between factors")
-    g = geoms.pop() if geoms else None
-    if g is None:
-        raise UsageError("integrate: cannot infer geometry from constant factors")
-    return wedge_integral(g, forms, None if field is None else field.values)
+        dens = dens * field.values
+    return float(np.mean(dens))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +579,7 @@ def regularized_max(f1: ScalarField, f2: ScalarField, eta: float) -> ScalarField
     lies in ``[max, max + eta]`` and equals ``max`` wherever
     ``|f1 - f2| >= 2*eta``.
     """
-    _same_geometry(f1, f2)
+    _check_geoms(f1, f2)
     eta = float(eta)
     if eta <= 0.0:
         raise UsageError("eta must be positive")

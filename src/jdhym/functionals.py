@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotKahlerError, UsageError
-from .fields import (FormField, ScalarField, complex_gradient,
+from .errors import DomainError, UsageError
+from .fields import (FormField, ScalarField, complex_gradient, complex_hessian,
                      mixed_density, min_eigenvalue_field)
+from .hermitian import _check_geoms, _require_positive
 
 __all__ = [
     "FunctionalReport",
@@ -31,25 +32,17 @@ __all__ = [
 
 
 def _omega_phi(omega0: FormField, phi: ScalarField) -> FormField:
-    from .fields import complex_hessian  # local to avoid cycle at import time
     return omega0 + complex_hessian(phi)
 
 
 def _require_kahler(form: FormField, what: str) -> FormField:
-    margins = min_eigenvalue_field(form.values)
-    m = float(np.min(margins))
-    if m <= 0.0:
-        idx = np.unravel_index(int(np.argmin(margins)), form.geometry.shape)
-        raise NotKahlerError(f"{what} is not Kahler (margin {m:.3e} at {idx})",
-                             grid_index=idx, margin=m)
+    _require_positive(min_eigenvalue_field(form.values), what)
     return form
 
 
 def compute_c0(chi: FormField, omega0: FormField) -> float:
     """``n * int(chi ^ omega0^(n-1)) / int(omega0^n)``; class data only."""
-    if chi.geometry != omega0.geometry:
-        raise UsageError("chi and omega0 live on different grids")
-    n = chi.geometry.n
+    n = _check_geoms(chi, omega0).n
     _require_kahler(chi, "chi")
     _require_kahler(omega0, "omega0")
     num = np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))
@@ -133,7 +126,6 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
         raise UsageError("t_steps must be an even integer >= 2")
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
-    from .fields import complex_hessian
     hess = complex_hessian(phi)
     if form == "gradient":
         grad = complex_gradient(phi)

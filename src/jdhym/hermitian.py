@@ -1,8 +1,10 @@
 """Pointwise Hermitian-matrix algebra for the two cone conditions.
 
 Hermitian matrices are plain complex ndarrays.  Everything here is a pure
-function of small dense matrices (n <= 6); grid-sized batched variants live
-in :mod:`jdhym.fields` and :mod:`jdhym.solver`.
+function of small dense matrices (n <= 6).  The private kernels (relative
+spectrum, leave-one-out sum, the two equations' values) act on leading batch
+axes, so they serve one matrix and a whole grid alike; together with the one
+check per hypothesis they are what the other modules call.
 
 Conventions.  ``SpectrumRel`` holds the ascending roots of
 ``det(omega - lam * chi) = 0`` for positive Hermitian ``chi``, ``omega``.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NotKahlerError, UsageError
 
 __all__ = [
     "SpectrumRel",
@@ -51,9 +53,9 @@ POSITIVITY_RTOL = 1e-12
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` from its Hermitian part."""
+    """Largest entrywise deviation of ``a`` (or of a batch of matrices) from its Hermitian part."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
 def ensure_hermitian(a: np.ndarray, *, rtol: float = 1e-10) -> np.ndarray:
@@ -113,11 +115,13 @@ class ConeSpec:
         if self.slack < 0.0:
             raise UsageError("slack must be non-negative")
         if self.kind == "J":
-            if self.c is None or self.c <= 0.0:
-                raise UsageError("J cone requires c > 0")
+            if self.c is None:
+                raise UsageError("J cone requires c")
+            _check_c(self.c)
         else:
-            if self.theta0 is None or not (0.0 < self.theta0 < math.pi / 4):
-                raise UsageError("dHYM cone requires theta0 in (0, pi/4)")
+            if self.theta0 is None:
+                raise UsageError("dHYM cone requires theta0")
+            _check_theta0(self.theta0)
 
     @classmethod
     def j(cls, c: float, slack: float = 0.0) -> "ConeSpec":
@@ -141,17 +145,72 @@ def _check_positive_pair(chi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray
 
 
 def relative_spectrum(chi: np.ndarray, omega: np.ndarray) -> SpectrumRel:
-    """Roots of ``det(omega - lam*chi) = 0`` for a positive Hermitian pair.
-
-    Reduces by the Cholesky factor of ``chi`` and solves the standard
-    Hermitian eigenproblem; congruence-invariant by construction.
-    """
+    """Roots of ``det(omega - lam*chi) = 0`` for a positive Hermitian pair."""
     chi, omega = _check_positive_pair(chi, omega)
-    L = np.linalg.cholesky(chi)
-    Linv = np.linalg.inv(L)
-    reduced = Linv @ omega @ Linv.conj().T
-    eigs = np.linalg.eigvalsh(reduced)
-    return SpectrumRel(tuple(float(v) for v in eigs))
+    return SpectrumRel(tuple(float(v) for v in _relative_eigvals(chi, omega)))
+
+
+def _relative_eigvals(chi: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+    """Ascending roots of ``det(omega - lam*chi) = 0`` over the leading axes.
+
+    ``chi`` is positive definite and broadcasts against ``omega``; ``None``
+    stands for the identity, which gives the ordinary spectrum.  n = 1
+    divides, n = 2 uses the closed form of :func:`_relative_eigvals2`, and
+    larger n reduces by the Cholesky factor of ``chi`` (congruence-invariant)
+    and calls ``eigvalsh``.
+    """
+    n = omega.shape[-1]
+    if n == 1:
+        lam = omega[..., 0, 0].real
+        return (lam if chi is None else lam / chi[..., 0, 0].real)[..., None]
+    if n == 2:
+        return _relative_eigvals2(chi, omega)
+    if chi is None:
+        return np.linalg.eigvalsh(omega)
+    Linv = np.linalg.inv(np.linalg.cholesky(chi))
+    return np.linalg.eigvalsh(Linv @ omega @ Linv.conj().swapaxes(-1, -2))
+
+
+# matrices per pass of the n = 2 closed form; its temporaries then stay in cache
+_BLOCK2 = 4096
+
+
+def _relative_eigvals2(chi: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+    """The n = 2 roots ``(tr K -+ sqrt(disc)) / (2 det chi)``, ``K = adj(chi) omega``.
+
+    The discriminant ``(K00 - K11)^2 + 4 K01 K10`` is assembled from small
+    factors, ``a^2 - 4 Im(conj(c) w)^2 + 4 Re(u conj(v))`` with
+    ``a = c1 o0 - c0 o1``, ``u = c1 w - c o1`` and ``v = c0 w - c o0``
+    (``c``, ``w`` the upper entries of ``chi``, ``omega``), so it keeps its
+    relative accuracy as the two roots merge, where ``tr(K)^2 - 4 det(K)``
+    cancels to nothing.  ``chi = None`` (the identity) drops every term with
+    ``c``.  Only the real diagonals and the upper entries are read, in blocks
+    of ``_BLOCK2`` matrices.
+    """
+    shape = omega.shape[:-2]
+    omega = omega.reshape(-1, 2, 2)
+    if chi is not None:
+        chi = np.broadcast_to(chi, shape + (2, 2)).reshape(-1, 2, 2)
+    out = np.empty((len(omega), 2))
+    for start in range(0, len(omega), _BLOCK2):
+        part = slice(start, start + _BLOCK2)
+        o0, o1, w = omega[part, 0, 0].real, omega[part, 1, 1].real, omega[part, 0, 1]
+        if chi is None:
+            a, im, trace, det2 = o0 - o1, 0.0, o0 + o1, 2.0
+            uv = w.real * w.real + w.imag * w.imag
+        else:
+            c0, c1, c = chi[part, 0, 0].real, chi[part, 1, 1].real, chi[part, 0, 1]
+            a = c1 * o0 - c0 * o1
+            u = c1 * w - c * o1
+            v = c0 * w - c * o0
+            im = c.real * w.imag - c.imag * w.real
+            uv = u.real * v.real + u.imag * v.imag
+            trace = c1 * o0 + c0 * o1 - 2.0 * (c.real * w.real + c.imag * w.imag)
+            det2 = 2.0 * (c0 * c1 - (c.real * c.real + c.imag * c.imag))
+        root = np.sqrt(np.maximum(a * a - 4.0 * im * im + 4.0 * uv, 0.0))
+        out[part, 0] = (trace - root) / det2
+        out[part, 1] = (trace + root) / det2
+    return out.reshape(shape + (2,))
 
 
 def trace_relative(spec: SpectrumRel) -> float:
@@ -159,13 +218,20 @@ def trace_relative(spec: SpectrumRel) -> float:
     return float(np.sum(1.0 / spec.as_array()))
 
 
+def _loo_max(terms: np.ndarray) -> np.ndarray:
+    """Largest leave-one-out sum over the last axis: the total minus the
+    smallest term, 0 for a single term (the empty sum)."""
+    # the smallest term from elementwise minima of the n slices: a reduction
+    # along the short last axis of a grid is an order of magnitude slower
+    low = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        low = np.minimum(low, terms[..., i])
+    return np.sum(terms, axis=-1) - low
+
+
 def p_level(spec: SpectrumRel) -> float:
     """Largest leave-one-out sum of reciprocals; 0 for n = 1 (empty sum)."""
-    if spec.n == 1:
-        return 0.0
-    recip = 1.0 / spec.as_array()
-    # values ascending => smallest reciprocal is dropped
-    return float(np.sum(recip) - recip[-1])
+    return float(_loo_max(1.0 / spec.as_array()))
 
 
 def q_level(spec: SpectrumRel) -> float:
@@ -175,10 +241,7 @@ def q_level(spec: SpectrumRel) -> float:
 
 def p_level_arctan(spec: SpectrumRel) -> float:
     """Largest leave-one-out sum of ``arctan(1/lam_i)``; 0 for n = 1."""
-    if spec.n == 1:
-        return 0.0
-    terms = np.arctan(1.0 / spec.as_array())
-    return float(np.sum(terms) - terms[-1])
+    return float(_loo_max(np.arctan(1.0 / spec.as_array())))
 
 
 def cone_test_j(spec: SpectrumRel, cone: ConeSpec, p: int, *, strict: bool = False) -> bool:
@@ -230,18 +293,87 @@ def schur_complement(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _check_f_range(f: float, n: int) -> float:
-    f = float(f)
-    if f <= -1.0 / (100.0 * n):
-        raise DomainError(f"f must exceed -1/(100n) = {-1.0 / (100.0 * n):.3e}, got {f}")
-    return f
+# ---------------------------------------------------------------------------
+# hypothesis checks: each raises DomainError, the grid checks UsageError and
+# NotKahlerError
 
 
 def _check_theta0(theta0: float) -> float:
+    """``theta0`` in ``(0, pi/4)``, the angle range of the dHYM theorem."""
     theta0 = float(theta0)
-    if not (0.0 < theta0 < math.pi / 4):
+    if not 0.0 < theta0 < math.pi / 4:
         raise DomainError(f"theta0 must lie in (0, pi/4), got {theta0}")
     return theta0
+
+
+def _check_c(c: float) -> float:
+    """``c > 0``, the constant of the J-equation."""
+    c = float(c)
+    if not c > 0.0:
+        raise DomainError(f"c must be positive, got {c}")
+    return c
+
+
+def _f_bound_j(n: int, c: float) -> float:
+    """The J theorem's lower bound ``-(1/2n) (1/c)^(n-1)`` on ``f``."""
+    return -(1.0 / (2.0 * n)) * (1.0 / c) ** (n - 1)
+
+
+def _f_bound_dhym(n: int) -> float:
+    """The dHYM theorem's lower bound ``-1/(100n)`` on ``f``."""
+    return -1.0 / (100.0 * n)
+
+
+def _check_f(f, bound: float):
+    """``f``, a number or an array of values, strictly above ``bound`` everywhere."""
+    low = float(np.min(f))
+    if low <= bound:
+        raise DomainError(f"f must exceed {bound:.6e} pointwise, got {low:.6e}")
+    return f
+
+
+def _check_geoms(*objs):
+    """The one grid geometry of the given fields, forms and geometries (``None`` skipped)."""
+    geoms = {getattr(o, "geometry", o) for o in objs if o is not None}
+    if len(geoms) != 1:
+        raise UsageError("all fields must share one grid")
+    return geoms.pop()
+
+
+def _require_positive(margins: np.ndarray, what: str) -> None:
+    """Raise :class:`NotKahlerError` at the grid point of the smallest margin
+    (a smallest eigenvalue) unless that margin is positive."""
+    flat = int(np.argmin(margins))
+    margin = float(margins.reshape(-1)[flat])
+    if margin <= 0.0:
+        idx = np.unravel_index(flat, margins.shape)
+        raise NotKahlerError(f"{what} is not positive at grid index {idx} (margin {margin:.3e})",
+                             grid_index=idx, margin=margin)
+
+
+# ---------------------------------------------------------------------------
+# the two equations as functions of the relative spectrum (last axis)
+
+
+def _j_value(lam: np.ndarray, f, c: float) -> tuple:
+    """The J value ``sum(1/lam_i) + f/prod(lam_i) - c``, zero at solutions,
+    and the volume ratio ``prod(lam_i) = omega^n / chi^n``."""
+    prod = np.prod(lam, axis=-1)
+    return np.sum(1.0 / lam, axis=-1) + f / prod - c, prod
+
+
+def _dhym_angle_radius(lam: np.ndarray) -> tuple:
+    """``s = sum arctan(1/lam_i)`` and ``r = prod sqrt(lam_i^2 + 1)``."""
+    return (np.sum(np.arctan(1.0 / lam), axis=-1),
+            np.prod(np.sqrt(lam * lam + 1.0), axis=-1))
+
+
+def _dhym_value(lam: np.ndarray, f, theta0: float) -> tuple:
+    """The dHYM value ``sin(theta0 - s) - f cos(theta0)/r``, zero at
+    solutions, and the volume ratio ``r = |det(omega + i chi)| / det(chi)``
+    (``s, r`` as in :func:`_dhym_angle_radius`)."""
+    s, r = _dhym_angle_radius(lam)
+    return np.sin(theta0 - s) - f * math.cos(theta0) / r, r
 
 
 def f_value(f: float, spec: SpectrumRel, theta0: float) -> float:
@@ -250,11 +382,8 @@ def f_value(f: float, spec: SpectrumRel, theta0: float) -> float:
     Zero exactly at pointwise dHYM solutions; strictly decreasing in ``f``.
     """
     theta0 = _check_theta0(theta0)
-    f = _check_f_range(f, spec.n)
-    lam = spec.as_array()
-    s = float(np.sum(np.arctan(1.0 / lam)))
-    r = float(np.prod(np.sqrt(lam * lam + 1.0)))
-    return math.sin(theta0 - s) - f * math.cos(theta0) / r
+    f = _check_f(float(f), _f_bound_dhym(spec.n))
+    return float(_dhym_value(spec.as_array(), f, theta0)[0])
 
 
 def f_gradient(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
@@ -264,12 +393,11 @@ def f_gradient(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
     ``f``, and weakly decreasing along the ascending eigenvalue order.
     """
     theta0 = _check_theta0(theta0)
-    f = _check_f_range(f, spec.n)
+    f = _check_f(float(f), _f_bound_dhym(spec.n))
     if gamma_margin(spec, theta0) <= 0.0:
         raise DomainError("spectrum lies outside the Gamma region")
     lam = spec.as_array()
-    s = float(np.sum(np.arctan(1.0 / lam)))
-    r = float(np.prod(np.sqrt(lam * lam + 1.0)))
+    s, r = _dhym_angle_radius(lam)
     g = f * math.cos(theta0) / r
     return math.cos(theta0 - s) / (lam * lam + 1.0) + g * lam / (lam * lam + 1.0)
 
@@ -277,10 +405,9 @@ def f_gradient(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
 def f_hessian(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
     """Second derivatives of :func:`f_value` in the eigenvalues (n x n)."""
     theta0 = _check_theta0(theta0)
-    f = _check_f_range(f, spec.n)
+    f = _check_f(float(f), _f_bound_dhym(spec.n))
     lam = spec.as_array()
-    s = float(np.sum(np.arctan(1.0 / lam)))
-    r = float(np.prod(np.sqrt(lam * lam + 1.0)))
+    s, r = _dhym_angle_radius(lam)
     g = f * math.cos(theta0) / r
     w = lam * lam + 1.0
     hess = -math.sin(theta0 - s) / np.outer(w, w) - g * np.outer(lam / w, lam / w)

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .hermitian import SpectrumRel, f_gradient, f_hessian
+from .hermitian import (SpectrumRel, _dhym_angle_radius, _dhym_value, _f_bound_dhym,
+                        _f_bound_j, _loo_max, f_gradient, f_hessian)
 
 __all__ = [
     "random_positive_block",
@@ -42,52 +43,36 @@ def random_positive_block(rng: np.random.Generator, a_dim: int, b_dim: int,
     return block, A, B, C
 
 
-def _p_trace(eigs: np.ndarray) -> float:
-    if eigs.size == 1:
-        return 0.0
-    recip = np.sort(1.0 / eigs)[::-1]
-    return float(np.sum(recip[:-1]))
-
-
-def _p_arctan(eigs: np.ndarray) -> float:
-    if eigs.size == 1:
-        return 0.0
-    terms = np.sort(np.arctan(1.0 / eigs))[::-1]
-    return float(np.sum(terms[:-1]))
+def _fuzz_schur(trials: int, rng: np.random.Generator, max_block: int, term,
+                shift: float, name: str) -> dict:
+    """``P(schur) + sum(term(B)) <= P(block)`` on random positive blocks, with
+    ``P`` the worst leave-one-out sum of ``term`` over the eigenvalues."""
+    worst = math.inf
+    for _ in range(trials):
+        a_dim = int(rng.integers(1, max_block + 1))
+        b_dim = int(rng.integers(1, max_block + 1))
+        block, A, B, C = random_positive_block(rng, a_dim, b_dim, shift=shift)
+        schur = A - C @ np.linalg.solve(B, C.conj().T)
+        lhs = float(_loo_max(term(np.linalg.eigvalsh(0.5 * (schur + schur.conj().T)))))
+        lhs += float(np.sum(term(np.linalg.eigvalsh(B))))
+        rhs = float(_loo_max(term(np.linalg.eigvalsh(block))))
+        worst = min(worst, rhs - lhs)
+    return {"property": name, "trials": trials,
+            "worst_slack": worst, "threshold": -1e-10, "holds": worst >= -1e-10}
 
 
 def fuzz_schur_trace(trials: int, rng: np.random.Generator,
                      max_block: int = 5) -> dict:
     """Subadditivity ``P(schur) + tr(B^-1) <= P(block)`` on random positive blocks."""
-    worst = math.inf
-    for _ in range(trials):
-        a_dim = int(rng.integers(1, max_block + 1))
-        b_dim = int(rng.integers(1, max_block + 1))
-        block, A, B, C = random_positive_block(rng, a_dim, b_dim)
-        schur = A - C @ np.linalg.solve(B, C.conj().T)
-        lhs = _p_trace(np.linalg.eigvalsh(0.5 * (schur + schur.conj().T)))
-        lhs += float(np.sum(1.0 / np.linalg.eigvalsh(B)))
-        rhs = _p_trace(np.linalg.eigvalsh(block))
-        worst = min(worst, rhs - lhs)
-    return {"property": "schur-trace-subadditivity", "trials": trials,
-            "worst_slack": worst, "threshold": -1e-10, "holds": worst >= -1e-10}
+    return _fuzz_schur(trials, rng, max_block, lambda lam: 1.0 / lam, 0.0,
+                       "schur-trace-subadditivity")
 
 
 def fuzz_schur_arctan(trials: int, rng: np.random.Generator,
                       max_block: int = 5) -> dict:
     """Arctan subadditivity ``P(schur) + Q(B) <= P(block)`` for blocks > I."""
-    worst = math.inf
-    for _ in range(trials):
-        a_dim = int(rng.integers(1, max_block + 1))
-        b_dim = int(rng.integers(1, max_block + 1))
-        block, A, B, C = random_positive_block(rng, a_dim, b_dim, shift=1.0)
-        schur = A - C @ np.linalg.solve(B, C.conj().T)
-        lhs = _p_arctan(np.linalg.eigvalsh(0.5 * (schur + schur.conj().T)))
-        lhs += float(np.sum(np.arctan(1.0 / np.linalg.eigvalsh(B))))
-        rhs = _p_arctan(np.linalg.eigvalsh(block))
-        worst = min(worst, rhs - lhs)
-    return {"property": "schur-arctan-subadditivity", "trials": trials,
-            "worst_slack": worst, "threshold": -1e-10, "holds": worst >= -1e-10}
+    return _fuzz_schur(trials, rng, max_block, lambda lam: np.arctan(1.0 / lam), 1.0,
+                       "schur-arctan-subadditivity")
 
 
 def sample_gamma_point(rng: np.random.Generator, n: int, theta0: float,
@@ -102,13 +87,13 @@ def sample_gamma_point(rng: np.random.Generator, n: int, theta0: float,
     if n == 1:
         t = np.array([rng.uniform(0.05, 0.95) * theta0])
     else:
-        t = u * (r * theta0 / (np.sum(u) - np.min(u)))
+        t = u * (r * theta0 / _loo_max(u))
     lam = 1.0 / np.tan(t)
     return SpectrumRel(tuple(sorted(float(v) for v in lam)))
 
 
 def _random_f(rng: np.random.Generator, n: int) -> float:
-    return float(rng.uniform(-1.0 / (100.0 * n) * 0.999, 1.0))
+    return float(rng.uniform(_f_bound_dhym(n) * 0.999, 1.0))
 
 
 def suite_gradient_positivity(trials: int, rng: np.random.Generator) -> dict:
@@ -151,18 +136,12 @@ def suite_gradient_fd(trials: int, rng: np.random.Generator) -> dict:
             h = 1e-6 * max(1.0, abs(lam[i]))
             up = lam.copy(); up[i] += h
             dn = lam.copy(); dn[i] -= h
-            fd[i] = (_f_raw(f, up, theta0) - _f_raw(f, dn, theta0)) / (2.0 * h)
+            fd[i] = (_dhym_value(up, f, theta0)[0] - _dhym_value(dn, f, theta0)[0]) / (2.0 * h)
         err = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-300))
         worst_err = max(worst_err, err)
     return {"property": "gradient-fd-agreement", "trials": trials,
             "worst_slack": 1e-6 - worst_err, "threshold": 0.0,
             "holds": worst_err <= 1e-6}
-
-
-def _f_raw(f: float, lam: np.ndarray, theta0: float) -> float:
-    s = float(np.sum(np.arctan(1.0 / lam)))
-    r = float(np.prod(np.sqrt(lam * lam + 1.0)))
-    return math.sin(theta0 - s) - f * math.cos(theta0) / r
 
 
 def suite_hessian_zero_slice(trials: int, rng: np.random.Generator) -> dict:
@@ -178,10 +157,9 @@ def suite_hessian_zero_slice(trials: int, rng: np.random.Generator) -> dict:
         theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
         spec = sample_gamma_point(rng, n, theta0)
         lam = spec.as_array()
-        s = float(np.sum(np.arctan(1.0 / lam)))
-        r = float(np.prod(np.sqrt(lam * lam + 1.0)))
+        s, r = _dhym_angle_radius(lam)
         f = math.sin(theta0 - s) * r / math.cos(theta0)
-        if not (-1.0 / (100.0 * n) < f <= 1.0):
+        if not (_f_bound_dhym(n) < f <= 1.0):
             continue
         hess = f_hessian(f, spec, theta0)
         xi = rng.normal(size=n)
@@ -203,7 +181,7 @@ def suite_boundary_negative(trials: int, rng: np.random.Generator) -> dict:
         theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
         lam = np.full(n, 1.0 / math.tan(theta0 / (n - 1)))
         f = _random_f(rng, n)
-        worst = min(worst, -_f_raw(f, lam, theta0))
+        worst = min(worst, -float(_dhym_value(lam, f, theta0)[0]))
     return {"property": "boundary-F-negative", "trials": trials,
             "worst_slack": worst, "threshold": 0.0, "holds": worst > 0.0}
 
@@ -219,14 +197,12 @@ def suite_nondegeneracy(trials: int, rng: np.random.Generator) -> dict:
     while done < trials:
         n = int(rng.integers(2, 7))
         lam = np.sort(rng.uniform(0.2, 5.0, size=n))
-        recip = 1.0 / lam
-        c_min = float(np.sum(recip) - recip[-1])
+        c_min = float(_loo_max(1.0 / lam))
         c = float(rng.uniform(c_min * 1.0005, c_min * 3.0 + 0.5))
-        f = (c - float(np.sum(recip))) * float(np.prod(lam))
-        if f <= -(1.0 / (2.0 * n)) * (1.0 / c) ** (n - 1):
+        f = (c - float(np.sum(1.0 / lam))) * float(np.prod(lam))
+        if f <= _f_bound_j(n, c):
             continue
-        margins = c - (np.sum(recip) - recip)
-        worst = min(worst, float(np.min(margins)))
+        worst = min(worst, c - c_min)
         done += 1
     return {"property": "solution-nondegeneracy-margin", "trials": trials,
             "worst_slack": worst, "threshold": 0.0, "holds": worst > 0.0}

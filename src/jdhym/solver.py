@@ -27,13 +27,14 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
-                     EllipticityLostError, NotKahlerError, PreconditionError,
-                     UsageError)
+from .errors import (ConeBreachError, ContinuationError, DataError,
+                     EllipticityLostError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, complex_hessian,
                      mixed_density, relative_spectrum_field)
-from .hermitian import ConeSpec
+from .hermitian import (ConeSpec, _check_c, _check_f, _check_geoms, _check_theta0,
+                        _dhym_angle_radius, _dhym_value, _f_bound_dhym, _f_bound_j,
+                        _j_value, _loo_max, _require_positive)
 
 __all__ = [
     "SolverConfig",
@@ -120,31 +121,16 @@ def _lam_field(chi: FormField, omega0: FormField, phi: ScalarField | None) -> tu
     omega = omega0 if phi is None else omega0 + complex_hessian(phi)
     return relative_spectrum_field(chi.values, omega.values), omega.values
 
-def _check_geoms(*objs) -> TorusGeometry:
-    geoms = {o.geometry for o in objs if o is not None}
-    if len(geoms) != 1:
-        raise UsageError("all fields must share one grid")
-    return geoms.pop()
-
-
-def _f_bound_j(n: int, c: float) -> float:
-    return -(1.0 / (2.0 * n)) * (1.0 / c) ** (n - 1)
-
 
 def j_residual(chi: FormField, omega0: FormField, phi: ScalarField,
                f: ScalarField, c: float) -> ScalarField:
     """Pointwise ``tr_{omega_phi}(chi) + f * chi^n/omega_phi^n - c``."""
     geom = _check_geoms(chi, omega0, phi, f)
-    n = geom.n
+    c = _check_c(c)
+    _check_f(f.values, _f_bound_j(geom.n, c))
     lam, _ = _lam_field(chi, omega0, phi)
-    if float(np.min(lam[..., 0])) <= 0.0:
-        idx = np.unravel_index(int(np.argmin(lam[..., 0])), geom.shape)
-        raise NotKahlerError(f"omega_phi not positive at {idx}", grid_index=idx)
-    fb = _f_bound_j(n, c)
-    if float(np.min(f.values)) <= fb:
-        raise DomainError(f"f must exceed -(1/2n)(1/c)^(n-1) = {fb:.3e} pointwise")
-    vals = np.sum(1.0 / lam, axis=-1) + f.values / np.prod(lam, axis=-1) - c
-    return ScalarField(geom, vals)
+    _require_positive(lam[..., 0], "omega_phi")
+    return ScalarField(geom, _j_value(lam, f.values, c)[0])
 
 
 # Closed-form n = 2 kernels.  A Hermitian 2 x 2 field is held as the triple
@@ -233,10 +219,9 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
                                             else chi.values))
     lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
     V = Linv.conj().swapaxes(-1, -2) @ U
-    s = np.sum(np.arctan(1.0 / lam), axis=-1, keepdims=True)
-    r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1, keepdims=True)
-    g = f_vals[..., None] * math.cos(theta0) / r
-    w = (np.cos(theta0 - s) + g * lam) / (lam * lam + 1.0)
+    s, r = _dhym_angle_radius(lam)
+    g = f_vals * math.cos(theta0) / r
+    w = (np.cos(theta0 - s)[..., None] + g[..., None] * lam) / (lam * lam + 1.0)
     return _coefficient_rows(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex),
                                        np.conj(V)))
 
@@ -272,8 +257,7 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     geom = _check_geoms(chi, omega0, phi, f, u)
     lam, omega_vals = _lam_field(chi, omega0, phi)
     if c is not None:
-        loo = np.sum(1.0 / lam, axis=-1) - 1.0 / lam[..., -1]
-        if float(np.max(loo)) >= c:
+        if float(np.max(_loo_max(1.0 / lam))) >= c:
             raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / np.prod(lam, axis=-1)
     if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
@@ -291,12 +275,8 @@ def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     agree identically up to rounding.
     """
     geom = _check_geoms(chi, omega0, phi, f)
-    n = geom.n
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < math.pi / 4:
-        raise DomainError("theta0 must lie in (0, pi/4)")
-    if float(np.min(f.values)) <= -1.0 / (100.0 * n):
-        raise DomainError(f"f must exceed -1/(100n) = {-1.0 / (100.0 * n):.3e} pointwise")
+    theta0 = _check_theta0(theta0)
+    _check_f(f.values, _f_bound_dhym(geom.n))
     omega = omega0 + complex_hessian(phi)
     if form == "wedge":
         det = np.linalg.det(omega.values + 1j * chi.values)
@@ -307,13 +287,8 @@ def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     if form != "angle":
         raise UsageError("form must be 'angle' or 'wedge'")
     lam = relative_spectrum_field(chi.values, omega.values)
-    if float(np.min(lam[..., 0])) <= 0.0:
-        idx = np.unravel_index(int(np.argmin(lam[..., 0])), geom.shape)
-        raise NotKahlerError(f"omega_phi not positive at {idx}", grid_index=idx)
-    s = np.sum(np.arctan(1.0 / lam), axis=-1)
-    r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1)
-    vals = np.sin(theta0 - s) - f.values * math.cos(theta0) / r
-    return ScalarField(geom, vals)
+    _require_positive(lam[..., 0], "omega_phi")
+    return ScalarField(geom, _dhym_value(lam, f.values, theta0)[0])
 
 
 def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -355,71 +330,56 @@ class _NewtonProblem:
     gauge_weight: np.ndarray
 
 
-def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
-                   c: float) -> _NewtonProblem:
-    geom = _check_geoms(chi, omega0, f)
-    n = geom.n
-    c = float(c)
-    if c <= 0.0:
-        raise UsageError("c must be positive")
-    fb = _f_bound_j(n, c)
-    if float(np.min(f.values)) <= fb:
-        raise DomainError(f"f must exceed {fb:.6e} pointwise")
+def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
+                    value: Callable, cone_terms: Callable, rows: Callable,
+                    sign: float) -> _NewtonProblem:
+    """The Newton problem of ``value(lam, f, param) = 0`` for one equation.
+
+    ``value`` is ``hermitian._j_value`` (``param = c``) or
+    ``hermitian._dhym_value`` (``param = theta0``); the volume ratio it also
+    returns, times ``det chi``, weights the residual's mean.  The cone margin
+    is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``, and
+    ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
+    """
+    geom = chi.geometry
     det_chi = np.linalg.det(chi.values).real
-    gauge = mixed_density([omega0.values] * n)
+    gauge = mixed_density([omega0.values] * geom.n)
 
     def evaluate(phi: ScalarField, with_residual: bool = True) -> _Eval:
         lam, omega_vals = _lam_field(chi, omega0, phi)
         kahler = float(np.min(lam[..., 0]))
-        recip = 1.0 / np.maximum(lam, 1e-300)
-        loo = np.sum(recip, axis=-1) - recip[..., -1]
-        cone = c - float(np.max(loo))
+        if kahler <= 0.0:
+            return _Eval(phi, omega_vals, lam, kahler, -math.inf, None, None)
+        cone = param - float(np.max(_loo_max(cone_terms(lam))))
         res = weight = None
-        if with_residual and kahler > 0.0:
-            prod = np.prod(lam, axis=-1)
-            res = np.sum(recip, axis=-1) + f.values / prod - c
-            weight = det_chi * prod
+        if with_residual:
+            res, ratio = value(lam, f.values, param)
+            weight = det_chi * ratio
         return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
 
     def linear_coefficient(ev: _Eval):
-        return _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0
+        return rows(ev), sign
 
     return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
+
+
+def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
+                   c: float) -> _NewtonProblem:
+    n = _check_geoms(chi, omega0, f).n
+    c = _check_c(c)
+    _check_f(f.values, _f_bound_j(n, c))
+    return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
+                           lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0)
 
 
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
                       theta0: float) -> _NewtonProblem:
-    geom = _check_geoms(chi, omega0, f)
-    n = geom.n
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < math.pi / 4:
-        raise DomainError("theta0 must lie in (0, pi/4)")
-    if float(np.min(f.values)) <= -1.0 / (100.0 * n):
-        raise DomainError("f must exceed -1/(100n) pointwise")
-    det_chi = np.linalg.det(chi.values).real
-    gauge = mixed_density([omega0.values] * n)
-    cos0 = math.cos(theta0)
-
-    def evaluate(phi: ScalarField, with_residual: bool = True) -> _Eval:
-        lam, omega_vals = _lam_field(chi, omega0, phi)
-        kahler = float(np.min(lam[..., 0]))
-        res = weight = None
-        if kahler <= 0.0:
-            return _Eval(phi, omega_vals, lam, kahler, -math.inf, None, None)
-        terms = np.arctan(1.0 / lam)
-        loo = np.sum(terms, axis=-1) - terms[..., -1]
-        cone = theta0 - float(np.max(loo))
-        if with_residual:
-            r = np.prod(np.sqrt(lam * lam + 1.0), axis=-1)
-            s = np.sum(terms, axis=-1)
-            res = np.sin(theta0 - s) - f.values * cos0 / r
-            weight = det_chi * r
-        return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
-
-    def linear_coefficient(ev: _Eval):
-        return _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0
-
-    return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
+    n = _check_geoms(chi, omega0, f).n
+    theta0 = _check_theta0(theta0)
+    _check_f(f.values, _f_bound_dhym(n))
+    return _newton_problem(
+        chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
+        lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +425,8 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     # every Hessian symbol vanishes at k = 0, so A P needs only its output
     # projected; inv_sym is 0 there, so u = P y is mean-zero
     def matvec(y):
+        if not y.any():  # lgmres applies A to its zero initial guess: free, no budget
+            return np.zeros_like(y)
         if next(budget, None) is None:
             raise _KrylovBudget
         vhat = sfft.rfftn(y.reshape(shape), workers=-1)
@@ -654,9 +616,8 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
     """
     geom = _check_geoms(chi, omega0, f_target)
     n = geom.n
-    c = float(c)
-    if c <= 0.0:
-        raise UsageError("c must be positive")
+    c = _check_c(c)
+    _check_f(f_target.values, _f_bound_j(n, c))
     vol_omega = float(np.mean(mixed_density([omega0.values] * n))) / math.factorial(n)
     cross = float(np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))) \
         / math.factorial(n - 1)
@@ -672,9 +633,6 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
         raise PreconditionError(
             f"integrability identity fails: int(f chi^n)/n! = {f_int:.10e} but the "
             f"class data require {rhs_int:.10e}")
-    fb = _f_bound_j(n, c)
-    if float(np.min(f_target.values)) <= fb:
-        raise PreconditionError(f"target f must exceed {fb:.6e} pointwise")
 
     history: list[dict] = []
     phi = ScalarField.zeros(geom)
@@ -714,13 +672,10 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
     """
     geom = _check_geoms(chi, omega0_target, f_target)
     n = geom.n
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < math.pi / 4:
-        raise PreconditionError("theta0 must lie in (0, pi/4)")
+    theta0 = _check_theta0(theta0)
+    _check_f(f_target.values, _f_bound_dhym(n))
     lam0 = relative_spectrum_field(chi.values, omega0_target.values)
-    terms = np.arctan(1.0 / lam0)
-    loo = np.sum(terms, axis=-1) - terms[..., -1]
-    gamma_margin = theta0 - float(np.max(loo))
+    gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
     if gamma_margin <= 0.0:
         raise PreconditionError(
             f"omega0 target violates the subsolution hypothesis "
@@ -741,8 +696,6 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
         raise PreconditionError(
             f"integrability identity fails: int(f chi^n) gives {f_int:.10e}, class "
             f"data require {rhs_target:.10e}")
-    if float(np.min(f_target.values)) <= -1.0 / (100.0 * n):
-        raise PreconditionError("target f must exceed -1/(100n) pointwise")
 
     cot_n = 1.0 / math.tan(theta0 / n)
     c51 = float(np.min(lam0[..., 0]))

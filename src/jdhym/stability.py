@@ -116,8 +116,13 @@ class AngleBranch:
     data: IntersectionData
     t_samples: np.ndarray
     theta: np.ndarray
-    winding_consistent: bool
     branch_shift: float = 0.0
+
+    @property
+    def winding_consistent(self) -> bool:
+        """Always ``True``: :func:`angle_branch` raises instead of returning a
+        branch whose argument vanishes or jumps by pi/2 or more."""
+        return True
 
     @property
     def theta_start(self) -> float:
@@ -175,8 +180,7 @@ def angle_branch(data: IntersectionData, t_max: float = 1e4,
             t_interval=(float(ts[i]), float(ts[i + 1])))
     target = data.p * math.pi / 2.0
     shift = 2.0 * math.pi * round((target - float(theta[-1])) / (2.0 * math.pi))
-    return AngleBranch(data=data, t_samples=ts, theta=theta,
-                       winding_consistent=True, branch_shift=shift)
+    return AngleBranch(data=data, t_samples=ts, theta=theta, branch_shift=shift)
 
 
 def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,

@@ -167,7 +167,7 @@ class TestCheckStability:
             "epsilon": 0.01,
         })
         out = tmp_path / "out"
-        assert main(["check-stability", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+        assert main(["check-stability", "--config", cfg, "--out", str(out)]) == 0
         verdict = json.loads((out / "stability.json").read_text())
         assert verdict["overall"] and verdict["kind"] == "sampled check"
 

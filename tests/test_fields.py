@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft as sfft
+import scipy.linalg
 
 from jdhym.errors import DataError, NotKahlerError, UsageError
 from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
@@ -246,6 +247,11 @@ def random_hpd3(rng):
     return g @ g.conj().T / 3 + 0.1 * np.eye(3)
 
 
+def random_hpd(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T / n + 0.05 * np.eye(n)
+
+
 class TestRelativeSpectrumField:
     def test_matches_pointwise_eigh(self, g2):
         rng = np.random.default_rng(5)
@@ -258,6 +264,40 @@ class TestRelativeSpectrumField:
         for idx in [(0, 0, 0, 0), (3, 2, 1, 0), (7, 7, 7, 7), (1, 5, 2, 6)]:
             oracle = relative_spectrum(chi.values[idx], om.values[idx]).as_array()
             assert np.allclose(lam[idx], oracle, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_scipy_generalized_eigh(self, n):
+        # independent oracle: LAPACK's generalized Hermitian eigensolver
+        geom = TorusGeometry(n, 8)
+        rng = np.random.default_rng(40 + n)
+        chi = form_field(geom, 0.5 * np.eye(n) + random_hpd(rng, n),
+                         random_bandlimited(geom, rng, kmax=1, amplitude=0.002))
+        om = form_field(geom, np.eye(n) + random_hpd(rng, n),
+                        random_bandlimited(geom, rng, kmax=1, amplitude=0.002))
+        lam = relative_spectrum_field(chi.values, om.values)
+        flat_chi = chi.values.reshape(-1, n, n)
+        flat_om = om.values.reshape(-1, n, n)
+        for k in rng.choice(geom.grid_size, size=64, replace=False):
+            oracle = scipy.linalg.eigh(flat_om[k], flat_chi[k], eigvals_only=True)
+            assert np.allclose(lam.reshape(-1, n)[k], oracle, rtol=1e-12, atol=0.0)
+
+    def test_n2_accurate_near_a_double_eigenvalue(self):
+        # the gap of omega = diag(1, 1 + 1e-9) against chi = I survives
+        om = np.diag([1.0, 1.0 + 1e-9]).astype(complex)
+        lam = relative_spectrum_field(np.eye(2, dtype=complex), om)
+        assert lam[1] - lam[0] == pytest.approx(om[1, 1].real - 1.0, rel=1e-6)
+        # random pairs, half of them near multiples omega = k chi + tiny
+        rng = np.random.default_rng(9)
+        chis, oms = [], []
+        for k in range(400):
+            chi = random_hpd(rng, 2)
+            om = (rng.uniform(0.2, 5.0) * chi + 10.0 ** rng.uniform(-12, -4) * random_hpd(rng, 2)
+                  if k % 2 else random_hpd(rng, 2))
+            chis.append(chi)
+            oms.append(om)
+        lam = relative_spectrum_field(np.array(chis), np.array(oms))
+        oracle = np.array([scipy.linalg.eigh(o, c, eigvals_only=True) for c, o in zip(chis, oms)])
+        assert np.max(np.abs(lam - oracle) / oracle) <= 1e-12
 
 
 class TestMollify:

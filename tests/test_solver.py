@@ -765,3 +765,74 @@ class TestFailureBounds:
                           SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
         assert exc.value.report.status == "solve-budget"
         assert exc.value.report.path_history is history and len(history) == 18
+
+
+def _validator_cases():
+    """(entry point, argument) pairs that break one theorem hypothesis each."""
+    from jdhym.hermitian import ConeSpec, SpectrumRel, f_gradient, f_hessian, f_value
+    geom = TorusGeometry(2, 8)
+    chi = constant_form(geom, np.eye(2))
+    omega0 = constant_form(geom, 3.0 * np.eye(2))
+    zero = ScalarField.zeros(geom)
+    spec = SpectrumRel((3.0, 3.0))
+    cfg = SolverConfig()
+    f_dhym = -1.0 / (100.0 * 2)  # the dHYM bound at n = 2
+    dhym = {
+        "ConeSpec.dhym": lambda t, f: ConeSpec.dhym(t),
+        "f_value": lambda t, f: f_value(f, spec, t),
+        "f_gradient": lambda t, f: f_gradient(f, spec, t),
+        "f_hessian": lambda t, f: f_hessian(f, spec, t),
+        "dhym_residual": lambda t, f: dhym_residual(chi, omega0, zero,
+                                                    ScalarField.constant(geom, f), t),
+        "make_dhym_problem": lambda t, f: make_dhym_problem(chi, omega0,
+                                                            ScalarField.constant(geom, f), t),
+        "continuity_path_dhym": lambda t, f: continuity_path_dhym(
+            chi, omega0, ScalarField.constant(geom, f), t, cfg),
+    }
+    cases = []
+    for name, call in dhym.items():
+        for theta0 in (0.0, math.pi / 4):
+            cases.append(pytest.param(call, theta0, 0.0, id=f"{name}-theta0={theta0:.3f}"))
+        if name != "ConeSpec.dhym":
+            cases.append(pytest.param(call, 0.5, f_dhym, id=f"{name}-f-at-bound"))
+    j = {
+        "j_residual": lambda c, f: j_residual(chi, omega0, zero, ScalarField.constant(geom, f), c),
+        "make_j_problem": lambda c, f: make_j_problem(chi, omega0,
+                                                      ScalarField.constant(geom, f), c),
+        "continuity_path_j": lambda c, f: continuity_path_j(
+            chi, omega0, ScalarField.constant(geom, f), c, cfg),
+    }
+    for name, call in j.items():
+        for c in (0.0, -1.0):
+            cases.append(pytest.param(call, c, 0.0, id=f"{name}-c={c}"))
+        # the J bound -(1/2n)(1/c)^(n-1) at n = 2, c = 4
+        cases.append(pytest.param(call, 4.0, -(1.0 / 4.0) * (1.0 / 4.0), id=f"{name}-f-at-bound"))
+    return cases
+
+
+class TestValidatorContract:
+    """Every entry point rejects a broken hypothesis with DomainError itself."""
+
+    @pytest.mark.parametrize("call, param, f", _validator_cases())
+    def test_raises_domain_error(self, call, param, f):
+        with pytest.raises(DomainError) as exc:
+            call(param, f)
+        assert type(exc.value) is DomainError
+
+
+class TestZeroVectorOperator:
+    def test_no_operator_application_to_zero(self, monkeypatch):
+        geom = TorusGeometry(2, 8)
+        chi, omega0, _, f, c = manufactured_j_instance(geom)
+        inputs = []
+        tr_m_hessian = solver._tr_m_hessian
+
+        def recorded(geom, coef, phat):
+            inputs.append(bool(np.any(phat)))
+            return tr_m_hessian(geom, coef, phat)
+
+        monkeypatch.setattr(solver, "_tr_m_hessian", recorded)
+        rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
+                           SolverConfig())
+        assert rep.success and rep.iterations > 0
+        assert inputs and all(inputs)
