@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from .hermitian import ConeSpec, hermitian_defect
 from .functionals import (FunctionalReport, aubin_i, compute_c0,
                           coercivity_probe, j_chi_functional,
                           j_omega0_functional)
-from .solver import SolverConfig, continuity_path_dhym, continuity_path_j
+from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
+                     estimate_peak_bytes)
 from .stability import (IntersectionData, dhym_hypothesis_check,
                         max_uniform_epsilon, slope_test)
 
@@ -108,6 +110,25 @@ def _parse_geometry(doc: dict) -> TorusGeometry:
         raise ConfigError("geometry", str(exc)) from exc
 
 
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _solve_geometry(doc: dict) -> TorusGeometry:
+    """The grid of a solve, refused before any field exists if its estimated
+    peak memory exceeds the machine's physical memory."""
+    geom = _parse_geometry(doc)
+    need, have = estimate_peak_bytes(geom), _physical_memory()
+    if have is not None and need > have:
+        raise PreconditionError(
+            f"a solve at n = {geom.n}, N = {geom.N} needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory")
+    return geom
+
+
 def _parse_solver(doc: dict) -> SolverConfig:
     s = doc.get("solver", {})
     if not isinstance(s, dict):
@@ -146,9 +167,10 @@ def _write_history_csv(path: Path, report) -> None:
             w.writerow([i, f"{r:.17g}"])
         if report.path_history:
             w.writerow([])
-            w.writerow(["stage", "t", "iterations", "residual", "cone_margin", "multiplier"])
+            w.writerow(["stage", "N", "t", "iterations", "residual", "cone_margin",
+                        "multiplier"])
             for h in report.path_history:
-                w.writerow([h["stage"], f"{h['t']:.17g}", h["iterations"],
+                w.writerow([h["stage"], h["N"], f"{h['t']:.17g}", h["iterations"],
                             f"{h['residual']:.17g}", f"{h['cone_margin']:.17g}",
                             f"{h['multiplier']:.17g}"])
 
@@ -180,7 +202,7 @@ def _with_cone(config: SolverConfig, cfg: dict, make_cone) -> SolverConfig:
 
 
 def _cmd_solve_j(cfg: dict, out: Path, args) -> int:
-    geom = _parse_geometry(cfg)
+    geom = _solve_geometry(cfg)
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     c = cfg.get("c", "c0")
@@ -193,7 +215,7 @@ def _cmd_solve_j(cfg: dict, out: Path, args) -> int:
 
 
 def _cmd_solve_dhym(cfg: dict, out: Path, args) -> int:
-    geom = _parse_geometry(cfg)
+    geom = _solve_geometry(cfg)
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     if "theta0" in cfg:

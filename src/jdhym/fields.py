@@ -49,6 +49,7 @@ __all__ = [
     "form_field",
     "constant_form",
     "field_from_modes",
+    "resample",
     "random_bandlimited",
     "complex_hessian",
     "hessian_values",
@@ -263,6 +264,25 @@ def field_from_modes(geom: TorusGeometry, modes) -> ScalarField:
                 arg = arg + (2.0 * math.pi * f) * u
         vals += float(amp) * np.cos(arg + phase)
     return ScalarField(geom, vals)
+
+
+def resample(phi: ScalarField, geom: TorusGeometry) -> ScalarField:
+    """``phi`` on the grid of ``geom`` by spectral truncation or zero-padding.
+
+    Keeps the modes with every ``|k_i| < min(N_src, N_dst) / 2`` (the smaller
+    grid's Nyquist frequency is dropped, its sign being ambiguous), so
+    restriction after prolongation is exact and a band-limited field is
+    reproduced on any grid that resolves it.
+    """
+    src = phi.geometry
+    if src.n != geom.n:
+        raise UsageError(f"cannot resample n = {src.n} onto n = {geom.n}")
+    m = min(src.N, geom.N) // 2
+    keep_src = [np.r_[0:m, src.N - m + 1:src.N]] * (2 * src.n - 1) + [np.arange(m)]
+    keep_dst = [np.r_[0:m, geom.N - m + 1:geom.N]] * (2 * geom.n - 1) + [np.arange(m)]
+    out = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,), dtype=complex)
+    out[np.ix_(*keep_dst)] = sfft.rfftn(phi.values, workers=-1)[np.ix_(*keep_src)]
+    return ScalarField(geom, _irfft(geom, out) * (geom.grid_size / src.grid_size))
 
 
 def random_bandlimited(geom: TorusGeometry, rng: np.random.Generator,

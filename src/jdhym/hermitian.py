@@ -218,6 +218,20 @@ def trace_relative(spec: SpectrumRel) -> float:
     return float(np.sum(1.0 / spec.as_array()))
 
 
+def _reduce_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=-1)`` for ``op`` ``np.add`` or ``np.multiply``, bit for bit.
+
+    A numpy reduction along the short last axis of a grid is several times
+    slower than arithmetic on its slices.  One or two terms give the same
+    bits in any order, so they are combined slice-wise; longer axes keep
+    numpy's reduction, whose order of operations is its own.
+    """
+    n = a.shape[-1]
+    if n > 2:
+        return op.reduce(a, axis=-1)
+    return op(a[..., 0], a[..., 1]) if n == 2 else a[..., 0].copy()
+
+
 def _loo_max(terms: np.ndarray) -> np.ndarray:
     """Largest leave-one-out sum over the last axis: the total minus the
     smallest term, 0 for a single term (the empty sum)."""
@@ -226,7 +240,7 @@ def _loo_max(terms: np.ndarray) -> np.ndarray:
     low = terms[..., 0]
     for i in range(1, terms.shape[-1]):
         low = np.minimum(low, terms[..., i])
-    return np.sum(terms, axis=-1) - low
+    return _reduce_last(np.add, terms) - low
 
 
 def p_level(spec: SpectrumRel) -> float:
@@ -358,14 +372,14 @@ def _require_positive(margins: np.ndarray, what: str) -> None:
 def _j_value(lam: np.ndarray, f, c: float) -> tuple:
     """The J value ``sum(1/lam_i) + f/prod(lam_i) - c``, zero at solutions,
     and the volume ratio ``prod(lam_i) = omega^n / chi^n``."""
-    prod = np.prod(lam, axis=-1)
-    return np.sum(1.0 / lam, axis=-1) + f / prod - c, prod
+    prod = _reduce_last(np.multiply, lam)
+    return _reduce_last(np.add, 1.0 / lam) + f / prod - c, prod
 
 
 def _dhym_angle_radius(lam: np.ndarray) -> tuple:
     """``s = sum arctan(1/lam_i)`` and ``r = prod sqrt(lam_i^2 + 1)``."""
-    return (np.sum(np.arctan(1.0 / lam), axis=-1),
-            np.prod(np.sqrt(lam * lam + 1.0), axis=-1))
+    return (_reduce_last(np.add, np.arctan(1.0 / lam)),
+            _reduce_last(np.multiply, np.sqrt(lam * lam + 1.0)))
 
 
 def _dhym_value(lam: np.ndarray, f, theta0: float) -> tuple:

@@ -27,14 +27,14 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (ConeBreachError, ContinuationError, DataError,
+from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
-                     _hessian_symbols, _irfft, _pairs, complex_hessian,
-                     mixed_density, relative_spectrum_field)
+                     _hessian_symbols, _irfft, _pairs, complex_hessian, form_field,
+                     mixed_density, relative_spectrum_field, resample)
 from .hermitian import (ConeSpec, _check_c, _check_f, _check_geoms, _check_theta0,
                         _dhym_angle_radius, _dhym_value, _f_bound_dhym, _f_bound_j,
-                        _j_value, _loo_max, _require_positive)
+                        _j_value, _loo_max, _reduce_last, _require_positive)
 
 __all__ = [
     "SolverConfig",
@@ -48,6 +48,7 @@ __all__ = [
     "newton_solve",
     "continuity_path_j",
     "continuity_path_dhym",
+    "estimate_peak_bytes",
 ]
 
 @dataclass(frozen=True)
@@ -110,6 +111,19 @@ class SolveReport:
         if phi_file is not None:
             out["phi_file"] = phi_file
         return out
+
+
+# Peak memory of a solve per grid point, in float64 grid arrays: the peak RSS
+# measured for continuity paths and cold Newton solves (about 21 arrays at
+# n = 1, 46 at n = 2, 200 at n = 3, where the forms and the eigh-based
+# coefficient hold complex 3 x 3 fields), rounded up for Krylov bases that
+# fill and for the temporaries of other data.
+PEAK_GRID_ARRAYS = {1: 32, 2: 64, 3: 256}
+
+
+def estimate_peak_bytes(geom: TorusGeometry) -> int:
+    """Estimated peak memory of a solve on ``geom``, from the grid alone."""
+    return geom.grid_size * 8 * PEAK_GRID_ARRAYS[geom.n]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +194,7 @@ def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
     ``W = G chi G + q G`` with ``G = omega^-1`` and ``q = f chi^n/omega^n``;
     written out entrywise at n = 2.
     """
-    q = f_vals / np.prod(lam, axis=-1)
+    q = f_vals / _reduce_last(np.multiply, lam)
     if chi.geometry.n == 2:
         g = _inv2(_herm2(omega_vals))
         t0, t1, t01 = _gxg2(g, _chi2(chi))
@@ -259,7 +273,7 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     if c is not None:
         if float(np.max(_loo_max(1.0 / lam))) >= c:
             raise EllipticityLostError("iterate is not a strict c-subsolution")
-    q = f.values / np.prod(lam, axis=-1)
+    q = f.values / _reduce_last(np.multiply, lam)
     if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
         raise EllipticityLostError("linearized coefficient lost positivity")
     return _apply_rows(geom, _j_rows(chi, omega_vals, lam, f.values), -1.0, u)
@@ -532,7 +546,7 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
 
 def _build_report(problem: _NewtonProblem, ev: _Eval, history, margin_min,
                   multiplier, status, iterations) -> SolveReport:
-    c2 = float(np.max(np.sum(ev.lam, axis=-1)))
+    c2 = float(np.max(_reduce_last(np.add, ev.lam)))
     c0 = ev.phi.oscillation()
     return SolveReport(phi=ev.phi, residual_history=[float(h) for h in history],
                        cone_margin_min=float(margin_min), c2_diagnostic=c2,
@@ -546,6 +560,17 @@ def _build_report(problem: _NewtonProblem, ev: _Eval, history, margin_min,
 
 # halvings allowed per target gap of a continuity stage
 PATH_HALVINGS = 8
+# the coarsest grid of a nested continuity path (the smallest TorusGeometry)
+COARSEST_N = 8
+
+
+def _path_entry(stage: str, t: float, report: SolveReport) -> dict:
+    """The ``path_history`` entry of an accepted solve at ``t``, with its grid ``N``."""
+    return {
+        "stage": stage, "t": t, "N": report.phi.geometry.N, "iterations": report.iterations,
+        "residual": report.final_residual, "cone_margin": report.cone_margin_min,
+        "multiplier": report.multiplier,
+    }
 
 
 def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
@@ -596,33 +621,101 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
                 pending.append(0.5 * (t_prev + t))
                 continue
             phi = report.phi
-            history.append({
-                "stage": stage, "t": t, "iterations": report.iterations,
-                "residual": report.final_residual, "cone_margin": report.cone_margin_min,
-                "multiplier": report.multiplier,
-            })
+            history.append(_path_entry(stage, t, report))
             t_prev = t
             pending.pop()
     return phi, report
 
 
+def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: ScalarField,
+              mass: Callable[[FormField, FormField], float]):
+    """``chi``, ``omega0`` and ``f`` on the ``coarse`` grid.
+
+    Each potential is restricted by :func:`fields.resample` (a form stays a
+    base plus a potential, so it stays closed).  Truncation moves the
+    integrals of the integrability identity, so ``f``'s constant is shifted
+    until ``mean(f det chi)`` equals ``mass(chi, omega0)`` of the coarse data.
+    """
+    chi_c, omega_c = (form_field(coarse, form.base, None if form.potential is None
+                                 else resample(form.potential, coarse))
+                      for form in (chi, omega0))
+    f_c = resample(f, coarse)
+    det_chi = np.linalg.det(chi_c.values).real
+    shift = (mass(chi_c, omega_c) - float(np.mean(f_c.values * det_chi))) \
+        / float(np.mean(det_chi))
+    return chi_c, omega_c, f_c + shift
+
+
+def _nested(geom: TorusGeometry, config: SolverConfig, coarse_path, fine_problem,
+            single_level, stage: str) -> SolveReport:
+    """Nested iteration (Brandt, Math. Comp. 31, 1977) of a checked continuity path.
+
+    When ``N/2 >= COARSEST_N``, ``coarse_path(coarse)`` runs the path on the
+    data restricted to the ``N/2`` grid, itself nested; its endpoint, prolonged
+    by :func:`fields.resample`, starts one :func:`newton_solve` of
+    ``fine_problem()``, the target problem, recorded as the last target
+    (``t = 1``) of ``stage``.  By mesh independence (Allgower, Boehmer,
+    Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that start lies in
+    the fine quadratic basin.  If a coarse level raises ``DomainError``,
+    ``ConeBreachError`` or ``ContinuationError``, or the fine solve does not
+    converge, ``single_level(history)`` marches from zero on this grid after
+    the coarse entries accepted so far.
+    """
+    history: list[dict] = []
+    if geom.N // 2 >= COARSEST_N:
+        try:
+            coarse = coarse_path(TorusGeometry(geom.n, geom.N // 2))
+            history = coarse.path_history
+            report = newton_solve(fine_problem(), resample(coarse.phi, geom), config)
+            if report.success:
+                report.path_history = history + [_path_entry(stage, 1.0, report)]
+                return report
+        except ContinuationError as exc:
+            if exc.report is not None:
+                history = exc.report.path_history
+        except (DomainError, ConeBreachError):
+            pass
+    return single_level(history)
+
+
+def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, float]:
+    """``c*int(omega0^n)/n! - int(chi ^ omega0^(n-1))/(n-1)!``, the value the
+    integrability identity asks of ``int(f chi^n)/n! = mean(f det chi)``, and
+    the scale of its checks."""
+    n = chi.geometry.n
+    vol_omega = float(np.mean(mixed_density([omega0.values] * n))) / math.factorial(n)
+    cross = float(np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))) \
+        / math.factorial(n - 1)
+    return c * vol_omega - cross, max(1.0, abs(c) * vol_omega)
+
+
 def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
                       c: float, config: SolverConfig) -> SolveReport:
-    """Two-stage continuity method for the J-type equation.
+    """Two-stage continuity method for the J-type equation, nested over grids.
 
     Stage 1 tilts the reference form from ``(c/n) * omega0`` to ``chi`` with
     the constant right-hand side recomputed from the integrability identity
     at each step; stage 2 interpolates that constant to the target ``f``.
+
+    The hypotheses are checked on the given grid first.  For ``N >= 16`` the
+    path then runs on the data restricted to ``N/2`` (recursively, down to
+    ``COARSEST_N = 8``) and one Newton solve of the target problem finishes
+    on this grid; any coarse failure, or a fine solve that does not
+    converge, falls back to the single-level march from zero (see
+    :func:`_nested`).  Every ``path_history`` entry records its grid ``N``.
     """
+    return _path_j(chi, omega0, f_target, c, config)
+
+
+def _path_j(chi: FormField, omega0: FormField, f_target: ScalarField, c: float,
+            config: SolverConfig) -> SolveReport:
+    """The body of :func:`continuity_path_j`.  The coarse levels recurse here,
+    not through the public name, so a wrapper of that name sees one path."""
     geom = _check_geoms(chi, omega0, f_target)
     n = geom.n
     c = _check_c(c)
     _check_f(f_target.values, _f_bound_j(n, c))
-    vol_omega = float(np.mean(mixed_density([omega0.values] * n))) / math.factorial(n)
-    cross = float(np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))) \
-        / math.factorial(n - 1)
-    rhs_int = c * vol_omega - cross
-    scale = max(1.0, abs(c) * vol_omega)
+    rhs_int, scale = _j_class_rhs(chi, omega0, c)
     if rhs_int < -1e-10 * scale:
         raise PreconditionError(
             f"integrability sign fails: c*int(omega0^n)/n! - int(chi^omega0^(n-1))/(n-1)! "
@@ -634,42 +727,71 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
             f"integrability identity fails: int(f chi^n)/n! = {f_int:.10e} but the "
             f"class data require {rhs_int:.10e}")
 
-    history: list[dict] = []
-    phi = ScalarField.zeros(geom)
+    def single_level(history: list) -> SolveReport:
+        def stage1_problem(t: float):
+            chi_t = t * chi + (1.0 - t) * (c / n) * omega0
+            det_chi_t = np.mean(mixed_density([chi_t.values] * n))
+            f_t_val = t * rhs_int * math.factorial(n) / float(det_chi_t)
+            f_t = ScalarField.constant(geom, f_t_val)
+            return make_j_problem(chi_t, omega0, f_t, c)
 
-    def stage1_problem(t: float):
-        chi_t = t * chi + (1.0 - t) * (c / n) * omega0
-        det_chi_t = np.mean(mixed_density([chi_t.values] * n))
-        f_t_val = t * rhs_int * math.factorial(n) / float(det_chi_t)
-        f_t = ScalarField.constant(geom, f_t_val)
-        return make_j_problem(chi_t, omega0, f_t, c)
+        targets1 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
+        phi, report = _march(stage1_problem, ScalarField.zeros(geom), config, 0.0,
+                             targets1, "j-stage1", history)
 
-    targets1 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-    phi, report = _march(stage1_problem, phi, config, 0.0, targets1, "j-stage1", history)
+        f1_val = rhs_int * math.factorial(n) / float(np.mean(mixed_density([chi.values] * n)))
 
-    f1_val = rhs_int * math.factorial(n) / float(np.mean(mixed_density([chi.values] * n)))
+        def stage2_problem(s: float):
+            f_s = ScalarField(geom, (1.0 - s) * f1_val + s * f_target.values)
+            return make_j_problem(chi, omega0, f_s, c)
 
-    def stage2_problem(s: float):
-        f_s = ScalarField(geom, (1.0 - s) * f1_val + s * f_target.values)
-        return make_j_problem(chi, omega0, f_s, c)
+        targets2 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
+        phi, report = _march(stage2_problem, phi, config, 0.0, targets2, "j-stage2", history)
+        report.path_history = history
+        return report
 
-    targets2 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-    phi, report = _march(stage2_problem, phi, config, 0.0, targets2, "j-stage2", history)
-    report.path_history = history
-    return report
+    def coarse_path(coarse: TorusGeometry) -> SolveReport:
+        return _path_j(*_restrict(coarse, chi, omega0, f_target,
+                                  lambda ch, om: _j_class_rhs(ch, om, c)[0]), c, config)
+
+    return _nested(geom, config, coarse_path,
+                   lambda: make_j_problem(chi, omega0, f_target, c), single_level, "j-stage2")
+
+
+def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], float]:
+    """``omega ->`` the constant ``f`` that the dHYM integrability identity
+    gives for ``(chi, omega)``: ``mean(tan(theta0) Re D - Im D) / mean(det chi)``
+    with ``D = det(omega + i chi)``."""
+    vol_chi = float(np.mean(np.linalg.det(chi.values).real))
+
+    def const(omega_form: FormField) -> float:
+        det = np.linalg.det(omega_form.values + 1j * chi.values)
+        return float(np.mean(math.tan(theta0) * det.real - det.imag) / vol_chi)
+
+    return const
 
 
 def continuity_path_dhym(chi: FormField, omega0_target: FormField,
                          f_target: ScalarField, theta0: float,
                          config: SolverConfig) -> SolveReport:
-    """Three-stage continuity method for the dHYM equation.
+    """Three-stage continuity method for the dHYM equation, nested over grids.
 
     Starts at the exactly solvable ``omega0 = cot(theta0/n) * chi, f = 0``,
     tilts to an enlarged multiple of the target form, scales that multiple
     back down to 1, then interpolates the constant right-hand side to the
     target ``f``.  The constant along stages 1-2 comes from the
     integrability identity and stays non-negative.
+
+    The hypotheses are checked on the given grid first; the grids are then
+    nested as in :func:`continuity_path_j`, the fine solve being recorded as
+    the last target of stage 3.
     """
+    return _path_dhym(chi, omega0_target, f_target, theta0, config)
+
+
+def _path_dhym(chi: FormField, omega0_target: FormField, f_target: ScalarField,
+               theta0: float, config: SolverConfig) -> SolveReport:
+    """The body of :func:`continuity_path_dhym`, as :func:`_path_j` is of the J path."""
     geom = _check_geoms(chi, omega0_target, f_target)
     n = geom.n
     theta0 = _check_theta0(theta0)
@@ -682,10 +804,7 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
             f"(Gamma margin {gamma_margin:.3e})")
     det_chi = np.linalg.det(chi.values).real
     vol_chi = float(np.mean(det_chi))
-
-    def integrability_const(omega_form: FormField) -> float:
-        det = np.linalg.det(omega_form.values + 1j * chi.values)
-        return float(np.mean(math.tan(theta0) * det.real - det.imag) / vol_chi)
+    integrability_const = _dhym_class_const(chi, theta0)
 
     rhs_target = integrability_const(omega0_target)
     scale = max(1.0, abs(rhs_target))
@@ -697,36 +816,47 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
             f"integrability identity fails: int(f chi^n) gives {f_int:.10e}, class "
             f"data require {rhs_target:.10e}")
 
-    cot_n = 1.0 / math.tan(theta0 / n)
-    c51 = float(np.min(lam0[..., 0]))
-    kappa = cot_n / c51 + 1.0
+    def single_level(history: list) -> SolveReport:
+        cot_n = 1.0 / math.tan(theta0 / n)
+        c51 = float(np.min(lam0[..., 0]))
+        kappa = cot_n / c51 + 1.0
 
-    history: list[dict] = []
-    phi = ScalarField.zeros(geom)
+        def stage1_problem(t: float):
+            omega_t = t * cot_n * chi + (1.0 - t) * kappa * omega0_target
+            f_t = ScalarField.constant(geom, integrability_const(omega_t))
+            return make_dhym_problem(chi, omega_t, f_t, theta0)
 
-    def stage1_problem(t: float):
-        omega_t = t * cot_n * chi + (1.0 - t) * kappa * omega0_target
-        f_t = ScalarField.constant(geom, integrability_const(omega_t))
-        return make_dhym_problem(chi, omega_t, f_t, theta0)
+        targets1 = np.linspace(1.0, 0.0, config.path_steps + 1)[1:]
+        phi, report = _march(stage1_problem, ScalarField.zeros(geom), config, 1.0,
+                             targets1, "dhym-stage1", history)
 
-    targets1 = np.linspace(1.0, 0.0, config.path_steps + 1)[1:]
-    phi, report = _march(stage1_problem, phi, config, 1.0, targets1, "dhym-stage1", history)
+        def stage2_problem(t: float):
+            omega_t = t * omega0_target
+            f_t = ScalarField.constant(geom, integrability_const(omega_t))
+            return make_dhym_problem(chi, omega_t, f_t, theta0)
 
-    def stage2_problem(t: float):
-        omega_t = t * omega0_target
-        f_t = ScalarField.constant(geom, integrability_const(omega_t))
-        return make_dhym_problem(chi, omega_t, f_t, theta0)
+        targets2 = np.linspace(kappa, 1.0, config.path_steps + 1)[1:]
+        phi, report = _march(stage2_problem, phi, config, kappa, targets2, "dhym-stage2",
+                             history)
 
-    targets2 = np.linspace(kappa, 1.0, config.path_steps + 1)[1:]
-    phi, report = _march(stage2_problem, phi, config, kappa, targets2, "dhym-stage2", history)
+        def stage3_problem(s: float):
+            f_s = ScalarField(geom, (1.0 - s) * rhs_target + s * f_target.values)
+            return make_dhym_problem(chi, omega0_target, f_s, theta0)
 
-    f0_val = integrability_const(omega0_target)
+        targets3 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
+        phi, report = _march(stage3_problem, phi, config, 0.0, targets3, "dhym-stage3",
+                             history)
+        report.path_history = history
+        return report
 
-    def stage3_problem(s: float):
-        f_s = ScalarField(geom, (1.0 - s) * f0_val + s * f_target.values)
-        return make_dhym_problem(chi, omega0_target, f_s, theta0)
+    def mass(ch: FormField, om: FormField) -> float:
+        vol = float(np.mean(np.linalg.det(ch.values).real))
+        return _dhym_class_const(ch, theta0)(om) * vol
 
-    targets3 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-    phi, report = _march(stage3_problem, phi, config, 0.0, targets3, "dhym-stage3", history)
-    report.path_history = history
-    return report
+    def coarse_path(coarse: TorusGeometry) -> SolveReport:
+        return _path_dhym(*_restrict(coarse, chi, omega0_target, f_target, mass), theta0,
+                          config)
+
+    return _nested(geom, config, coarse_path,
+                   lambda: make_dhym_problem(chi, omega0_target, f_target, theta0),
+                   single_level, "dhym-stage3")

@@ -279,3 +279,45 @@ class TestTrivialFixture:
         cfg = write_config(tmp_path, "c.json", solve_j_config(
             solver={"path_steps": 2, "cone_slack": 50.0}))
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+class TestNestedPathArtifacts:
+    def test_grid_column_and_key(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", solve_j_config(geometry={"n": 2, "N": 16}))
+        out = tmp_path / "out"
+        assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        grids = [h["N"] for h in report["path_history"]]
+        assert grids == [8] * (len(grids) - 1) + [16]
+        rows = (out / "residual_history.csv").read_text().split("\n\n", 1)[1].split()
+        assert rows[0] == "stage,N,t,iterations,residual,cone_margin,multiplier"
+        assert [int(r.split(",")[1]) for r in rows[1:]] == grids
+
+
+class TestMemoryPreflight:
+    def test_estimate_scales_with_the_grid(self):
+        from jdhym.fields import TorusGeometry
+        from jdhym.solver import estimate_peak_bytes
+        # one complex 3 x 3 field at n = 3, N = 16 alone is 2.4 GB
+        field = 16 ** 6 * 9 * 16
+        assert estimate_peak_bytes(TorusGeometry(3, 16)) > 4 * field
+        for n in (1, 2, 3):
+            small = estimate_peak_bytes(TorusGeometry(n, 8))
+            assert estimate_peak_bytes(TorusGeometry(n, 16)) == 2 ** (2 * n) * small
+        assert estimate_peak_bytes(TorusGeometry(2, 16)) < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("command", ["solve-j", "solve-dhym"])
+    def test_oversized_grid_exits_2_before_any_field(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        import jdhym.cli as cli
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(cli, "_parse_form", no_fields)
+        doc = solve_j_config(problem=command, theta0=0.6)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -12,7 +12,7 @@ from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
                           form_field, hessian_values, integrate, kahler_form,
                           load_scalar_field, mixed_density, mollifier_profile,
                           mollifier_normalization, mollify,
-                          random_bandlimited, regularized_max,
+                          random_bandlimited, regularized_max, resample,
                           relative_spectrum_field, save_scalar_field,
                           smooth_array)
 
@@ -414,3 +414,35 @@ class TestSerialization:
         (tmp_path / "f.bin").write_bytes(b"123")
         with pytest.raises(DataError):
             load_scalar_field(header)
+
+
+class TestResample:
+    def test_restriction_after_prolongation_is_exact(self):
+        rng = np.random.default_rng(7)
+        for n, N in ((1, 16), (2, 8)):
+            coarse = TorusGeometry(n, N)
+            fine = TorusGeometry(n, 2 * N)
+            # a coarse field without Nyquist content, which no resampling keeps
+            u = resample(ScalarField(fine, rng.standard_normal(fine.shape)), coarse)
+            back = resample(resample(u, fine), coarse)
+            assert np.max(np.abs(back.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+
+    def test_prolongation_reproduces_band_limited_modes(self):
+        modes = [((1, 0, 0, 2), 0.3, 0.4), ((0, -3, 1, 0), 0.2, 1.1), ((2, 2, -1, 3), 0.1)]
+        coarse, fine = TorusGeometry(2, 8), TorusGeometry(2, 32)
+        up = resample(field_from_modes(coarse, modes), fine)
+        ref = field_from_modes(fine, modes)
+        assert np.max(np.abs(up.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+        down = resample(ref, coarse)
+        assert np.max(np.abs(down.values - field_from_modes(coarse, modes).values)) <= 1e-12
+
+    def test_restriction_drops_unresolved_modes(self):
+        fine, coarse = TorusGeometry(1, 32), TorusGeometry(1, 8)
+        u = field_from_modes(fine, [((1, 2), 0.5), ((4, 0), 0.7), ((0, 9), 0.2)])
+        down = resample(u, coarse)
+        assert np.max(np.abs(down.values
+                             - field_from_modes(coarse, [((1, 2), 0.5)]).values)) <= 1e-12
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(UsageError):
+            resample(ScalarField.zeros(TorusGeometry(1, 8)), TorusGeometry(2, 8))

@@ -11,7 +11,7 @@ from jdhym.hermitian import (ConeSpec, SpectrumRel, cone_test_dhym,
                              gamma_margin, j_cone_margin, p_level,
                              p_level_arctan, q_level, relative_spectrum,
                              schur_complement, trace_relative,
-                             truncate_spectrum)
+                             truncate_spectrum, _reduce_last)
 from jdhym.properties import sample_gamma_point
 
 
@@ -310,3 +310,16 @@ class TestSubadditivityLemmas:
         from jdhym.properties import suite_hessian_zero_slice
         res = suite_hessian_zero_slice(200, np.random.default_rng(24))
         assert res["holds"], res
+
+
+class TestShortAxisReduction:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for shape in [(), (5,), (8,) * (2 * n), (3, 1, 4)]:
+            a = rng.normal(size=shape + (n,)) * 10.0 ** rng.uniform(-3, 3, size=shape + (n,))
+            for op, ref in ((np.add, np.sum), (np.multiply, np.prod)):
+                got = np.asarray(_reduce_last(op, a), dtype=float)
+                want = np.asarray(ref(a, axis=-1), dtype=float)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))

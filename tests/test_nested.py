@@ -1,0 +1,288 @@
+"""Nested (coarse-to-fine) continuity paths and a grid-convergence study."""
+
+import math
+
+import numpy as np
+import pytest
+
+from jdhym import solver
+from jdhym.errors import (ConeBreachError, ContinuationError, DomainError,
+                          PreconditionError)
+from jdhym.fields import (ScalarField, TorusGeometry, constant_form,
+                          field_from_modes, form_field, mixed_density, resample)
+from jdhym.functionals import compute_c0
+from jdhym.solver import SolverConfig, continuity_path_dhym, continuity_path_j
+
+THETA0 = math.pi / 5
+
+
+def poisson_bump_instance(N, rho=0.8, height=0.01):
+    """An n = 1 dHYM instance whose ``f`` no grid resolves.
+
+    ``f`` is a constant plus ``height`` times the product of two periodic
+    Poisson kernels ``P(u) = (1 - rho^2) / (1 - 2 rho cos(2 pi u) + rho^2)``
+    in ``x`` and ``y``: a smoothed bump whose Fourier coefficients
+    ``rho^(|k| + |l|)`` never vanish.  The bump's grid mean is taken out, so
+    the integrability identity holds on every grid.
+    """
+    geom = TorusGeometry(1, N)
+    x, y = geom.coordinates()
+
+    def poisson(u):
+        return (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(2.0 * math.pi * u) + rho * rho)
+
+    bump = np.broadcast_to(poisson(x) * poisson(y), geom.shape)
+    s = 1.8
+    chi = constant_form(geom, np.array([[1.0]]))
+    omega0 = constant_form(geom, np.array([[s]]))
+    # n = 1: det(omega0 + i chi) = s + i, so the class constant is tan(theta0) s - 1
+    f = ScalarField(geom, (math.tan(THETA0) * s - 1.0) + height * (bump - bump.mean()))
+    return chi, omega0, f
+
+
+def potential_gap(a, b):
+    d = a.values - b.values
+    return float(np.max(np.abs(d - d.mean())))
+
+
+def single_level(path, *args):
+    """``path(*args)`` with nesting switched off: the one-grid march."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "COARSEST_N", 10 ** 9)
+        return path(*args)
+
+
+def j_instance(N):
+    geom = TorusGeometry(2, N)
+    chi = form_field(geom, np.diag([1.0, 2.0]), field_from_modes(geom, [((1, 0, 0, 0), 0.04)]))
+    omega0 = constant_form(geom, np.eye(2))
+    f = field_from_modes(geom, [((0, 0, 1, 0), 0.02)])
+    return chi, omega0, f, compute_c0(chi, omega0)
+
+
+def dhym_instance(N):
+    geom = TorusGeometry(2, N)
+    s = 1.0 / math.tan(THETA0 / 2)
+    chi = constant_form(geom, np.eye(2))
+    omega0 = form_field(geom, s * np.eye(2),
+                        field_from_modes(geom, [((1, 0, 0, 0), 0.05), ((0, 0, 0, 1), 0.03)]))
+    return chi, omega0, ScalarField.zeros(geom)
+
+
+class TestGridConvergence:
+    def test_error_decays_geometrically(self):
+        cfg = SolverConfig(path_steps=4, tolerance=1e-11)
+        ref = continuity_path_dhym(*poisson_bump_instance(256), THETA0, cfg)
+        assert ref.success
+        errors = []
+        for N in (32, 64, 128):
+            rep = continuity_path_dhym(*poisson_bump_instance(N), THETA0, cfg)
+            assert rep.success
+            errors.append(potential_gap(rep.phi, resample(ref.phi, rep.phi.geometry)))
+        e32, e64, e128 = errors
+        assert e32 > e64 > e128
+        # geometric in N: the error's rate per grid point does not flatten,
+        # as it would (to half per doubling) under algebraic decay
+        assert e128 / e64 <= (e64 / e32) ** 1.5
+        assert e128 <= 1e-8
+
+    def test_nested_path_agrees_with_single_level(self):
+        cfg = SolverConfig(path_steps=4, tolerance=1e-11)
+        data = poisson_bump_instance(128)
+        nested = continuity_path_dhym(*data, THETA0, cfg)
+        single = single_level(continuity_path_dhym, *data, THETA0, cfg)
+        assert nested.success and single.success
+        assert potential_gap(nested.phi, single.phi) <= 1e-7
+        # the coarse levels ran the path, the fine grid only one Newton solve
+        grids = [h["N"] for h in nested.path_history]
+        assert grids == sorted(grids) and grids[0] == 8
+        fine = [h for h in nested.path_history if h["N"] == 128]
+        assert len(fine) == 1 and fine[0]["stage"] == "dhym-stage3" and fine[0]["t"] == 1.0
+        assert all(h["N"] == 128 for h in single.path_history)
+
+
+class TestRestriction:
+    """Mode 5 of ``chi``'s potential and of ``f`` lies beyond the N = 8 grid.
+    The two correlate in ``mean(f det chi)``, so truncation alone breaks an
+    integrability identity that holds on the N = 16 grid."""
+
+    @staticmethod
+    def data():
+        geom = TorusGeometry(2, 16)
+        chi = form_field(geom, np.diag([1.0, 2.0]),
+                         field_from_modes(geom, [((5, 0, 0, 0), 0.002)]))
+        f = field_from_modes(geom, [((0, 0, 1, 0), 0.02), ((5, 0, 0, 0), 0.02)])
+        return chi, constant_form(geom, 3.0 * np.eye(2)), f, TorusGeometry(2, 8)
+
+    def test_restricted_j_data_keep_the_integrability_identity(self):
+        chi, omega0, f, coarse = self.data()
+        c = compute_c0(chi, omega0) + 1.0
+
+        def defect(chi, omega, f):
+            """``int(f chi^n)/n!`` minus what the class data require, and the scale."""
+            vol = float(np.mean(mixed_density([omega.values] * 2))) / 2.0
+            cross = float(np.mean(mixed_density([chi.values, omega.values])))
+            f_int = float(np.mean(f.values * np.linalg.det(chi.values).real))
+            return f_int - (c * vol - cross), max(1.0, abs(c) * vol)
+
+        d, _ = defect(chi, omega0, f)
+        f = f - d / float(np.mean(np.linalg.det(chi.values).real))
+        assert abs(defect(chi, omega0, f)[0]) <= 1e-12
+        chi_c, omega_c, f_c = solver._restrict(
+            coarse, chi, omega0, f, lambda ch, om: solver._j_class_rhs(ch, om, c)[0])
+        assert chi_c.geometry == omega_c.geometry == f_c.geometry == coarse
+        d, scale = defect(chi_c, omega_c, f_c)
+        assert abs(d) <= 1e-8 * scale
+        d, scale = defect(chi_c, omega_c, resample(f, coarse))
+        assert abs(d) > 1e-4 * scale
+
+    def test_restricted_dhym_data_keep_the_integrability_identity(self):
+        chi, omega0, f, coarse = self.data()
+
+        def defect(chi, omega, f):
+            """``int(f chi^n) / int(chi^n)`` minus the class constant, and the scale."""
+            det = np.linalg.det(omega.values + 1j * chi.values)
+            vol = float(np.mean(np.linalg.det(chi.values).real))
+            rhs = float(np.mean(math.tan(THETA0) * det.real - det.imag)) / vol
+            f_int = float(np.mean(f.values * np.linalg.det(chi.values).real)) / vol
+            return f_int - rhs, max(1.0, abs(rhs))
+
+        def mass(ch, om):
+            det = np.linalg.det(ch.values).real
+            return solver._dhym_class_const(ch, THETA0)(om) * float(np.mean(det))
+
+        f = f - defect(chi, omega0, f)[0]
+        assert abs(defect(chi, omega0, f)[0]) <= 1e-12
+        chi_c, omega_c, f_c = solver._restrict(coarse, chi, omega0, f, mass)
+        d, scale = defect(chi_c, omega_c, f_c)
+        assert abs(d) <= 1e-8 * scale
+        d, scale = defect(chi_c, omega_c, resample(f, coarse))
+        assert abs(d) > 1e-4 * scale
+
+
+CFG = SolverConfig(path_steps=2, tolerance=1e-11)
+
+
+@pytest.fixture(scope="module")
+def j_case():
+    args = (*j_instance(16), CFG)
+    return args, single_level(continuity_path_j, *args)
+
+
+@pytest.fixture(scope="module")
+def dhym_case():
+    args = (*dhym_instance(16), THETA0, CFG)
+    return args, single_level(continuity_path_dhym, *args)
+
+
+class TestNestedPath:
+    @pytest.mark.parametrize("path, case", [(continuity_path_j, "j_case"),
+                                            (continuity_path_dhym, "dhym_case")],
+                             ids=["j", "dhym"])
+    def test_nested_endpoint_matches_single_level(self, request, path, case):
+        args, single = request.getfixturevalue(case)
+        nested = path(*args)
+        assert nested.success and single.success
+        assert potential_gap(nested.phi, single.phi) <= 1e-9
+        grids = [h["N"] for h in nested.path_history]
+        assert grids == [8] * (len(grids) - 1) + [16]
+        assert all(set(h) >= {"stage", "t", "N", "iterations"} for h in nested.path_history)
+
+    def test_coarse_domain_error_falls_back_bit_for_bit(self, monkeypatch, j_case):
+        args, single = j_case
+
+        def fail(*args):
+            raise DomainError("forced")
+
+        monkeypatch.setattr(solver, "_restrict", fail)
+        rep = continuity_path_j(*args)
+        assert np.array_equal(rep.phi.values, single.phi.values)
+        assert rep.path_history == single.path_history
+        assert rep.residual_history == single.residual_history
+
+    def test_coarse_continuation_error_falls_back_bit_for_bit(self, monkeypatch, dhym_case):
+        args, single = dhym_case
+        march = solver._march
+
+        def failing_on_coarse_stage2(make_problem, phi, config, t_start, targets, stage,
+                                     history):
+            phi, report = march(make_problem, phi, config, t_start, targets, stage, history)
+            if phi.geometry.N == 8 and stage == "dhym-stage2":
+                report.path_history, report.status = history, "forced"
+                raise ContinuationError("forced", stage=stage, t=1.0, cause="forced",
+                                        report=report)
+            return phi, report
+
+        monkeypatch.setattr(solver, "_march", failing_on_coarse_stage2)
+        rep = continuity_path_dhym(*args)
+        assert np.array_equal(rep.phi.values, single.phi.values)
+        coarse = [h for h in rep.path_history if h["N"] == 8]
+        fine = [h for h in rep.path_history if h["N"] == 16]
+        assert rep.path_history == coarse + fine
+        assert {h["stage"] for h in coarse} == {"dhym-stage1", "dhym-stage2"}
+        assert fine == single.path_history
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "cone-breach"])
+    def test_fine_solve_failure_falls_back(self, monkeypatch, j_case, failure):
+        args, single = j_case
+        f = args[2]
+        # only the problem built from the target f itself is the fine solve's:
+        # the march builds its stage-2 right-hand sides afresh
+        fine_problems = []
+        make_problem, newton = solver.make_j_problem, solver.newton_solve
+
+        def recording(chi_, omega0_, f_, c_):
+            problem = make_problem(chi_, omega0_, f_, c_)
+            if f_ is f:
+                fine_problems.append(problem)
+            return problem
+
+        def failing_on_fine_target(problem, phi0, config):
+            report = newton(problem, phi0, config)
+            if any(problem is p for p in fine_problems):
+                if failure == "cone-breach":
+                    raise ConeBreachError("forced", report=report)
+                report.status = failure
+            return report
+
+        monkeypatch.setattr(solver, "make_j_problem", recording)
+        monkeypatch.setattr(solver, "newton_solve", failing_on_fine_target)
+        rep = continuity_path_j(*args)
+        assert len(fine_problems) == 1
+        assert np.array_equal(rep.phi.values, single.phi.values)
+        coarse = [h for h in rep.path_history if h["N"] == 8]
+        assert coarse and rep.path_history == coarse + single.path_history
+
+    @pytest.mark.parametrize("kind", ["j-sign", "j-identity", "dhym-gamma", "dhym-f"])
+    def test_fine_hypotheses_checked_before_coarse_work(self, monkeypatch, kind):
+        touched = []
+        monkeypatch.setattr(solver, "_restrict", lambda *a: touched.append(1))
+        monkeypatch.setattr(solver, "resample", lambda *a: touched.append(1))
+        geom = TorusGeometry(2, 16)
+        chi = constant_form(geom, np.diag([1.0, 2.0]))
+        omega0 = constant_form(geom, np.eye(2))
+        if kind == "j-sign":
+            call, error = lambda: continuity_path_j(chi, omega0, ScalarField.zeros(geom), 2.5,
+                                                    SolverConfig()), PreconditionError
+        elif kind == "j-identity":
+            call, error = lambda: continuity_path_j(chi, omega0,
+                                                    ScalarField.constant(geom, 0.25), 3.0,
+                                                    SolverConfig()), PreconditionError
+        elif kind == "dhym-gamma":
+            call, error = lambda: continuity_path_dhym(
+                constant_form(geom, np.eye(2)), constant_form(geom, 1.2 * np.eye(2)),
+                ScalarField.zeros(geom), 0.3, SolverConfig()), PreconditionError
+        else:
+            call, error = lambda: continuity_path_dhym(
+                constant_form(geom, np.eye(2)), constant_form(geom, 4.0 * np.eye(2)),
+                ScalarField.constant(geom, -0.5), THETA0, SolverConfig()), DomainError
+        with pytest.raises(error):
+            call()
+        assert not touched
+
+    def test_every_entry_carries_its_grid(self):
+        chi, omega0, f, c = j_instance(32)
+        rep = continuity_path_j(chi, omega0, f, c, SolverConfig(path_steps=2))
+        assert rep.success
+        grids = [h["N"] for h in rep.path_history]
+        assert grids == sorted(grids) and grids[-2:] == [16, 32] and set(grids) == {8, 16, 32}
