@@ -45,15 +45,18 @@ def main():
         lam = relative_spectrum_field(chi.values,
                                       (omega0 + complex_hessian(rep.phi)).values)
         defect = float(np.max(np.abs(np.sum(np.arctan(1.0 / lam), -1) - theta0)))
-        rows.append([theta0, s, rep.final_residual, defect,
-                     sum(h["iterations"] for h in rep.path_history), elapsed])
+        # the path also records the coarse grids' steps; the fine ones have N
+        total_iters = sum(h["iterations"] for h in rep.path_history)
+        fine_iters = sum(h["iterations"] for h in rep.path_history if h["N"] == args.N)
+        rows.append([theta0, s, rep.final_residual, defect, total_iters, fine_iters, elapsed])
         print(f"theta0={theta0:.4f}  scale={s:.4f}  residual={rep.final_residual:.2e}  "
-              f"angle defect={defect:.2e}  {elapsed:.1f}s")
+              f"angle defect={defect:.2e}  iters={total_iters}  fine iters={fine_iters}  "
+              f"{elapsed:.1f}s")
 
     with (out / "angle_sweep.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta0", "target_scale", "final_residual", "angle_defect",
-                    "newton_iterations", "seconds"])
+                    "newton_iterations", "fine_newton_iterations", "seconds"])
         w.writerows(rows)
     print(f"wrote {out / 'angle_sweep.csv'}")
 

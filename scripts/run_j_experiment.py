@@ -45,17 +45,20 @@ def main():
         t0 = time.monotonic()
         rep = continuity_path_j(chi, omega0, ScalarField.zeros(geom), c0, cfg)
         elapsed = time.monotonic() - t0
+        # the path also records the coarse grids' steps; the fine ones have N
         total_iters = sum(h["iterations"] for h in rep.path_history)
+        fine_iters = sum(h["iterations"] for h in rep.path_history if h["N"] == N)
         rows.append([N, c0, rep.final_residual, rep.cone_margin_min,
-                     rep.c0_diagnostic, total_iters, elapsed])
+                     rep.c0_diagnostic, total_iters, fine_iters, elapsed])
         print(f"N={N:3d}  c0={c0:.6f}  residual={rep.final_residual:.3e}  "
               f"margin={rep.cone_margin_min:.4f}  iters={total_iters}  "
-              f"{elapsed:.1f}s")
+              f"fine iters={fine_iters}  {elapsed:.1f}s")
 
     with (out / "grid_sweep.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "c0", "final_residual", "cone_margin_min",
-                    "oscillation", "newton_iterations", "seconds"])
+                    "oscillation", "newton_iterations", "fine_newton_iterations",
+                    "seconds"])
         w.writerows(rows)
     print(f"wrote {out / 'grid_sweep.csv'}")
 

@@ -25,7 +25,7 @@ from .errors import (BranchUndefinedError, ConeBreachError, ContinuationError,
                      DataError, DomainError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
-from .hermitian import ConeSpec, hermitian_defect
+from .hermitian import hermitian_defect
 from .functionals import (FunctionalReport, aubin_i, compute_c0,
                           coercivity_probe, j_chi_functional,
                           j_omega0_functional)
@@ -48,13 +48,30 @@ class ConfigError(Exception):
         super().__init__(f"config field '{path}': {message}")
 
 
-def _need(doc: dict, path: str, key: str, types=None):
+def _number(val, where: str, kind: type):
+    """``val`` as ``kind`` (int or float): a finite JSON number, not a bool,
+    and integral when ``kind`` is int."""
+    try:
+        if not isinstance(val, bool) and math.isfinite(val) and (kind is float or val == int(val)):
+            return kind(val)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(where, f"expected a finite {kind.__name__}, got {json.dumps(val)}")
+
+
+def _need(doc: dict, path: str, key: str, types=None, default=None):
+    """``doc[key]`` (``default`` if absent, unless None), read by :func:`_number`
+    when ``types`` is int or float and checked by ``isinstance`` otherwise."""
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing")
+        if default is None:
+            raise ConfigError(where, "missing")
+        return default
     val = doc[key]
+    if types in (int, float):
+        return _number(val, where, types)
     if types is not None and not isinstance(val, types):
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"expected {types}, got {type(val).__name__}")
+        raise ConfigError(where, f"expected {types}, got {type(val).__name__}")
     return val
 
 
@@ -69,7 +86,8 @@ def _parse_matrix(entry, path: str, n: int) -> np.ndarray:
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"{path}[{i}][{j}]", "expected [re, im]")
-            prow.append(complex(float(pair[0]), float(pair[1])))
+            prow.append(complex(*(_number(v, f"{path}[{i}][{j}][{k}]", float)
+                                  for k, v in enumerate(pair))))
         rows.append(prow)
     mat = np.array(rows)
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -87,9 +105,12 @@ def _parse_potential(entry, path: str, geom: TorusGeometry) -> ScalarField | Non
         raise ConfigError(path, "expected a list of modes")
     modes = []
     for i, m in enumerate(entry):
-        if not isinstance(m, dict) or "freq" not in m or "amp" not in m:
-            raise ConfigError(f"{path}[{i}]", "expected {freq, amp[, phase]}")
-        modes.append((m["freq"], m["amp"], m.get("phase", 0.0)))
+        where = f"{path}[{i}]"
+        if not isinstance(m, dict):
+            raise ConfigError(where, "expected {freq, amp[, phase]}")
+        freq = [_number(v, f"{where}.freq[{k}]", int)
+                for k, v in enumerate(_need(m, where, "freq", list))]
+        modes.append((freq, _need(m, where, "amp", float), _need(m, where, "phase", float, 0.0)))
     try:
         return field_from_modes(geom, modes)
     except UsageError as exc:
@@ -105,7 +126,7 @@ def _parse_form(doc, path: str, geom: TorusGeometry) -> FormField:
 def _parse_geometry(doc: dict) -> TorusGeometry:
     g = _need(doc, "", "geometry", dict)
     try:
-        return TorusGeometry(int(_need(g, "geometry", "n")), int(_need(g, "geometry", "N")))
+        return TorusGeometry(_need(g, "geometry", "n", int), _need(g, "geometry", "N", int))
     except UsageError as exc:
         raise ConfigError("geometry", str(exc)) from exc
 
@@ -130,18 +151,14 @@ def _solve_geometry(doc: dict) -> TorusGeometry:
 
 
 def _parse_solver(doc: dict) -> SolverConfig:
+    """The ``solver`` object: each key is a :class:`SolverConfig` field, read
+    with the type of the field's default, which also fills an absent key."""
     s = doc.get("solver", {})
     if not isinstance(s, dict):
         raise ConfigError("solver", "expected an object")
     try:
-        return SolverConfig(
-            tolerance=float(s.get("tolerance", 1e-10)),
-            max_newton=int(s.get("max_newton", 30)),
-            damping=float(s.get("damping", 1.0)),
-            path_steps=int(s.get("path_steps", 8)),
-            linear_tol=float(s.get("linear_tol", 1e-10)),
-            linear_max_iter=int(s.get("linear_max_iter", 400)),
-        )
+        return SolverConfig(**{f.name: _need(s, "solver", f.name, type(f.default), f.default)
+                               for f in dataclasses.fields(SolverConfig)})
     except UsageError as exc:
         raise ConfigError("solver", str(exc)) from exc
 
@@ -151,7 +168,7 @@ def _constant_or_modes(doc, key, path, geom) -> ScalarField:
     if entry is None:
         return ScalarField.zeros(geom)
     if isinstance(entry, (int, float)):
-        return ScalarField.constant(geom, float(entry))
+        return ScalarField.constant(geom, _number(entry, path, float))
     return _parse_potential(entry, path, geom)
 
 
@@ -171,8 +188,7 @@ def _write_history_csv(path: Path, report) -> None:
                         "multiplier"])
             for h in report.path_history:
                 w.writerow([h["stage"], h["N"], f"{h['t']:.17g}", h["iterations"],
-                            f"{h['residual']:.17g}", f"{h['cone_margin']:.17g}",
-                            f"{h['multiplier']:.17g}"])
+                            *(f"{h[k]:.17g}" for k in ("residual", "cone_margin", "multiplier"))])
 
 
 def _emit_solve(report, out: Path, chi, omega0) -> None:
@@ -194,40 +210,26 @@ def _run_path(path, out: Path, chi, omega0, *args) -> int:
     return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
-def _with_cone(config: SolverConfig, cfg: dict, make_cone) -> SolverConfig:
-    slack = float(cfg.get("solver", {}).get("cone_slack", 0.0))
-    if slack <= 0.0:
-        return config
-    return dataclasses.replace(config, cone=make_cone(slack))
-
-
-def _cmd_solve_j(cfg: dict, out: Path, args) -> int:
+def _cmd_solve(cfg: dict, out: Path, args) -> int:
+    """``solve-j`` (parameter ``c``, ``"c0"`` by default) and ``solve-dhym``
+    (parameter ``theta0``, or ``theta_hat = n pi/2 - theta0``)."""
     geom = _solve_geometry(cfg)
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
-    c = cfg.get("c", "c0")
-    if c == "c0" or c is None:
-        c = compute_c0(chi, omega0)
-    f_target = _constant_or_modes(cfg, "f", "f", geom)
-    config = _with_cone(_parse_solver(cfg), cfg,
-                        lambda s: ConeSpec.j(float(c), s))
-    return _run_path(continuity_path_j, out, chi, omega0, f_target, float(c), config)
-
-
-def _cmd_solve_dhym(cfg: dict, out: Path, args) -> int:
-    geom = _solve_geometry(cfg)
-    chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
-    omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
-    if "theta0" in cfg:
-        theta0 = float(cfg["theta0"])
-    elif "theta_hat" in cfg:
-        theta0 = geom.n * math.pi / 2.0 - float(cfg["theta_hat"])
+    if args.command == "solve-j":
+        path = continuity_path_j
+        param = cfg.get("c", "c0")
+        param = compute_c0(chi, omega0) if param in ("c0", None) else _number(param, "c", float)
     else:
-        raise ConfigError("theta0", "missing (provide theta0 or theta_hat)")
+        path = continuity_path_dhym
+        if "theta0" in cfg:
+            param = _need(cfg, "", "theta0", float)
+        elif "theta_hat" in cfg:
+            param = geom.n * math.pi / 2.0 - _need(cfg, "", "theta_hat", float)
+        else:
+            raise ConfigError("theta0", "missing (provide theta0 or theta_hat)")
     f_target = _constant_or_modes(cfg, "f", "f", geom)
-    config = _with_cone(_parse_solver(cfg), cfg,
-                        lambda s: ConeSpec.dhym(theta0, s))
-    return _run_path(continuity_path_dhym, out, chi, omega0, f_target, theta0, config)
+    return _run_path(path, out, chi, omega0, f_target, param, _parse_solver(cfg))
 
 
 def _parse_datasets(cfg: dict) -> list[IntersectionData]:
@@ -238,9 +240,10 @@ def _parse_datasets(cfg: dict) -> list[IntersectionData]:
             raise ConfigError(f"datasets[{i}]", "expected an object")
         try:
             out.append(IntersectionData(
-                p=int(_need(d, f"datasets[{i}]", "p")),
-                n=int(_need(d, f"datasets[{i}]", "n")),
-                a=tuple(float(v) for v in _need(d, f"datasets[{i}]", "a", list)),
+                p=_need(d, f"datasets[{i}]", "p", int),
+                n=_need(d, f"datasets[{i}]", "n", int),
+                a=tuple(_number(v, f"datasets[{i}].a[{k}]", float)
+                        for k, v in enumerate(_need(d, f"datasets[{i}]", "a", list))),
                 label=str(d.get("label", f"dataset-{i}"))))
         except UsageError as exc:
             raise ConfigError(f"datasets[{i}]", str(exc)) from exc
@@ -252,7 +255,7 @@ def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     warnings = [w for d in datasets for w in d.kahler_warnings()]
     if "c" in cfg:
-        c = float(cfg["c"])
+        c = _need(cfg, "", "c", float)
         margins = [slope_test(d, c, 0.0) for d in datasets]
         eps = max_uniform_epsilon(datasets, c)
         verdict = {
@@ -275,12 +278,10 @@ def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
             return EXIT_PRECONDITION
         return EXIT_OK
     if "theta_hat" in cfg:
-        theta_hat = float(cfg["theta_hat"])
-        epsilon = float(cfg.get("epsilon", 0.0))
         result = dhym_hypothesis_check(
-            datasets, theta_hat, epsilon,
-            t_max=float(cfg.get("t_max", 1e4)),
-            samples=int(cfg.get("samples", 512)))
+            datasets, _need(cfg, "", "theta_hat", float), _need(cfg, "", "epsilon", float, 0.0),
+            t_max=_need(cfg, "", "t_max", float, 1e4),
+            samples=_need(cfg, "", "samples", int, 512))
         result["warnings"] = warnings
         _write_json(out / "stability.json", result)
         _write_table(out / "stability.txt", result)
@@ -313,7 +314,7 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     phi = _constant_or_modes(cfg, "phi", "phi", geom)
-    t_steps = int(cfg.get("t_steps", 32))
+    t_steps = _need(cfg, "", "t_steps", int, 32)
     c0 = compute_c0(chi, omega0)
     samples = [phi]
     for i, entry in enumerate(cfg.get("phi_samples", [])):
@@ -333,11 +334,8 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
         w = csv.writer(fh)
         w.writerow(["sample", "j_omega0", "j_chi", "sup_shift", "energy_shift", "error"])
         for r in scatter:
-            w.writerow([r["sample"],
-                        "" if r["j_omega0"] is None else f"{r['j_omega0']:.17g}",
-                        "" if r["j_chi"] is None else f"{r['j_chi']:.17g}",
-                        "" if r["sup_shift"] is None else f"{r['sup_shift']:.17g}",
-                        "" if r["energy_shift"] is None else f"{r['energy_shift']:.17g}",
+            w.writerow([r["sample"], *("" if r[k] is None else f"{r[k]:.17g}" for k in
+                                       ("j_omega0", "j_chi", "sup_shift", "energy_shift")),
                         r["error"] or ""])
     return EXIT_OK
 
@@ -353,17 +351,15 @@ def _cmd_verify_lemmas(cfg: dict, out: Path, args) -> int:
         for r in results:
             w.writerow([r["property"], r["trials"], f"{r['worst_slack']:.17g}",
                         f"{r['threshold']:.17g}", r["holds"]])
-    _write_json(out / "lemmas.json", {"seed": seed, "trials": trials,
-                                      "all_hold": all(r["holds"] for r in results),
+    all_hold = all(r["holds"] for r in results)
+    _write_json(out / "lemmas.json", {"seed": seed, "trials": trials, "all_hold": all_hold,
                                       "results": results})
-    if not all(r["holds"] for r in results):
-        return EXIT_PRECONDITION
-    return EXIT_OK
+    return EXIT_OK if all_hold else EXIT_PRECONDITION
 
 
 _COMMANDS = {
-    "solve-j": _cmd_solve_j,
-    "solve-dhym": _cmd_solve_dhym,
+    "solve-j": _cmd_solve,
+    "solve-dhym": _cmd_solve,
     "check-stability": _cmd_check_stability,
     "functionals": _cmd_functionals,
     "verify-lemmas": _cmd_verify_lemmas,

@@ -57,8 +57,7 @@ def _fuzz_schur(trials: int, rng: np.random.Generator, max_block: int, term,
         lhs += float(np.sum(term(np.linalg.eigvalsh(B))))
         rhs = float(_loo_max(term(np.linalg.eigvalsh(block))))
         worst = min(worst, rhs - lhs)
-    return {"property": name, "trials": trials,
-            "worst_slack": worst, "threshold": -1e-10, "holds": worst >= -1e-10}
+    return _result(name, trials, worst, -1e-10, strict=False)
 
 
 def fuzz_schur_trace(trials: int, rng: np.random.Generator,
@@ -92,43 +91,50 @@ def sample_gamma_point(rng: np.random.Generator, n: int, theta0: float,
     return SpectrumRel(tuple(sorted(float(v) for v in lam)))
 
 
+def _result(name: str, trials: int, worst: float, threshold: float, strict: bool) -> dict:
+    """A suite's record: the property holds when ``worst`` exceeds
+    ``threshold``, or reaches it unless ``strict``."""
+    return {"property": name, "trials": trials, "worst_slack": worst, "threshold": threshold,
+            "holds": worst > threshold if strict else worst >= threshold}
+
+
+def _dhym_draw(rng: np.random.Generator) -> tuple[int, float]:
+    """The ``(n, theta0)`` of one dHYM trial."""
+    return int(rng.integers(2, 6)), float(rng.uniform(0.05, math.pi / 4 - 0.02))
+
+
 def _random_f(rng: np.random.Generator, n: int) -> float:
     return float(rng.uniform(_f_bound_dhym(n) * 0.999, 1.0))
 
 
+def _gamma_draws(trials: int, rng: np.random.Generator):
+    """``(n, theta0, spectrum, f)`` per trial: a Gamma point and an admissible f."""
+    for _ in range(trials):
+        n, theta0 = _dhym_draw(rng)
+        spec = sample_gamma_point(rng, n, theta0)
+        yield n, theta0, spec, _random_f(rng, n)
+
+
 def suite_gradient_positivity(trials: int, rng: np.random.Generator) -> dict:
     worst = math.inf
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
-        spec = sample_gamma_point(rng, n, theta0)
-        grad = f_gradient(_random_f(rng, n), spec, theta0)
-        worst = min(worst, float(np.min(grad)))
-    return {"property": "gradient-positivity", "trials": trials,
-            "worst_slack": worst, "threshold": 0.0, "holds": worst > 0.0}
+    for _, theta0, spec, f in _gamma_draws(trials, rng):
+        worst = min(worst, float(np.min(f_gradient(f, spec, theta0))))
+    return _result("gradient-positivity", trials, worst, 0.0, strict=True)
 
 
 def suite_gradient_ordering(trials: int, rng: np.random.Generator) -> dict:
     worst = math.inf
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
-        spec = sample_gamma_point(rng, n, theta0)
-        grad = f_gradient(_random_f(rng, n), spec, theta0)
+    for _, theta0, spec, f in _gamma_draws(trials, rng):
+        grad = f_gradient(f, spec, theta0)
         # ascending eigenvalues => gradient components weakly decreasing
         worst = min(worst, float(np.min(grad[:-1] - grad[1:])))
-    return {"property": "gradient-ordering", "trials": trials,
-            "worst_slack": worst, "threshold": -1e-12, "holds": worst >= -1e-12}
+    return _result("gradient-ordering", trials, worst, -1e-12, strict=False)
 
 
 def suite_gradient_fd(trials: int, rng: np.random.Generator) -> dict:
     """Relative agreement with central finite differences, target 1e-6."""
     worst_err = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
-        spec = sample_gamma_point(rng, n, theta0)
-        f = _random_f(rng, n)
+    for n, theta0, spec, f in _gamma_draws(trials, rng):
         grad = f_gradient(f, spec, theta0)
         lam = spec.as_array()
         fd = np.empty_like(grad)
@@ -139,9 +145,8 @@ def suite_gradient_fd(trials: int, rng: np.random.Generator) -> dict:
             fd[i] = (_dhym_value(up, f, theta0)[0] - _dhym_value(dn, f, theta0)[0]) / (2.0 * h)
         err = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-300))
         worst_err = max(worst_err, err)
-    return {"property": "gradient-fd-agreement", "trials": trials,
-            "worst_slack": 1e-6 - worst_err, "threshold": 0.0,
-            "holds": worst_err <= 1e-6}
+    # 1e-6 - err >= 0 exactly when err <= 1e-6 (float subtraction keeps the sign)
+    return _result("gradient-fd-agreement", trials, 1e-6 - worst_err, 0.0, strict=False)
 
 
 def suite_hessian_zero_slice(trials: int, rng: np.random.Generator) -> dict:
@@ -153,8 +158,7 @@ def suite_hessian_zero_slice(trials: int, rng: np.random.Generator) -> dict:
     worst = math.inf
     done = 0
     while done < trials:
-        n = int(rng.integers(2, 6))
-        theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
+        n, theta0 = _dhym_draw(rng)
         spec = sample_gamma_point(rng, n, theta0)
         lam = spec.as_array()
         s, r = _dhym_angle_radius(lam)
@@ -169,21 +173,18 @@ def suite_hessian_zero_slice(trials: int, rng: np.random.Generator) -> dict:
             np.sum(lam * xi * xi / (2.0 * (lam * lam + 1.0) ** 2)))
         worst = min(worst, bound - quad)
         done += 1
-    return {"property": "hessian-zero-slice-bound", "trials": trials,
-            "worst_slack": worst, "threshold": -1e-8, "holds": worst >= -1e-8}
+    return _result("hessian-zero-slice-bound", trials, worst, -1e-8, strict=False)
 
 
 def suite_boundary_negative(trials: int, rng: np.random.Generator) -> dict:
     """F < 0 on the boundary ray ``lam_i = cot(theta0/(n-1))`` for admissible f."""
     worst = math.inf
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        theta0 = float(rng.uniform(0.05, math.pi / 4 - 0.02))
+        n, theta0 = _dhym_draw(rng)
         lam = np.full(n, 1.0 / math.tan(theta0 / (n - 1)))
         f = _random_f(rng, n)
         worst = min(worst, -float(_dhym_value(lam, f, theta0)[0]))
-    return {"property": "boundary-F-negative", "trials": trials,
-            "worst_slack": worst, "threshold": 0.0, "holds": worst > 0.0}
+    return _result("boundary-F-negative", trials, worst, 0.0, strict=True)
 
 
 def suite_nondegeneracy(trials: int, rng: np.random.Generator) -> dict:
@@ -204,8 +205,7 @@ def suite_nondegeneracy(trials: int, rng: np.random.Generator) -> dict:
             continue
         worst = min(worst, c - c_min)
         done += 1
-    return {"property": "solution-nondegeneracy-margin", "trials": trials,
-            "worst_slack": worst, "threshold": 0.0, "holds": worst > 0.0}
+    return _result("solution-nondegeneracy-margin", trials, worst, 0.0, strict=True)
 
 
 def run_property_suites(trials: int, seed: int) -> list[dict]:

@@ -32,7 +32,7 @@ from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, complex_hessian, form_field,
                      mixed_density, relative_spectrum_field, resample)
-from .hermitian import (ConeSpec, _check_c, _check_f, _check_geoms, _check_theta0,
+from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0,
                         _dhym_angle_radius, _dhym_value, _f_bound_dhym, _f_bound_j,
                         _j_value, _loo_max, _reduce_last, _require_positive)
 
@@ -57,7 +57,7 @@ class SolverConfig:
     max_newton: int = 30
     damping: float = 1.0
     path_steps: int = 8
-    cone: ConeSpec | None = None
+    cone_slack: float = 0.0
     linear_tol: float = 1e-10
     linear_max_iter: int = 400
 
@@ -72,6 +72,8 @@ class SolverConfig:
             raise UsageError("path_steps must be >= 1")
         if self.max_newton < 1 or self.linear_max_iter < 1:
             raise UsageError("iteration limits must be positive")
+        if not 0.0 <= self.cone_slack < math.inf:
+            raise UsageError("cone_slack must be finite and >= 0")
 
 
 @dataclass
@@ -97,17 +99,9 @@ class SolveReport:
         return self.residual_history[-1]
 
     def to_json_dict(self, phi_file: str | None = None) -> dict:
-        out = {
-            "status": self.status,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "residual_history": self.residual_history,
-            "cone_margin_min": self.cone_margin_min,
-            "c2_diagnostic": self.c2_diagnostic,
-            "c0_diagnostic": self.c0_diagnostic,
-            "multiplier": self.multiplier,
-            "path_history": self.path_history,
-        }
+        out = {key: getattr(self, key) for key in (
+            "status", "iterations", "final_residual", "residual_history", "cone_margin_min",
+            "c2_diagnostic", "c0_diagnostic", "multiplier", "path_history")}
         if phi_file is not None:
             out["phi_file"] = phi_file
         return out
@@ -485,14 +479,14 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
     Sci. Comput. 17, 1996, choice 2), floored at ``linear_tol``.
 
     Every accepted iterate stays strictly inside the cone (positivity plus
-    the strict subsolution margin, deepened by ``config.cone.slack`` when
-    given); violations trigger step halving, and 30 failed halvings raise
+    the strict subsolution margin, deepened by ``config.cone_slack``);
+    violations trigger step halving, and 30 failed halvings raise
     :class:`ConeBreachError`.  Success requires the sup-norm residual below
     ``tolerance``, the projection magnitude below ``10 * tolerance`` and a
     final cone margin above ``tolerance``.
     """
     geom = problem.geometry
-    slack = config.cone.slack if config.cone is not None else 0.0
+    slack = config.cone_slack
     ev = problem.evaluate(phi0, True)
     if ev.kahler_margin <= 0.0 or ev.cone_margin <= slack:
         raise ConeBreachError(
@@ -646,36 +640,62 @@ def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: Scala
     return chi_c, omega_c, f_c + shift
 
 
-def _nested(geom: TorusGeometry, config: SolverConfig, coarse_path, fine_problem,
-            single_level, stage: str) -> SolveReport:
-    """Nested iteration (Brandt, Math. Comp. 31, 1977) of a checked continuity path.
+def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: float,
+                config: SolverConfig) -> SolveReport:
+    """A continuity path, nested over grids (Brandt, Math. Comp. 31, 1977).
 
-    When ``N/2 >= COARSEST_N``, ``coarse_path(coarse)`` runs the path on the
-    data restricted to the ``N/2`` grid, itself nested; its endpoint, prolonged
-    by :func:`fields.resample`, starts one :func:`newton_solve` of
-    ``fine_problem()``, the target problem, recorded as the last target
-    (``t = 1``) of ``stage``.  By mesh independence (Allgower, Boehmer,
-    Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986) that start lies in
-    the fine quadratic basin.  If a coarse level raises ``DomainError``,
-    ``ConeBreachError`` or ``ContinuationError``, or the fine solve does not
-    converge, ``single_level(history)`` marches from zero on this grid after
+    ``path(chi, omega0, f, param)`` (:func:`_j_path` or :func:`_dhym_path`)
+    checks the hypotheses on the given grid and returns the stages ``(name,
+    t_start, t_end, problem(t))``, the ``mass`` that :func:`_restrict` keeps
+    and the target problem, built on demand.  When ``N/2 >= COARSEST_N`` the
+    path runs on the data restricted to ``N/2``, itself nested; its endpoint,
+    prolonged by :func:`fields.resample`, starts one :func:`newton_solve` of
+    the target problem, recorded as the last target of the last stage (by
+    mesh independence, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
+    Anal. 23, 1986, that start lies in the fine quadratic basin).  On the
+    coarsest grid, after a coarse ``DomainError``, ``ConeBreachError`` or
+    ``ContinuationError`` and after an unconverged fine solve, each stage is
+    marched from zero on this grid to ``path_steps`` equal steps, following
     the coarse entries accepted so far.
     """
+    stages, mass, target = path(chi, omega0, f, param)
+    geom = chi.geometry
     history: list[dict] = []
     if geom.N // 2 >= COARSEST_N:
         try:
-            coarse = coarse_path(TorusGeometry(geom.n, geom.N // 2))
+            coarse = _continuity(path, *_restrict(TorusGeometry(geom.n, geom.N // 2), chi,
+                                                  omega0, f, mass), param, config)
             history = coarse.path_history
-            report = newton_solve(fine_problem(), resample(coarse.phi, geom), config)
+            report = newton_solve(target(), resample(coarse.phi, geom), config)
             if report.success:
-                report.path_history = history + [_path_entry(stage, 1.0, report)]
+                name, _, t_end, _ = stages[-1]
+                report.path_history = history + [_path_entry(name, t_end, report)]
                 return report
         except ContinuationError as exc:
             if exc.report is not None:
                 history = exc.report.path_history
         except (DomainError, ConeBreachError):
             pass
-    return single_level(history)
+    phi = ScalarField.zeros(geom)
+    for name, t_start, t_end, problem in stages:
+        phi, report = _march(problem, phi, config, t_start,
+                             np.linspace(t_start, t_end, config.path_steps + 1)[1:], name,
+                             history)
+    report.path_history = history
+    return report
+
+
+def _check_integrability(required: float, given: float, scale: float, what: str) -> None:
+    """The integrability hypotheses of a path: the class data ask for a
+    non-negative ``required`` (to ``1e-10 * scale``), and ``given``, ``what``
+    computed from ``f``, equals it (to ``1e-8 * scale``)."""
+    if required < -1e-10 * scale:
+        raise PreconditionError(
+            f"integrability sign fails: the class data require {what} = {required:.6e} < 0")
+    if abs(given - required) > 1e-8 * scale:
+        raise PreconditionError(
+            f"integrability identity fails: {what} = {given:.10e} but the class data "
+            f"require {required:.10e}")
 
 
 def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, float]:
@@ -689,6 +709,30 @@ def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, fl
     return c * vol_omega - cross, max(1.0, abs(c) * vol_omega)
 
 
+def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
+    """The stages of :func:`continuity_path_j` on the grid of its data."""
+    geom = _check_geoms(chi, omega0, f)
+    n = geom.n
+    c = _check_c(c)
+    _check_f(f.values, _f_bound_j(n, c))
+    rhs_int, scale = _j_class_rhs(chi, omega0, c)
+    _check_integrability(rhs_int, float(np.mean(f.values * np.linalg.det(chi.values).real)),
+                         scale, "int(f chi^n)/n!")
+
+    def tilt(t: float):
+        chi_t = t * chi + (1.0 - t) * (c / n) * omega0
+        det_chi_t = np.mean(mixed_density([chi_t.values] * n))
+        f_t = ScalarField.constant(geom, t * rhs_int * math.factorial(n) / float(det_chi_t))
+        return make_j_problem(chi_t, omega0, f_t, c)
+
+    f1 = rhs_int * math.factorial(n) / float(np.mean(mixed_density([chi.values] * n)))
+    return ([("j-stage1", 0.0, 1.0, tilt),
+             ("j-stage2", 0.0, 1.0, lambda s: make_j_problem(
+                 chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), c))],
+            lambda ch, om: _j_class_rhs(ch, om, c)[0],
+            lambda: make_j_problem(chi, omega0, f, c))
+
+
 def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
                       c: float, config: SolverConfig) -> SolveReport:
     """Two-stage continuity method for the J-type equation, nested over grids.
@@ -700,62 +744,10 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
     The hypotheses are checked on the given grid first.  For ``N >= 16`` the
     path then runs on the data restricted to ``N/2`` (recursively, down to
     ``COARSEST_N = 8``) and one Newton solve of the target problem finishes
-    on this grid; any coarse failure, or a fine solve that does not
-    converge, falls back to the single-level march from zero (see
-    :func:`_nested`).  Every ``path_history`` entry records its grid ``N``.
+    on this grid, or falls back to the single-level march from zero (see
+    :func:`_continuity`).  Every ``path_history`` entry records its grid ``N``.
     """
-    return _path_j(chi, omega0, f_target, c, config)
-
-
-def _path_j(chi: FormField, omega0: FormField, f_target: ScalarField, c: float,
-            config: SolverConfig) -> SolveReport:
-    """The body of :func:`continuity_path_j`.  The coarse levels recurse here,
-    not through the public name, so a wrapper of that name sees one path."""
-    geom = _check_geoms(chi, omega0, f_target)
-    n = geom.n
-    c = _check_c(c)
-    _check_f(f_target.values, _f_bound_j(n, c))
-    rhs_int, scale = _j_class_rhs(chi, omega0, c)
-    if rhs_int < -1e-10 * scale:
-        raise PreconditionError(
-            f"integrability sign fails: c*int(omega0^n)/n! - int(chi^omega0^(n-1))/(n-1)! "
-            f"= {rhs_int:.6e} < 0")
-    det_chi = np.linalg.det(chi.values).real
-    f_int = float(np.mean(f_target.values * det_chi))
-    if abs(f_int - rhs_int) > 1e-8 * scale:
-        raise PreconditionError(
-            f"integrability identity fails: int(f chi^n)/n! = {f_int:.10e} but the "
-            f"class data require {rhs_int:.10e}")
-
-    def single_level(history: list) -> SolveReport:
-        def stage1_problem(t: float):
-            chi_t = t * chi + (1.0 - t) * (c / n) * omega0
-            det_chi_t = np.mean(mixed_density([chi_t.values] * n))
-            f_t_val = t * rhs_int * math.factorial(n) / float(det_chi_t)
-            f_t = ScalarField.constant(geom, f_t_val)
-            return make_j_problem(chi_t, omega0, f_t, c)
-
-        targets1 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-        phi, report = _march(stage1_problem, ScalarField.zeros(geom), config, 0.0,
-                             targets1, "j-stage1", history)
-
-        f1_val = rhs_int * math.factorial(n) / float(np.mean(mixed_density([chi.values] * n)))
-
-        def stage2_problem(s: float):
-            f_s = ScalarField(geom, (1.0 - s) * f1_val + s * f_target.values)
-            return make_j_problem(chi, omega0, f_s, c)
-
-        targets2 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-        phi, report = _march(stage2_problem, phi, config, 0.0, targets2, "j-stage2", history)
-        report.path_history = history
-        return report
-
-    def coarse_path(coarse: TorusGeometry) -> SolveReport:
-        return _path_j(*_restrict(coarse, chi, omega0, f_target,
-                                  lambda ch, om: _j_class_rhs(ch, om, c)[0]), c, config)
-
-    return _nested(geom, config, coarse_path,
-                   lambda: make_j_problem(chi, omega0, f_target, c), single_level, "j-stage2")
+    return _continuity(_j_path, chi, omega0, f_target, c, config)
 
 
 def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], float]:
@@ -769,6 +761,40 @@ def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], fl
         return float(np.mean(math.tan(theta0) * det.real - det.imag) / vol_chi)
 
     return const
+
+
+def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
+    """The stages of :func:`continuity_path_dhym` on the grid of its data."""
+    geom = _check_geoms(chi, omega0, f)
+    n = geom.n
+    theta0 = _check_theta0(theta0)
+    _check_f(f.values, _f_bound_dhym(n))
+    lam0 = relative_spectrum_field(chi.values, omega0.values)
+    gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
+    if gamma_margin <= 0.0:
+        raise PreconditionError(f"omega0 target violates the subsolution hypothesis "
+                                f"(Gamma margin {gamma_margin:.3e})")
+    det_chi = np.linalg.det(chi.values).real
+    class_const = _dhym_class_const(chi, theta0)
+    rhs = class_const(omega0)
+    _check_integrability(rhs, float(np.mean(f.values * det_chi)) / float(np.mean(det_chi)),
+                         max(1.0, abs(rhs)), "mean(f det chi)/mean(det chi)")
+    cot_n = 1.0 / math.tan(theta0 / n)
+    kappa = cot_n / float(np.min(lam0[..., 0])) + 1.0
+
+    def with_class_f(omega_t: FormField):
+        return make_dhym_problem(chi, omega_t, ScalarField.constant(geom, class_const(omega_t)),
+                                 theta0)
+
+    def mass(ch: FormField, om: FormField) -> float:
+        return _dhym_class_const(ch, theta0)(om) * float(np.mean(np.linalg.det(ch.values).real))
+
+    return ([("dhym-stage1", 1.0, 0.0,
+              lambda t: with_class_f(t * cot_n * chi + (1.0 - t) * kappa * omega0)),
+             ("dhym-stage2", kappa, 1.0, lambda t: with_class_f(t * omega0)),
+             ("dhym-stage3", 0.0, 1.0, lambda s: make_dhym_problem(
+                 chi, omega0, ScalarField(geom, (1.0 - s) * rhs + s * f.values), theta0))],
+            mass, lambda: make_dhym_problem(chi, omega0, f, theta0))
 
 
 def continuity_path_dhym(chi: FormField, omega0_target: FormField,
@@ -786,77 +812,4 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
     nested as in :func:`continuity_path_j`, the fine solve being recorded as
     the last target of stage 3.
     """
-    return _path_dhym(chi, omega0_target, f_target, theta0, config)
-
-
-def _path_dhym(chi: FormField, omega0_target: FormField, f_target: ScalarField,
-               theta0: float, config: SolverConfig) -> SolveReport:
-    """The body of :func:`continuity_path_dhym`, as :func:`_path_j` is of the J path."""
-    geom = _check_geoms(chi, omega0_target, f_target)
-    n = geom.n
-    theta0 = _check_theta0(theta0)
-    _check_f(f_target.values, _f_bound_dhym(n))
-    lam0 = relative_spectrum_field(chi.values, omega0_target.values)
-    gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
-    if gamma_margin <= 0.0:
-        raise PreconditionError(
-            f"omega0 target violates the subsolution hypothesis "
-            f"(Gamma margin {gamma_margin:.3e})")
-    det_chi = np.linalg.det(chi.values).real
-    vol_chi = float(np.mean(det_chi))
-    integrability_const = _dhym_class_const(chi, theta0)
-
-    rhs_target = integrability_const(omega0_target)
-    scale = max(1.0, abs(rhs_target))
-    if rhs_target < -1e-10 * scale:
-        raise PreconditionError(f"integrability sign fails: {rhs_target:.6e} < 0")
-    f_int = float(np.mean(f_target.values * det_chi)) / vol_chi
-    if abs(f_int - rhs_target) > 1e-8 * scale:
-        raise PreconditionError(
-            f"integrability identity fails: int(f chi^n) gives {f_int:.10e}, class "
-            f"data require {rhs_target:.10e}")
-
-    def single_level(history: list) -> SolveReport:
-        cot_n = 1.0 / math.tan(theta0 / n)
-        c51 = float(np.min(lam0[..., 0]))
-        kappa = cot_n / c51 + 1.0
-
-        def stage1_problem(t: float):
-            omega_t = t * cot_n * chi + (1.0 - t) * kappa * omega0_target
-            f_t = ScalarField.constant(geom, integrability_const(omega_t))
-            return make_dhym_problem(chi, omega_t, f_t, theta0)
-
-        targets1 = np.linspace(1.0, 0.0, config.path_steps + 1)[1:]
-        phi, report = _march(stage1_problem, ScalarField.zeros(geom), config, 1.0,
-                             targets1, "dhym-stage1", history)
-
-        def stage2_problem(t: float):
-            omega_t = t * omega0_target
-            f_t = ScalarField.constant(geom, integrability_const(omega_t))
-            return make_dhym_problem(chi, omega_t, f_t, theta0)
-
-        targets2 = np.linspace(kappa, 1.0, config.path_steps + 1)[1:]
-        phi, report = _march(stage2_problem, phi, config, kappa, targets2, "dhym-stage2",
-                             history)
-
-        def stage3_problem(s: float):
-            f_s = ScalarField(geom, (1.0 - s) * rhs_target + s * f_target.values)
-            return make_dhym_problem(chi, omega0_target, f_s, theta0)
-
-        targets3 = np.linspace(0.0, 1.0, config.path_steps + 1)[1:]
-        phi, report = _march(stage3_problem, phi, config, 0.0, targets3, "dhym-stage3",
-                             history)
-        report.path_history = history
-        return report
-
-    def mass(ch: FormField, om: FormField) -> float:
-        vol = float(np.mean(np.linalg.det(ch.values).real))
-        return _dhym_class_const(ch, theta0)(om) * vol
-
-    def coarse_path(coarse: TorusGeometry) -> SolveReport:
-        return _path_dhym(*_restrict(coarse, chi, omega0_target, f_target, mass), theta0,
-                          config)
-
-    return _nested(geom, config, coarse_path,
-                   lambda: make_dhym_problem(chi, omega0_target, f_target, theta0),
-                   single_level, "dhym-stage3")
+    return _continuity(_dhym_path, chi, omega0_target, f_target, theta0, config)

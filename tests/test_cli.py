@@ -321,3 +321,84 @@ class TestMemoryPreflight:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "physical memory" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def stability_config(**overrides):
+    cfg = {"datasets": [{"p": 1, "n": 2, "a": [1.0, 1.0], "label": "V1"}], "c": 3.0}
+    cfg.update(overrides)
+    return cfg
+
+
+def functionals_config(**overrides):
+    cfg = solve_j_config(t_steps=8)
+    del cfg["c"], cfg["f"], cfg["solver"]
+    cfg.update(overrides)
+    return cfg
+
+
+def dataset(**overrides):
+    return [{"p": 1, "n": 2, "a": [1.0, 1.0], "label": "V1", **overrides}]
+
+
+MODE = {"freq": [1, 0, 0, 0], "amp": 0.05}
+
+
+class TestTypedConfigNumbers:
+    # (command, config, dotted path of the one malformed number)
+    CASES = [
+        ("solve-j", solve_j_config(solver={"tolerance": "abc"}), "solver.tolerance"),
+        ("solve-j", solve_j_config(solver={"max_newton": None}), "solver.max_newton"),
+        ("solve-j", solve_j_config(solver={"path_steps": True}), "solver.path_steps"),
+        ("solve-j", solve_j_config(solver={"cone_slack": "x"}), "solver.cone_slack"),
+        ("solve-j", solve_j_config(solver={"linear_max_iter": 20.5}), "solver.linear_max_iter"),
+        ("solve-j", solve_j_config(geometry={"n": "two", "N": 8}), "geometry.n"),
+        ("solve-j", solve_j_config(geometry={"n": 2, "N": 16.5}), "geometry.N"),
+        ("solve-j", solve_j_config(c="abc"), "c"),
+        ("solve-j", solve_j_config(f=True), "f"),
+        ("solve-j", solve_j_config(chi={"base": [[[1.0, "x"], [0.0, 0.0]],
+                                                 [[0.0, 0.0], [2.0, 0.0]]]}),
+         "chi.base[0][0][1]"),
+        ("solve-j", solve_j_config(f=[{**MODE, "freq": [1, 0, 0.5, 0]}]), "f[0].freq[2]"),
+        ("solve-j", solve_j_config(f=[{**MODE, "amp": "x"}]), "f[0].amp"),
+        ("solve-j", solve_j_config(f=[{**MODE, "phase": None}]), "f[0].phase"),
+        ("solve-dhym", solve_j_config(theta0="x"), "theta0"),
+        ("solve-dhym", solve_j_config(theta_hat=[1.0]), "theta_hat"),
+        ("check-stability", stability_config(datasets=dataset(p="x")), "datasets[0].p"),
+        ("check-stability", stability_config(datasets=dataset(n=2.5)), "datasets[0].n"),
+        ("check-stability", stability_config(datasets=dataset(a=[1.0, "x"])),
+         "datasets[0].a[1]"),
+        ("check-stability", stability_config(c="abc"), "c"),
+        ("check-stability", stability_config(c=None), "c"),
+        ("functionals", functionals_config(t_steps="x"), "t_steps"),
+        ("functionals", functionals_config(t_steps=8.5), "t_steps"),
+    ]
+    ANGLE = [("theta_hat", "x"), ("epsilon", "x"), ("t_max", None), ("samples", 2.5)]
+    CASES += [("check-stability", {**{k: v for k, v in stability_config().items() if k != "c"},
+                                   "theta_hat": 2.5, key: value}, key)
+              for key, value in ANGLE]
+
+    @pytest.mark.parametrize("command, doc, path", CASES,
+                             ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(CASES)])
+    def test_malformed_number_exits_1_with_its_path(self, tmp_path, capsys, command, doc,
+                                                    path):
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"config field '{path}'" in capsys.readouterr().err
+
+    def test_negative_cone_slack_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", solve_j_config(solver={"cone_slack": -1.0}))
+        assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config field 'solver': cone_slack" in capsys.readouterr().err
+
+    def test_every_solver_field_round_trips(self):
+        import dataclasses
+
+        from jdhym.cli import _parse_solver
+        from jdhym.solver import SolverConfig
+        values = {"tolerance": 1e-9, "max_newton": 7, "damping": 0.5, "path_steps": 3,
+                  "cone_slack": 0.25, "linear_tol": 1e-6, "linear_max_iter": 50}
+        fields = dataclasses.fields(SolverConfig)
+        assert set(values) == {f.name for f in fields}
+        assert all(values[f.name] != f.default for f in fields)
+        doc = json.loads(json.dumps({"solver": values}))
+        assert _parse_solver(doc) == SolverConfig(**values)

@@ -466,6 +466,12 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("slack", [-1.0, math.nan, math.inf])
+    def test_cone_slack_validated(self, slack):
+        with pytest.raises(UsageError):
+            SolverConfig(cone_slack=slack)
+        assert SolverConfig(cone_slack=0.5).cone_slack == 0.5
+
 
 # Complex-FFT and eigh references for the real-transform Newton kernels.
 KERNEL_RTOL = 1e-12  # fixed before the comparison; the arithmetic order differs
