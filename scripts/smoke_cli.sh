@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Run every CLI command on the configs in configs/ and check the exit codes:
+# both solves must converge, the analysis commands must exit 0, and the flags
+# a command does not take must be refused.
+#
+#     bash scripts/smoke_cli.sh [output-dir]
+#
+# Run from the repository root with jdhym importable (installed, or
+# PYTHONPATH=src).  Artifacts go under output-dir (a new temporary directory
+# by default).
+set -euo pipefail
+
+out="${1:-$(mktemp -d)}"
+jdhym() { python -m jdhym.cli "$@"; }
+
+for cmd in solve-j solve-dhym; do
+  jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd"
+  python -c "import json, sys; s = json.load(open(sys.argv[1]))['status']; sys.exit(s != 'converged')" \
+    "$out/$cmd/report.json"
+done
+for mode in slope angle; do
+  jdhym check-stability --config "configs/check_stability_$mode.json" \
+    --out "$out/check-stability-$mode"
+done
+jdhym functionals --config configs/functionals.json --out "$out/functionals"
+jdhym verify-lemmas --trials 100 --out "$out/verify-lemmas"
+
+# expect_exit CODE ARGS...: the command must exit with exactly CODE
+expect_exit() {
+  local want=$1 got=0
+  shift
+  jdhym "$@" 2>/dev/null || got=$?
+  if [ "$got" -ne "$want" ]; then
+    echo "expected exit $want, got $got: jdhym $*" >&2
+    exit 1
+  fi
+}
+# only verify-lemmas takes --trials and --seed (argparse refuses with 2)
+expect_exit 2 solve-j --config configs/solve_j.json --out "$out/refused" --trials 3
+# a verification that draws no trial is a usage error
+expect_exit 1 verify-lemmas --trials 0 --out "$out/no-trials"
+test ! -e "$out/no-trials/lemmas.json"
+echo "CLI smoke test passed: $out"

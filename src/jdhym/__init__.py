@@ -6,8 +6,8 @@ from .errors import (BranchUndefinedError, ConeBreachError, ContinuationError,
 from .fields import (FormField, ScalarField, TorusGeometry, complex_hessian,
                      constant_form, field_from_modes, form_field, integrate,
                      kahler_form, mixed_density, mollify, regularized_max)
-from .functionals import (FunctionalReport, aubin_i, coercivity_probe,
-                          compute_c0, j_chi_functional, j_omega0_functional)
+from .functionals import (aubin_i, coercivity_probe, compute_c0, j_chi_functional,
+                          j_omega0_functional)
 from .hermitian import (ConeSpec, SpectrumRel, cone_test_dhym, cone_test_j,
                         f_gradient, f_value, p_level, q_level,
                         relative_spectrum, schur_complement, trace_relative,

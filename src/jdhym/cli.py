@@ -26,8 +26,7 @@ from .errors import (BranchUndefinedError, ConeBreachError, ContinuationError,
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
 from .hermitian import hermitian_defect
-from .functionals import (FunctionalReport, aubin_i, compute_c0,
-                          coercivity_probe, j_chi_functional,
+from .functionals import (aubin_i, compute_c0, coercivity_probe, j_chi_functional,
                           j_omega0_functional)
 from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
                      estimate_peak_bytes)
@@ -156,9 +155,14 @@ def _parse_solver(doc: dict) -> SolverConfig:
     s = doc.get("solver", {})
     if not isinstance(s, dict):
         raise ConfigError("solver", "expected an object")
+    fields = dataclasses.fields(SolverConfig)
+    names = [f.name for f in fields]
+    for key in s:
+        if key not in names:
+            raise ConfigError(f"solver.{key}", f"unknown key; expected one of {', '.join(names)}")
     try:
         return SolverConfig(**{f.name: _need(s, "solver", f.name, type(f.default), f.default)
-                               for f in dataclasses.fields(SolverConfig)})
+                               for f in fields})
     except UsageError as exc:
         raise ConfigError("solver", str(exc)) from exc
 
@@ -194,7 +198,7 @@ def _write_history_csv(path: Path, report) -> None:
 def _emit_solve(report, out: Path, chi, omega0) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "phi", report.phi, base=omega0.base)
-    _write_json(out / "report.json", report.to_json_dict(phi_file="phi.json"))
+    _write_json(out / "report.json", {**report.to_json_dict(), "phi_file": "phi.json"})
     _write_history_csv(out / "residual_history.csv", report)
 
 
@@ -320,16 +324,16 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     for i, entry in enumerate(cfg.get("phi_samples", [])):
         samples.append(_parse_potential(entry, f"phi_samples[{i}]", geom))
     scatter = coercivity_probe(chi, omega0, samples, c0=c0, t_steps=t_steps)
-    report = FunctionalReport(
-        c0=c0,
-        j_chi=j_chi_functional(chi, omega0, phi, c0),
-        aubin_i=aubin_i(omega0, phi),
-        j_omega0=j_omega0_functional(omega0, phi, t_steps=t_steps),
-        coercivity_points=[[r["j_omega0"], r["j_chi"]] for r in scatter
-                           if r["error"] is None],
-    )
+    report = {
+        "c0": c0,
+        "j_chi": j_chi_functional(chi, omega0, phi, c0),
+        "aubin_i": aubin_i(omega0, phi),
+        "j_omega0": j_omega0_functional(omega0, phi, t_steps=t_steps),
+        "coercivity_points": [[r["j_omega0"], r["j_chi"]] for r in scatter
+                              if r["error"] is None],
+    }
     out.mkdir(parents=True, exist_ok=True)
-    (out / "functionals.json").write_text(report.to_json() + "\n")
+    _write_json(out / "functionals.json", report)
     with (out / "coercivity.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample", "j_omega0", "j_chi", "sup_shift", "energy_shift", "error"])
@@ -341,8 +345,12 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
 
 
 def _cmd_verify_lemmas(cfg: dict, out: Path, args) -> int:
-    trials = int(args.trials)
-    seed = int(args.seed)
+    trials, seed = args.trials, args.seed
+    # no trial drawn would report every lemma as verified; numpy refuses a negative seed
+    for flag, value, low in (("--trials", trials, 1), ("--seed", seed, 0)):
+        if value < low:
+            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
+            return EXIT_CONFIG
     results = properties.run_property_suites(trials=trials, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "lemma_slacks.csv").open("w", newline="") as fh:
@@ -376,9 +384,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=(name != "verify-lemmas"),
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--trials", type=int, default=1000,
-                       help="trial count for verify-lemmas")
+        if name == "verify-lemmas":
+            p.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
+            p.add_argument("--trials", type=int, default=1000, help="trials per suite")
     args = parser.parse_args(argv)
     cfg = {}
     if args.config is not None:

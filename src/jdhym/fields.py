@@ -32,7 +32,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,21 +185,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real function sampled on the periodic grid.
-
-    ``mean_zero=True`` normalizes the stored values to zero grid mean.
-    """
+    """Real function sampled on the periodic grid."""
 
     geometry: TorusGeometry
     values: np.ndarray
-    mean_zero: InitVar[bool] = False
 
-    def __post_init__(self, mean_zero):
+    def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.geometry.shape:
             raise UsageError(f"values shape {vals.shape} != grid shape {self.geometry.shape}")
-        if mean_zero:
-            vals = vals - vals.mean()
         object.__setattr__(self, "values", _readonly(vals))
 
     @classmethod
@@ -286,11 +280,10 @@ def resample(phi: ScalarField, geom: TorusGeometry) -> ScalarField:
 
 
 def random_bandlimited(geom: TorusGeometry, rng: np.random.Generator,
-                       kmax: int = 2, amplitude: float = 0.01,
-                       n_modes: int = 4) -> ScalarField:
-    """Random small trig polynomial with frequencies bounded by ``kmax``."""
+                       kmax: int = 2, amplitude: float = 0.01) -> ScalarField:
+    """Random small trig polynomial of four modes with frequencies bounded by ``kmax``."""
     modes = []
-    for _ in range(n_modes):
+    for _ in range(4):
         freq = rng.integers(-kmax, kmax + 1, size=2 * geom.n)
         if not np.any(freq):
             freq[rng.integers(0, 2 * geom.n)] = 1
@@ -617,17 +610,12 @@ def regularized_max(f1: ScalarField, f2: ScalarField, eta: float) -> ScalarField
 
 
 def save_scalar_field(path: str | Path, phi: ScalarField,
-                      base: np.ndarray | None = None, fmt: str = "binary") -> Path:
-    """Write ``<path>.json`` header plus ``<path>.bin`` (or ``.csv``) payload.
-
-    Binary payload is little-endian float64 in C order; CSV uses one ``%.17g``
-    value per line (both round-trip float64 exactly).
-    """
+                      base: np.ndarray | None = None) -> Path:
+    """Write ``<path>.json`` header plus ``<path>.bin`` payload, little-endian
+    float64 in C order (round-trips float64 exactly)."""
     path = Path(path)
     geom = phi.geometry
-    if fmt not in ("binary", "csv"):
-        raise UsageError("fmt must be 'binary' or 'csv'")
-    data_name = path.name + (".bin" if fmt == "binary" else ".csv")
+    data_name = path.name + ".bin"
     header = {
         "n": geom.n,
         "N": geom.N,
@@ -636,17 +624,13 @@ def save_scalar_field(path: str | Path, phi: ScalarField,
         "dtype": "float64",
         "byte_order": "little-endian",
         "order": "C",
-        "format": fmt,
+        "format": "binary",
         "values_file": data_name,
     }
     header_path = path.with_name(path.name + ".json")
     header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     flat = np.ascontiguousarray(phi.values, dtype="<f8").reshape(-1)
-    data_path = path.with_name(data_name)
-    if fmt == "binary":
-        data_path.write_bytes(flat.tobytes())
-    else:
-        data_path.write_text("\n".join(f"{v:.17g}" for v in flat) + "\n")
+    path.with_name(data_name).write_bytes(flat.tobytes())
     return header_path
 
 
@@ -656,11 +640,10 @@ def load_scalar_field(header_path: str | Path) -> tuple[ScalarField, np.ndarray 
     try:
         header = json.loads(header_path.read_text())
         geom = TorusGeometry(int(header["n"]), int(header["N"]))
-        data_path = header_path.with_name(header["values_file"])
-        if header.get("format", "binary") == "binary":
-            flat = np.frombuffer(data_path.read_bytes(), dtype="<f8")
-        else:
-            flat = np.array([float(line) for line in data_path.read_text().split()])
+        if header.get("format", "binary") != "binary":
+            raise ValueError(f"unknown format {header['format']!r}")
+        flat = np.frombuffer(header_path.with_name(header["values_file"]).read_bytes(),
+                             dtype="<f8")
     except (KeyError, ValueError, OSError) as exc:
         raise DataError(f"cannot load field from {header_path}: {exc}") from exc
     if flat.size != geom.grid_size:

@@ -8,9 +8,7 @@ each sample instead of choosing one.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .fields import (FormField, ScalarField, complex_gradient, complex_hessian,
 from .hermitian import _check_geoms, _require_positive
 
 __all__ = [
-    "FunctionalReport",
     "compute_c0",
     "j_chi_functional",
     "j_chi_derivative",
@@ -164,26 +161,6 @@ def monge_ampere_energy(omega0: FormField, phi: ScalarField) -> float:
         total += np.mean(phi.values * mixed_density(mats))
     vol = np.mean(mixed_density([omega0.values] * n))
     return float(total / ((n + 1) * vol))
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Snapshot of the functionals at one potential plus probe scatter."""
-
-    c0: float
-    j_chi: float
-    aubin_i: float
-    j_omega0: float
-    coercivity_points: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "c0": self.c0,
-            "j_chi": self.j_chi,
-            "aubin_i": self.aubin_i,
-            "j_omega0": self.j_omega0,
-            "coercivity_points": self.coercivity_points,
-        }, indent=2, sort_keys=True)
 
 
 def coercivity_probe(chi: FormField, omega0: FormField, phis,

@@ -58,13 +58,13 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
-def ensure_hermitian(a: np.ndarray, *, rtol: float = 1e-10) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian; return it as complex."""
+def ensure_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate that ``a`` is square and Hermitian to 1e-10 relative; return it as complex."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {a.shape}")
     scale = max(float(np.max(np.abs(a))), 1.0)
-    if hermitian_defect(a) > rtol * scale:
+    if hermitian_defect(a) > 1e-10 * scale:
         raise UsageError("matrix is not Hermitian to tolerance")
     return a
 
@@ -275,13 +275,11 @@ def cone_test_j(spec: SpectrumRel, cone: ConeSpec, p: int, *, strict: bool = Fal
     return worst < bound if strict else worst <= bound
 
 
-def cone_test_dhym(spec: SpectrumRel, cone: ConeSpec, *, strict: bool = True) -> bool:
-    """Gamma-region test: worst leave-one-out arctan sum below ``theta0 - slack``."""
+def cone_test_dhym(spec: SpectrumRel, cone: ConeSpec) -> bool:
+    """Gamma-region test: worst leave-one-out arctan sum strictly below ``theta0 - slack``."""
     if cone.kind != "dHYM":
         raise UsageError("cone_test_dhym requires a dHYM cone")
-    worst = p_level_arctan(spec)
-    bound = cone.theta0 - cone.slack
-    return worst < bound if strict else worst <= bound
+    return p_level_arctan(spec) < cone.theta0 - cone.slack
 
 
 def j_cone_margin(spec: SpectrumRel, c: float) -> float:

@@ -74,15 +74,14 @@ def fuzz_schur_arctan(trials: int, rng: np.random.Generator,
                        "schur-arctan-subadditivity")
 
 
-def sample_gamma_point(rng: np.random.Generator, n: int, theta0: float,
-                       margin_factor: float = 0.995) -> SpectrumRel:
+def sample_gamma_point(rng: np.random.Generator, n: int, theta0: float) -> SpectrumRel:
     """Random point of the Gamma region for (n, theta0), strictly interior.
 
     Draws angles ``t_i = arctan(1/lam_i)`` with the worst leave-one-out sum
     pinned to a random fraction of ``theta0``.
     """
     u = rng.uniform(0.05, 1.0, size=n)
-    r = rng.uniform(0.3, margin_factor)
+    r = rng.uniform(0.3, 0.995)
     if n == 1:
         t = np.array([rng.uniform(0.05, 0.95) * theta0])
     else:
@@ -188,23 +187,25 @@ def suite_boundary_negative(trials: int, rng: np.random.Generator) -> dict:
 
 
 def suite_nondegeneracy(trials: int, rng: np.random.Generator) -> dict:
-    """Strict leave-one-out margin when the equation holds with admissible f.
+    """No J solution with admissible f lies on the cone boundary.
 
-    Samples spectra with all leave-one-out sums <= c, solves the equation
-    for f, keeps admissible draws and checks the margin stays positive.
+    Puts a random spectrum on the boundary (``c`` its worst leave-one-out
+    reciprocal sum), solves the equation for ``f`` and checks that ``f``
+    falls below ``_f_bound_j(n, c)`` (``f`` is minus one over the product of
+    all reciprocals but the smallest, below the bound by AM-GM), so solutions
+    keep a strict cone margin.
+
+    Equation and bound alone do not put a spectrum inside the cone: at
+    ``lam = (0.2, 0.2, 0.2)``, ``f = -0.112`` gives ``c = 1`` and admissible
+    ``f``, but a margin of -9.
     """
     worst = math.inf
-    done = 0
-    while done < trials:
+    for _ in range(trials):
         n = int(rng.integers(2, 7))
-        lam = np.sort(rng.uniform(0.2, 5.0, size=n))
-        c_min = float(_loo_max(1.0 / lam))
-        c = float(rng.uniform(c_min * 1.0005, c_min * 3.0 + 0.5))
-        f = (c - float(np.sum(1.0 / lam))) * float(np.prod(lam))
-        if f <= _f_bound_j(n, c):
-            continue
-        worst = min(worst, c - c_min)
-        done += 1
+        recip = 1.0 / rng.uniform(0.2, 5.0, size=n)
+        c = float(_loo_max(recip))
+        f = (c - float(np.sum(recip))) / float(np.prod(recip))
+        worst = min(worst, _f_bound_j(n, c) - f)
     return _result("solution-nondegeneracy-margin", trials, worst, 0.0, strict=True)
 
 

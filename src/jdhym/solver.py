@@ -55,7 +55,6 @@ __all__ = [
 class SolverConfig:
     tolerance: float = 1e-10
     max_newton: int = 30
-    damping: float = 1.0
     path_steps: int = 8
     cone_slack: float = 0.0
     linear_tol: float = 1e-10
@@ -66,8 +65,6 @@ class SolverConfig:
             raise UsageError("tolerance must be finite and >= 1e-12")
         if not 0.0 <= self.linear_tol < 1.0:
             raise UsageError("linear_tol must lie in [0, 1)")
-        if not 0.0 < self.damping <= 1.0:
-            raise UsageError("damping must lie in (0, 1]")
         if self.path_steps < 1:
             raise UsageError("path_steps must be >= 1")
         if self.max_newton < 1 or self.linear_max_iter < 1:
@@ -98,13 +95,10 @@ class SolveReport:
     def final_residual(self) -> float:
         return self.residual_history[-1]
 
-    def to_json_dict(self, phi_file: str | None = None) -> dict:
-        out = {key: getattr(self, key) for key in (
+    def to_json_dict(self) -> dict:
+        return {key: getattr(self, key) for key in (
             "status", "iterations", "final_residual", "residual_history", "cone_margin_min",
             "c2_diagnostic", "c0_diagnostic", "multiplier", "path_history")}
-        if phi_file is not None:
-            out["phi_file"] = phi_file
-        return out
 
 
 # Peak memory of a solve per grid point, in float64 grid arrays: the peak RSS
@@ -516,7 +510,7 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
             break
         u = u - _weighted_mean(u, gauge)  # mean-zero gauge against omega_0^n
         step = ScalarField(geom, u)
-        alpha = config.damping
+        alpha = 1.0
         accepted = None
         for _ in range(30):
             cand = ScalarField(geom, ev.phi.values + alpha * step.values)

@@ -32,6 +32,11 @@ __all__ = [
     "coordinate_subtorus_data",
 ]
 
+# the largest aligned terminal deviation from p*pi/2 that the sampled branch
+# check accepts, and the largest |theta(1) - theta_hat| of the V = M dataset
+TERMINAL_BOUND = 1e-2
+START_BOUND = 1e-8
+
 
 @dataclass(frozen=True)
 class IntersectionData:
@@ -119,22 +124,12 @@ class AngleBranch:
     branch_shift: float = 0.0
 
     @property
-    def winding_consistent(self) -> bool:
-        """Always ``True``: :func:`angle_branch` raises instead of returning a
-        branch whose argument vanishes or jumps by pi/2 or more."""
-        return True
-
-    @property
     def theta_start(self) -> float:
         return float(self.theta[0])
 
     @property
     def theta_min(self) -> float:
         return float(np.min(self.theta))
-
-    @property
-    def theta_max(self) -> float:
-        return float(np.max(self.theta))
 
     @property
     def aligned_theta(self) -> np.ndarray:
@@ -184,9 +179,7 @@ def angle_branch(data: IntersectionData, t_max: float = 1e4,
 
 
 def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,
-                          t_max: float = 1e4, samples: int = 512,
-                          terminal_tol: float = 1e-2,
-                          vm_tol: float = 1e-8) -> dict:
+                          t_max: float = 1e4, samples: int = 512) -> dict:
     """Sampled check of the angle-branch hypothesis for each dataset.
 
     For each dataset the branch must be defined on [1, t_max], stay inside
@@ -231,10 +224,10 @@ def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,
             rec["first_violation_t"] = float(branch.t_samples[i])
             rec["reason"] = (f"theta({branch.t_samples[i]:.6g}) = {theta[i]:.9g} "
                              f"outside [{lower:.9g}, {upper:.9g})")
-        elif branch.terminal_deviation > terminal_tol:
+        elif branch.terminal_deviation > TERMINAL_BOUND:
             rec["reason"] = (f"terminal deviation {branch.terminal_deviation:.3e} "
-                             f"exceeds {terminal_tol:.1e}")
-        elif d.p == n and abs(float(theta[0]) - theta_hat) > vm_tol:
+                             f"exceeds {TERMINAL_BOUND:.1e}")
+        elif d.p == n and abs(float(theta[0]) - theta_hat) > START_BOUND:
             rec["reason"] = (f"theta(1) = {theta[0]:.12g} differs from "
                              f"theta_hat = {theta_hat:.12g}")
         else:
@@ -245,8 +238,8 @@ def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,
             "vm_present": vm_present, "datasets": records}
 
 
-def coordinate_subtorus_data(chi_base: np.ndarray, omega0_base: np.ndarray,
-                             include_full: bool = True) -> list[IntersectionData]:
+def coordinate_subtorus_data(chi_base: np.ndarray, omega0_base: np.ndarray
+                             ) -> list[IntersectionData]:
     """Intersection vectors of all coordinate subtori for constant base forms.
 
     For each subset S of coordinates, the restricted forms are the principal
@@ -260,8 +253,6 @@ def coordinate_subtorus_data(chi_base: np.ndarray, omega0_base: np.ndarray,
     out = []
     for p in range(1, n + 1):
         for subset in itertools.combinations(range(n), p):
-            if p == n and not include_full:
-                continue
             idx = np.ix_(subset, subset)
             chi_s = chi_base[idx]
             om_s = omega0_base[idx]

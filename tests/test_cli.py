@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jdhym.cli import main
 from jdhym.fields import load_scalar_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -187,6 +190,28 @@ class TestVerifyLemmas:
         main(["verify-lemmas", "--out", str(out1), "--trials", "40", "--seed", "9"])
         main(["verify-lemmas", "--out", str(out2), "--trials", "40", "--seed", "9"])
         assert (out1 / "lemmas.json").read_bytes() == (out2 / "lemmas.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
+                                             ("--seed", "-1")])
+    def test_out_of_range_flag_is_refused(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["verify-lemmas", "--out", str(out), "--trials", "5", flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (out / "lemmas.json").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, config", [
+        ("solve-j", "solve_j.json"), ("solve-dhym", "solve_dhym.json"),
+        ("check-stability", "check_stability_slope.json"),
+        ("functionals", "functionals.json")])
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_only_verify_lemmas_takes_seed_and_trials(self, tmp_path, command, config, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "o"),
+                  flag, "3"])
+        assert exc.value.code != 0
+        assert not (tmp_path / "o").exists()
 
 
 class TestFunctionalsCommand:
@@ -390,12 +415,20 @@ class TestTypedConfigNumbers:
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config field 'solver': cone_slack" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["path_stepz", "damping"])
+    def test_unknown_solver_key_exits_1(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, "c.json", solve_j_config(solver={key: 2}))
+        out = tmp_path / "o"
+        assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config field 'solver.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_solver_field_round_trips(self):
         import dataclasses
 
         from jdhym.cli import _parse_solver
         from jdhym.solver import SolverConfig
-        values = {"tolerance": 1e-9, "max_newton": 7, "damping": 0.5, "path_steps": 3,
+        values = {"tolerance": 1e-9, "max_newton": 7, "path_steps": 3,
                   "cone_slack": 0.25, "linear_tol": 1e-6, "linear_max_iter": 50}
         fields = dataclasses.fields(SolverConfig)
         assert set(values) == {f.name for f in fields}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -44,14 +45,6 @@ class TestGeometry:
 
 
 class TestScalarField:
-    def test_mean_zero_flag(self, g1):
-        vals = np.ones(g1.shape) * 3.0
-        vals[0, 0] = 7.0
-        f = ScalarField(g1, vals, mean_zero=True)
-        assert abs(f.mean()) < 1e-15
-        g = ScalarField(g1, vals)
-        assert g.mean() > 0
-
     def test_finite_shape_checks(self, g1):
         with pytest.raises(UsageError):
             ScalarField(g1, np.zeros((4, 4)))
@@ -400,13 +393,15 @@ class TestSerialization:
         assert np.array_equal(loaded.values, phi.values)
         assert np.allclose(base, np.diag([1.0, 2.0]))
 
-    def test_round_trip_csv(self, tmp_path, g1):
-        rng = np.random.default_rng(3)
-        phi = random_bandlimited(g1, rng)
-        header = save_scalar_field(tmp_path / "field", phi, fmt="csv")
-        loaded, base = load_scalar_field(header)
-        assert np.array_equal(loaded.values, phi.values)
-        assert base is None
+    def test_header_format_other_than_binary_is_refused(self, tmp_path, g1):
+        header = save_scalar_field(tmp_path / "f", ScalarField.zeros(g1))
+        doc = json.loads(header.read_text())
+        assert doc["format"] == "binary"
+        # a valid text payload, one value per line
+        (tmp_path / "f.csv").write_text("0\n" * g1.grid_size)
+        header.write_text(json.dumps({**doc, "format": "csv", "values_file": "f.csv"}))
+        with pytest.raises(DataError, match="unknown format 'csv'"):
+            load_scalar_field(header)
 
     def test_corrupt_payload(self, tmp_path, g1):
         phi = ScalarField.zeros(g1)

