@@ -40,4 +40,17 @@ expect_exit 2 solve-j --config configs/solve_j.json --out "$out/refused" --trial
 # a verification that draws no trial is a usage error
 expect_exit 1 verify-lemmas --trials 0 --out "$out/no-trials"
 test ! -e "$out/no-trials/lemmas.json"
+# an out-of-range analysis value is a malformed config: exit 1, no output directory
+# with_value CONFIG KEY VALUE: a copy of CONFIG with KEY set to VALUE, under $out
+with_value() {
+  python -c "import json, sys; c = json.load(open(sys.argv[1])); c[sys.argv[2]] = json.loads(sys.argv[3]); json.dump(c, open(sys.argv[4], 'w'))" \
+    "$1" "$2" "$3" "$out/$2.json"
+  echo "$out/$2.json"
+}
+expect_exit 1 check-stability --config "$(with_value configs/check_stability_angle.json samples 4)" \
+  --out "$out/few-samples"
+test ! -e "$out/few-samples"
+expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 7)" \
+  --out "$out/odd-t-steps"
+test ! -e "$out/odd-t-steps"
 echo "CLI smoke test passed: $out"

@@ -21,17 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import properties
-from .errors import (BranchUndefinedError, ConeBreachError, ContinuationError,
-                     DataError, DomainError, PreconditionError, UsageError)
+from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
+                     PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
 from .hermitian import hermitian_defect
-from .functionals import (aubin_i, compute_c0, coercivity_probe, j_chi_functional,
-                          j_omega0_functional)
+from .functionals import (_check_t_steps, aubin_i, compute_c0, coercivity_probe,
+                          j_chi_functional, j_omega0_functional)
 from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
                      estimate_peak_bytes)
-from .stability import (IntersectionData, dhym_hypothesis_check,
-                        max_uniform_epsilon, slope_test)
+from .stability import (IntersectionData, _check_epsilon, _check_samples, _check_t_max,
+                        dhym_hypothesis_check, max_uniform_epsilon, slope_test)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,6 +74,15 @@ def _need(doc: dict, path: str, key: str, types=None, default=None):
     return val
 
 
+def _checked(path: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, which checks the ranges of its arguments; a
+    value out of range (a ``UsageError``) is a malformed config field ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except UsageError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _parse_matrix(entry, path: str, n: int) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != n:
         raise ConfigError(path, f"expected {n} rows")
@@ -110,10 +119,7 @@ def _parse_potential(entry, path: str, geom: TorusGeometry) -> ScalarField | Non
         freq = [_number(v, f"{where}.freq[{k}]", int)
                 for k, v in enumerate(_need(m, where, "freq", list))]
         modes.append((freq, _need(m, where, "amp", float), _need(m, where, "phase", float, 0.0)))
-    try:
-        return field_from_modes(geom, modes)
-    except UsageError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _checked(path, field_from_modes, geom, modes)
 
 
 def _parse_form(doc, path: str, geom: TorusGeometry) -> FormField:
@@ -124,10 +130,8 @@ def _parse_form(doc, path: str, geom: TorusGeometry) -> FormField:
 
 def _parse_geometry(doc: dict) -> TorusGeometry:
     g = _need(doc, "", "geometry", dict)
-    try:
-        return TorusGeometry(_need(g, "geometry", "n", int), _need(g, "geometry", "N", int))
-    except UsageError as exc:
-        raise ConfigError("geometry", str(exc)) from exc
+    return _checked("geometry", TorusGeometry, _need(g, "geometry", "n", int),
+                    _need(g, "geometry", "N", int))
 
 
 def _physical_memory() -> int | None:
@@ -160,11 +164,8 @@ def _parse_solver(doc: dict) -> SolverConfig:
     for key in s:
         if key not in names:
             raise ConfigError(f"solver.{key}", f"unknown key; expected one of {', '.join(names)}")
-    try:
-        return SolverConfig(**{f.name: _need(s, "solver", f.name, type(f.default), f.default)
-                               for f in fields})
-    except UsageError as exc:
-        raise ConfigError("solver", str(exc)) from exc
+    return _checked("solver", SolverConfig, **{
+        f.name: _need(s, "solver", f.name, type(f.default), f.default) for f in fields})
 
 
 def _constant_or_modes(doc, key, path, geom) -> ScalarField:
@@ -195,23 +196,11 @@ def _write_history_csv(path: Path, report) -> None:
                             *(f"{h[k]:.17g}" for k in ("residual", "cone_margin", "multiplier"))])
 
 
-def _emit_solve(report, out: Path, chi, omega0) -> None:
+def _emit_solve(report, out: Path, omega0) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "phi", report.phi, base=omega0.base)
     _write_json(out / "report.json", {**report.to_json_dict(), "phi_file": "phi.json"})
     _write_history_csv(out / "residual_history.csv", report)
-
-
-def _run_path(path, out: Path, chi, omega0, *args) -> int:
-    """Run a continuity path and write its artifacts, a failed path's partial ones too."""
-    try:
-        report = path(chi, omega0, *args)
-    except ContinuationError as exc:
-        if exc.report is not None:
-            _emit_solve(exc.report, out, chi, omega0)
-        raise
-    _emit_solve(report, out, chi, omega0)
-    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
 def _cmd_solve(cfg: dict, out: Path, args) -> int:
@@ -233,7 +222,15 @@ def _cmd_solve(cfg: dict, out: Path, args) -> int:
         else:
             raise ConfigError("theta0", "missing (provide theta0 or theta_hat)")
     f_target = _constant_or_modes(cfg, "f", "f", geom)
-    return _run_path(path, out, chi, omega0, f_target, param, _parse_solver(cfg))
+    # a failed path writes its partial artifacts too
+    try:
+        report = path(chi, omega0, f_target, param, _parse_solver(cfg))
+    except ContinuationError as exc:
+        if exc.report is not None:
+            _emit_solve(exc.report, out, omega0)
+        raise
+    _emit_solve(report, out, omega0)
+    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
 def _parse_datasets(cfg: dict) -> list[IntersectionData]:
@@ -242,22 +239,19 @@ def _parse_datasets(cfg: dict) -> list[IntersectionData]:
     for i, d in enumerate(entries):
         if not isinstance(d, dict):
             raise ConfigError(f"datasets[{i}]", "expected an object")
-        try:
-            out.append(IntersectionData(
-                p=_need(d, f"datasets[{i}]", "p", int),
-                n=_need(d, f"datasets[{i}]", "n", int),
-                a=tuple(_number(v, f"datasets[{i}].a[{k}]", float)
-                        for k, v in enumerate(_need(d, f"datasets[{i}]", "a", list))),
-                label=str(d.get("label", f"dataset-{i}"))))
-        except UsageError as exc:
-            raise ConfigError(f"datasets[{i}]", str(exc)) from exc
+        out.append(_checked(
+            f"datasets[{i}]", IntersectionData,
+            p=_need(d, f"datasets[{i}]", "p", int),
+            n=_need(d, f"datasets[{i}]", "n", int),
+            a=tuple(_number(v, f"datasets[{i}].a[{k}]", float)
+                    for k, v in enumerate(_need(d, f"datasets[{i}]", "a", list))),
+            label=str(d.get("label", f"dataset-{i}"))))
     return out
 
 
 def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
+    """Slope (``c``) or angle (``theta_hat``) mode: its verdict and failure line."""
     datasets = _parse_datasets(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    warnings = [w for d in datasets for w in d.kahler_warnings()]
     if "c" in cfg:
         c = _need(cfg, "", "c", float)
         margins = [slope_test(d, c, 0.0) for d in datasets]
@@ -265,7 +259,6 @@ def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
         verdict = {
             "mode": "slope",
             "c": c,
-            "warnings": warnings,
             "margins_at_zero_slack": [
                 {"label": d.label, "p": d.p, "margin": m}
                 for d, m in zip(datasets, margins)],
@@ -273,28 +266,29 @@ def _cmd_check_stability(cfg: dict, out: Path, args) -> int:
                                     else ("inf" if math.isinf(eps) else eps)),
             "feasible": eps is not None,
         }
-        _write_json(out / "stability.json", verdict)
-        _write_table(out / "stability.txt", verdict)
-        if eps is None:
-            bad = min(zip(margins, datasets), key=lambda t: t[0])[1]
-            print(f"infeasible at zero slack; offending dataset: {bad.label}",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
-        return EXIT_OK
-    if "theta_hat" in cfg:
-        result = dhym_hypothesis_check(
-            datasets, _need(cfg, "", "theta_hat", float), _need(cfg, "", "epsilon", float, 0.0),
-            t_max=_need(cfg, "", "t_max", float, 1e4),
-            samples=_need(cfg, "", "samples", int, 512))
-        result["warnings"] = warnings
-        _write_json(out / "stability.json", result)
-        _write_table(out / "stability.txt", result)
-        if not result["overall"]:
-            bad = next(r["label"] for r in result["datasets"] if not r["ok"])
-            print(f"hypothesis fails; offending dataset: {bad}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        return EXIT_OK
-    raise ConfigError("c", "missing (provide c for slope mode or theta_hat for angle mode)")
+        worst = min(zip(margins, datasets), key=lambda t: t[0])[1]
+        failure = None if eps is not None else \
+            f"infeasible at zero slack; offending dataset: {worst.label}"
+    elif "theta_hat" in cfg:
+        verdict = dhym_hypothesis_check(
+            datasets, _need(cfg, "", "theta_hat", float),
+            _checked("epsilon", _check_epsilon, _need(cfg, "", "epsilon", float, 0.0)),
+            t_max=_checked("t_max", _check_t_max, _need(cfg, "", "t_max", float, 1e4)),
+            samples=_checked("samples", _check_samples, _need(cfg, "", "samples", int, 512)))
+        bad = [r["label"] for r in verdict["datasets"] if not r["ok"]]
+        failure = None if verdict["overall"] else (
+            f"hypothesis fails; offending dataset: {bad[0]}" if bad
+            else "hypothesis fails: no dataset has p = n (the case V = M)")
+    else:
+        raise ConfigError("c", "missing (provide c for slope mode or theta_hat for angle mode)")
+    verdict["warnings"] = [w for d in datasets for w in d.kahler_warnings()]
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "stability.json", verdict)
+    _write_table(out / "stability.txt", verdict)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_PRECONDITION
+    return EXIT_OK
 
 
 def _write_table(path: Path, verdict: dict) -> None:
@@ -318,7 +312,7 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     phi = _constant_or_modes(cfg, "phi", "phi", geom)
-    t_steps = _need(cfg, "", "t_steps", int, 32)
+    t_steps = _checked("t_steps", _check_t_steps, _need(cfg, "", "t_steps", int, 32))
     c0 = compute_c0(chi, omega0)
     samples = [phi]
     for i, entry in enumerate(cfg.get("phi_samples", [])):
@@ -412,9 +406,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PreconditionError, BranchUndefinedError) as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ConeBreachError as exc:
         print(f"cone breach: {exc}", file=sys.stderr)
         return EXIT_CONE_BREACH

@@ -222,10 +222,7 @@ class ScalarField:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            _check_geoms(self, other)
-            return ScalarField(self.geometry, self.values - other.values)
-        return ScalarField(self.geometry, self.values - float(other))
+        return self + (-other)
 
     def __mul__(self, scalar):
         return ScalarField(self.geometry, self.values * float(scalar))
@@ -306,13 +303,10 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
     """
     if not np.all(np.isfinite(phi.values)):
         raise DataError("potential contains non-finite values")
-    return _hessian_raw(phi.geometry, sfft.rfftn(phi.values, workers=-1))
-
-
-def _hessian_raw(geom: TorusGeometry, phat: np.ndarray) -> np.ndarray:
-    """Hessian grid from the half spectrum ``phat = rfftn(phi)``."""
-    sym = _hessian_symbols(geom)
+    geom = phi.geometry
     n = geom.n
+    phat = sfft.rfftn(phi.values, workers=-1)
+    sym = _hessian_symbols(geom)
     out = np.empty(geom.shape + (n, n), dtype=complex)
     for i in range(n):
         out[..., i, i] = _irfft(geom, sym[i] * phat)
@@ -366,10 +360,11 @@ class FormField:
 
     def __add__(self, other: "FormField") -> "FormField":
         _check_geoms(self, other)
-        pot = _combine_potentials((1.0, self.potential), (1.0, other.potential), geom=self.geometry)
+        p, q = self.potential, other.potential
         base = self.base + other.base
-        if pot is None:
+        if p is None and q is None:
             return form_field(self.geometry, base)
+        pot = q if p is None else p if q is None else p + q
         return FormField(self.geometry, base, pot, self.values + other.values)
 
     def __mul__(self, scalar) -> "FormField":
@@ -384,15 +379,6 @@ class FormField:
         """Smallest pointwise eigenvalue over the grid (positivity margin)."""
         return float(np.min(min_eigenvalue_field(self.base if self.potential is None
                                                  else self.values)))
-
-
-def _combine_potentials(*terms, geom: TorusGeometry) -> ScalarField | None:
-    vals = None
-    for coeff, pot in terms:
-        if pot is None:
-            continue
-        vals = coeff * pot.values if vals is None else vals + coeff * pot.values
-    return None if vals is None else ScalarField(geom, vals)
 
 
 def form_field(geom: TorusGeometry, base: np.ndarray,
@@ -477,8 +463,6 @@ def mixed_density(mats) -> np.ndarray:
     if len(mats) != n:
         raise UsageError(f"need exactly n = {n} factor forms, got {len(mats)}")
     perms, signs = _perm_pairs(n)
-    if n == 1:
-        return mats[0][..., 0, 0].real.copy()
     out = None
     for sig, ssig in zip(perms, signs):
         for tau, stau in zip(perms, signs):

@@ -108,6 +108,13 @@ def aubin_i(omega0: FormField, phi: ScalarField, form: str = "direct") -> float:
     return float(total)
 
 
+def _check_t_steps(t_steps: int) -> int:
+    """An even number of at least 2 Simpson steps."""
+    if t_steps < 2 or t_steps % 2:
+        raise UsageError("t_steps must be an even integer >= 2")
+    return t_steps
+
+
 def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
                         form: str = "potential") -> float:
     """The base-form energy as a Simpson t-integral over the ray ``t*phi``.
@@ -119,8 +126,7 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     """
     geom = omega0.geometry
     n = geom.n
-    if t_steps < 2 or t_steps % 2:
-        raise UsageError("t_steps must be an even integer >= 2")
+    _check_t_steps(t_steps)
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
     hess = complex_hessian(phi)

@@ -132,7 +132,8 @@ class ConeSpec:
         return cls(kind="dHYM", theta0=float(theta0), slack=float(slack))
 
 
-def _check_positive_pair(chi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def relative_spectrum(chi: np.ndarray, omega: np.ndarray) -> SpectrumRel:
+    """Roots of ``det(omega - lam*chi) = 0`` for a positive Hermitian pair."""
     chi = ensure_hermitian(chi)
     omega = ensure_hermitian(omega)
     if chi.shape != omega.shape:
@@ -141,12 +142,6 @@ def _check_positive_pair(chi: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray
         raise DomainError("chi must be positive definite")
     if not is_positive_definite(omega):
         raise DomainError("omega must be positive definite")
-    return chi, omega
-
-
-def relative_spectrum(chi: np.ndarray, omega: np.ndarray) -> SpectrumRel:
-    """Roots of ``det(omega - lam*chi) = 0`` for a positive Hermitian pair."""
-    chi, omega = _check_positive_pair(chi, omega)
     return SpectrumRel(tuple(float(v) for v in _relative_eigvals(chi, omega)))
 
 

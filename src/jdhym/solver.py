@@ -118,21 +118,23 @@ def estimate_peak_bytes(geom: TorusGeometry) -> int:
 # pointwise residuals
 
 
-def _lam_field(chi: FormField, omega0: FormField, phi: ScalarField | None) -> tuple[np.ndarray, np.ndarray]:
+def _lam_field(chi: FormField, omega0: FormField, phi: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """(relative spectrum field, omega_phi values)."""
-    omega = omega0 if phi is None else omega0 + complex_hessian(phi)
+    omega = omega0 + complex_hessian(phi)
     return relative_spectrum_field(chi.values, omega.values), omega.values
+
+
+def _residual(problem: _NewtonProblem, phi: ScalarField) -> ScalarField:
+    """The residual of ``problem`` at ``phi``, where ``omega_phi`` must be Kahler."""
+    ev = problem.evaluate(phi)
+    _require_positive(ev.lam[..., 0], "omega_phi")
+    return ScalarField(problem.geometry, ev.residual)
 
 
 def j_residual(chi: FormField, omega0: FormField, phi: ScalarField,
                f: ScalarField, c: float) -> ScalarField:
     """Pointwise ``tr_{omega_phi}(chi) + f * chi^n/omega_phi^n - c``."""
-    geom = _check_geoms(chi, omega0, phi, f)
-    c = _check_c(c)
-    _check_f(f.values, _f_bound_j(geom.n, c))
-    lam, _ = _lam_field(chi, omega0, phi)
-    _require_positive(lam[..., 0], "omega_phi")
-    return ScalarField(geom, _j_value(lam, f.values, c)[0])
+    return _residual(make_j_problem(chi, omega0, f, c), phi)
 
 
 # Closed-form n = 2 kernels.  A Hermitian 2 x 2 field is held as the triple
@@ -276,21 +278,16 @@ def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     ``omega_phi + i*chi`` (imaginary/real parts of the top wedge).  The two
     agree identically up to rounding.
     """
-    geom = _check_geoms(chi, omega0, phi, f)
-    theta0 = _check_theta0(theta0)
-    _check_f(f.values, _f_bound_dhym(geom.n))
-    omega = omega0 + complex_hessian(phi)
-    if form == "wedge":
-        det = np.linalg.det(omega.values + 1j * chi.values)
-        det_chi = np.linalg.det(chi.values).real
-        vals = -math.cos(theta0) * (det.imag + f.values * det_chi
-                                    - math.tan(theta0) * det.real) / np.abs(det)
-        return ScalarField(geom, vals)
-    if form != "angle":
+    problem = make_dhym_problem(chi, omega0, f, theta0)
+    if form == "angle":
+        return _residual(problem, phi)
+    if form != "wedge":
         raise UsageError("form must be 'angle' or 'wedge'")
-    lam = relative_spectrum_field(chi.values, omega.values)
-    _require_positive(lam[..., 0], "omega_phi")
-    return ScalarField(geom, _dhym_value(lam, f.values, theta0)[0])
+    det = np.linalg.det((omega0 + complex_hessian(phi)).values + 1j * chi.values)
+    det_chi = np.linalg.det(chi.values).real
+    vals = -math.cos(theta0) * (det.imag + f.values * det_chi
+                                - math.tan(theta0) * det.real) / np.abs(det)
+    return ScalarField(problem.geometry, vals)
 
 
 def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -326,7 +323,7 @@ class _NewtonProblem:
     """Bundle of closures consumed by :func:`newton_solve`."""
 
     geometry: TorusGeometry
-    evaluate: Callable[[ScalarField, bool], _Eval]
+    evaluate: Callable[[ScalarField], _Eval]
     # (rows of M as in fields._hermitian_rows, sign): d(residual)(u) = sign * tr(M Hess u)
     linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
@@ -347,17 +344,14 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     det_chi = np.linalg.det(chi.values).real
     gauge = mixed_density([omega0.values] * geom.n)
 
-    def evaluate(phi: ScalarField, with_residual: bool = True) -> _Eval:
+    def evaluate(phi: ScalarField) -> _Eval:
         lam, omega_vals = _lam_field(chi, omega0, phi)
         kahler = float(np.min(lam[..., 0]))
         if kahler <= 0.0:
             return _Eval(phi, omega_vals, lam, kahler, -math.inf, None, None)
         cone = param - float(np.max(_loo_max(cone_terms(lam))))
-        res = weight = None
-        if with_residual:
-            res, ratio = value(lam, f.values, param)
-            weight = det_chi * ratio
-        return _Eval(phi, omega_vals, lam, kahler, cone, res, weight)
+        res, ratio = value(lam, f.values, param)
+        return _Eval(phi, omega_vals, lam, kahler, cone, res, det_chi * ratio)
 
     def linear_coefficient(ev: _Eval):
         return rows(ev), sign
@@ -388,17 +382,6 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
 # linear solve machinery
 
 
-def _symbol(geom: TorusGeometry, coef_mean: np.ndarray) -> np.ndarray:
-    """Half-spectrum symbol of ``u -> tr(Mbar Hess u)``; negative away from the mean.
-
-    ``coef_mean`` holds the grid means of the coefficient rows of M.
-    """
-    sym = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,))
-    for c, part in zip(coef_mean, _hessian_symbols(geom)):
-        sym += c * part
-    return sym
-
-
 class _KrylovBudget(Exception):
     """Raised by the Krylov operator when ``linear_max_iter`` is used up."""
 
@@ -416,7 +399,11 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     """
     G = geom.grid_size
     shape = geom.shape
-    sym = _symbol(geom, coef.reshape(len(coef), -1).mean(axis=1))
+    # the half-spectrum symbol of u -> tr(Mbar Hess u), Mbar the grid mean of M;
+    # negative away from the mean
+    sym = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,))
+    for c, part in zip(coef.reshape(len(coef), -1).mean(axis=1), _hessian_symbols(geom)):
+        sym += c * part
     # zero symbol = modes the discrete operator annihilates (mean, Nyquist);
     # P suppresses them and the projection handles the mean
     scale = float(np.max(np.abs(sym)))
@@ -481,26 +468,25 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
     """
     geom = problem.geometry
     slack = config.cone_slack
-    ev = problem.evaluate(phi0, True)
+    ev = problem.evaluate(phi0)
     if ev.kahler_margin <= 0.0 or ev.cone_margin <= slack:
         raise ConeBreachError(
             f"initial iterate outside the cone (kahler margin {ev.kahler_margin:.3e}, "
             f"cone margin {ev.cone_margin:.3e}, required slack {slack:.3e})")
-    history = [float(np.max(np.abs(ev.residual)))]
-    margin_min = ev.cone_margin
-    multiplier = abs(_weighted_mean(ev.residual, ev.weight))
-    gauge = problem.gauge_weight
-    iterations = 0
-    status = None
+    history: list[float] = []
+    margin_min = math.inf
     while True:
+        history.append(float(np.max(np.abs(ev.residual))))
+        margin_min = min(margin_min, ev.cone_margin)
+        multiplier = abs(_weighted_mean(ev.residual, ev.weight))
         if history[-1] <= config.tolerance and multiplier <= 10.0 * config.tolerance:
             status = "converged" if ev.cone_margin > config.tolerance else "marginal-cone"
             break
-        if iterations >= config.max_newton:
+        if len(history) > config.max_newton:
             status = "no-convergence"
             break
         coef, sign = problem.linear_coefficient(ev)
-        eta = ETA_MAX if iterations == 0 else min(
+        eta = ETA_MAX if len(history) == 1 else min(
             ETA_MAX, ETA_GAMMA * (history[-1] / history[-2]) ** 2)
         # Newton step: sign * tr(M Hess u) = -residual, to relative residual eta
         u, info = _solve_linear(geom, coef, -sign * ev.residual, config,
@@ -508,38 +494,28 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
         if info != 0:
             status = "krylov-failure"
             break
-        u = u - _weighted_mean(u, gauge)  # mean-zero gauge against omega_0^n
-        step = ScalarField(geom, u)
-        alpha = 1.0
-        accepted = None
+        u = u - _weighted_mean(u, problem.gauge_weight)  # mean-zero gauge against omega_0^n
         for _ in range(30):
-            cand = ScalarField(geom, ev.phi.values + alpha * step.values)
-            ev_cand = problem.evaluate(cand, True)
-            if ev_cand.kahler_margin > 0.0 and ev_cand.cone_margin > slack:
-                accepted = ev_cand
+            cand = problem.evaluate(ScalarField(geom, ev.phi.values + u))
+            if cand.kahler_margin > 0.0 and cand.cone_margin > slack:
                 break
-            alpha *= 0.5
-        if accepted is None:
-            report = _build_report(problem, ev, history, margin_min, multiplier,
-                                   "cone-breach", iterations)
+            u = 0.5 * u
+        else:
             raise ConeBreachError("step halving exhausted without re-entering the cone",
-                                  report=report)
-        ev = accepted
-        iterations += 1
-        history.append(float(np.max(np.abs(ev.residual))))
-        margin_min = min(margin_min, ev.cone_margin)
-        multiplier = abs(_weighted_mean(ev.residual, ev.weight))
-    return _build_report(problem, ev, history, margin_min, multiplier, status, iterations)
+                                  report=_build_report(ev, history, margin_min, multiplier,
+                                                       "cone-breach"))
+        ev = cand
+    return _build_report(ev, history, margin_min, multiplier, status)
 
 
-def _build_report(problem: _NewtonProblem, ev: _Eval, history, margin_min,
-                  multiplier, status, iterations) -> SolveReport:
-    c2 = float(np.max(_reduce_last(np.add, ev.lam)))
-    c0 = ev.phi.oscillation()
-    return SolveReport(phi=ev.phi, residual_history=[float(h) for h in history],
-                       cone_margin_min=float(margin_min), c2_diagnostic=c2,
-                       c0_diagnostic=c0, multiplier=float(multiplier),
-                       status=status, iterations=iterations)
+def _build_report(ev: _Eval, history: list[float], margin_min, multiplier,
+                  status) -> SolveReport:
+    """The report of the iterate ``ev``; ``history`` holds one residual per iterate."""
+    return SolveReport(phi=ev.phi, residual_history=history,
+                       cone_margin_min=float(margin_min),
+                       c2_diagnostic=float(np.max(_reduce_last(np.add, ev.lam))),
+                       c0_diagnostic=ev.phi.oscillation(), multiplier=float(multiplier),
+                       status=status, iterations=len(history) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +617,7 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
     ``path(chi, omega0, f, param)`` (:func:`_j_path` or :func:`_dhym_path`)
     checks the hypotheses on the given grid and returns the stages ``(name,
     t_start, t_end, problem(t))``, the ``mass`` that :func:`_restrict` keeps
-    and the target problem, built on demand.  When ``N/2 >= COARSEST_N`` the
+    and the target problem, built first.  When ``N/2 >= COARSEST_N`` the
     path runs on the data restricted to ``N/2``, itself nested; its endpoint,
     prolonged by :func:`fields.resample`, starts one :func:`newton_solve` of
     the target problem, recorded as the last target of the last stage (by
@@ -660,7 +636,7 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
             coarse = _continuity(path, *_restrict(TorusGeometry(geom.n, geom.N // 2), chi,
                                                   omega0, f, mass), param, config)
             history = coarse.path_history
-            report = newton_solve(target(), resample(coarse.phi, geom), config)
+            report = newton_solve(target, resample(coarse.phi, geom), config)
             if report.success:
                 name, _, t_end, _ = stages[-1]
                 report.path_history = history + [_path_entry(name, t_end, report)]
@@ -705,10 +681,9 @@ def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, fl
 
 def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     """The stages of :func:`continuity_path_j` on the grid of its data."""
-    geom = _check_geoms(chi, omega0, f)
+    target = make_j_problem(chi, omega0, f, c)
+    geom = target.geometry
     n = geom.n
-    c = _check_c(c)
-    _check_f(f.values, _f_bound_j(n, c))
     rhs_int, scale = _j_class_rhs(chi, omega0, c)
     _check_integrability(rhs_int, float(np.mean(f.values * np.linalg.det(chi.values).real)),
                          scale, "int(f chi^n)/n!")
@@ -723,8 +698,7 @@ def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     return ([("j-stage1", 0.0, 1.0, tilt),
              ("j-stage2", 0.0, 1.0, lambda s: make_j_problem(
                  chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), c))],
-            lambda ch, om: _j_class_rhs(ch, om, c)[0],
-            lambda: make_j_problem(chi, omega0, f, c))
+            lambda ch, om: _j_class_rhs(ch, om, c)[0], target)
 
 
 def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
@@ -759,10 +733,9 @@ def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], fl
 
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
-    geom = _check_geoms(chi, omega0, f)
+    target = make_dhym_problem(chi, omega0, f, theta0)
+    geom = target.geometry
     n = geom.n
-    theta0 = _check_theta0(theta0)
-    _check_f(f.values, _f_bound_dhym(n))
     lam0 = relative_spectrum_field(chi.values, omega0.values)
     gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
     if gamma_margin <= 0.0:
@@ -788,7 +761,7 @@ def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float)
              ("dhym-stage2", kappa, 1.0, lambda t: with_class_f(t * omega0)),
              ("dhym-stage3", 0.0, 1.0, lambda s: make_dhym_problem(
                  chi, omega0, ScalarField(geom, (1.0 - s) * rhs + s * f.values), theta0))],
-            mass, lambda: make_dhym_problem(chi, omega0, f, theta0))
+            mass, target)
 
 
 def continuity_path_dhym(chi: FormField, omega0_target: FormField,

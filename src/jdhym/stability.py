@@ -38,6 +38,27 @@ TERMINAL_BOUND = 1e-2
 START_BOUND = 1e-8
 
 
+def _check_epsilon(epsilon: float) -> float:
+    """``epsilon >= 0``, the slack of the slope test and of the angle check."""
+    if epsilon < 0.0:
+        raise UsageError("epsilon must be non-negative")
+    return epsilon
+
+
+def _check_t_max(t_max: float) -> float:
+    """``t_max > 1``, the end of the sampled range ``[1, t_max]``."""
+    if t_max <= 1.0:
+        raise UsageError("t_max must exceed 1")
+    return t_max
+
+
+def _check_samples(samples: int) -> int:
+    """At least 8 samples of an angle branch."""
+    if samples < 8:
+        raise UsageError("need at least 8 samples")
+    return samples
+
+
 @dataclass(frozen=True)
 class IntersectionData:
     """Dimension ``p``, ambient ``n`` and the p+1 numbers ``int_V chi^k omega0^(p-k)``."""
@@ -73,8 +94,7 @@ def slope_test(data: IntersectionData, c: float, epsilon: float) -> float:
     Non-negative iff the uniform slope test passes at slack ``epsilon``;
     1-homogeneous in the intersection vector.
     """
-    if epsilon < 0.0:
-        raise UsageError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     return (float(c) - (data.n - data.p) * float(epsilon)) * data.a[0] - data.p * data.a[1]
 
 
@@ -148,10 +168,8 @@ def angle_branch(data: IntersectionData, t_max: float = 1e4,
     polynomial, or an argument jump of pi/2 or more between consecutive
     samples, raises :class:`BranchUndefinedError` naming the interval.
     """
-    if t_max <= 1.0:
-        raise UsageError("t_max must exceed 1")
-    if samples < 8:
-        raise UsageError("need at least 8 samples")
+    _check_t_max(t_max)
+    _check_samples(samples)
     ts = np.logspace(0.0, math.log10(t_max), samples)
     ts[0] = 1.0
     coeffs = branch_polynomial(data)
@@ -194,8 +212,7 @@ def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,
     n = datasets[0].n
     if not (n * math.pi / 2.0 - math.pi / 4.0 < theta_hat < n * math.pi / 2.0):
         raise UsageError("theta_hat must lie in (n*pi/2 - pi/4, n*pi/2)")
-    if epsilon < 0.0:
-        raise UsageError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     # the hypothesis quantifies over all V including V = M, so a
     # full-dimension dataset is mandatory input
     vm_present = any(d.p == d.n for d in datasets)

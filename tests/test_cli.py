@@ -174,6 +174,41 @@ class TestCheckStability:
         verdict = json.loads((out / "stability.json").read_text())
         assert verdict["overall"] and verdict["kind"] == "sampled check"
 
+    def test_angle_failure_names_offender(self, tmp_path, capsys):
+        # theta_hat above the V1 branch's start: V1 leaves the admissible interval
+        n, theta0 = 2, math.pi / 5
+        s = 1.0 / math.tan(theta0 / n)
+        cfg = write_config(tmp_path, "a.json", {
+            "datasets": [
+                {"p": 1, "n": 2, "a": [0.2 * s, 1.0], "label": "thinslice"},
+                {"p": 2, "n": 2, "a": [2 * s * s, 2 * s, 2.0], "label": "V=M"},
+            ],
+            "theta_hat": n * math.pi / 2 - theta0,
+        })
+        out = tmp_path / "out"
+        assert main(["check-stability", "--config", cfg, "--out", str(out)]) == 2
+        assert "offending dataset: thinslice" in capsys.readouterr().err
+        assert not json.loads((out / "stability.json").read_text())["overall"]
+
+    def test_angle_mode_without_full_dimension_dataset_fails(self, tmp_path, capsys):
+        n, theta0 = 2, math.pi / 5
+        cfg = write_config(tmp_path, "a.json", {
+            "datasets": [{"p": 1, "n": 2, "a": [1.0 / math.tan(theta0 / n), 1.0],
+                          "label": "V1"}],
+            "theta_hat": n * math.pi / 2 - theta0,
+        })
+        out = tmp_path / "out"
+        assert main(["check-stability", "--config", cfg, "--out", str(out)]) == 2
+        assert "p = n" in capsys.readouterr().err
+        assert (out / "stability.json").exists()
+
+    def test_neither_mode_exits_1_without_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {"datasets": dataset()})
+        out = tmp_path / "out"
+        assert main(["check-stability", "--config", cfg, "--out", str(out)]) == 1
+        assert "config field 'c'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyLemmas:
     def test_runs_and_writes_csv(self, tmp_path):
@@ -398,6 +433,8 @@ class TestTypedConfigNumbers:
         ("functionals", functionals_config(t_steps=8.5), "t_steps"),
     ]
     ANGLE = [("theta_hat", "x"), ("epsilon", "x"), ("t_max", None), ("samples", 2.5)]
+    ANGLE_BASE = {**{k: v for k, v in stability_config().items() if k != "c"},
+                  "theta_hat": 2.5}
     CASES += [("check-stability", {**{k: v for k, v in stability_config().items() if k != "c"},
                                    "theta_hat": 2.5, key: value}, key)
               for key, value in ANGLE]
@@ -409,6 +446,24 @@ class TestTypedConfigNumbers:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config field '{path}'" in capsys.readouterr().err
+
+    # (command, config, key) with the key's value a well-formed number out of range
+    OUT_OF_RANGE = [
+        ("check-stability", {**ANGLE_BASE, "samples": 4}, "samples"),
+        ("check-stability", {**ANGLE_BASE, "t_max": 0.5}, "t_max"),
+        ("check-stability", {**ANGLE_BASE, "epsilon": -0.1}, "epsilon"),
+        ("functionals", functionals_config(t_steps=7), "t_steps"),
+    ]
+
+    @pytest.mark.parametrize("command, doc, key", OUT_OF_RANGE,
+                             ids=[c[2] for c in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_1_without_output(self, tmp_path, capsys, command,
+                                                       doc, key):
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"config field '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_cone_slack_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", solve_j_config(solver={"cone_slack": -1.0}))

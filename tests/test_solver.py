@@ -575,7 +575,7 @@ class TestRealTransformKernels:
     def test_j_coefficient_matches_reference(self, n):
         geom, chi, omega0, phi, f = random_kernel_instance(n, 40 + n)
         problem = make_j_problem(chi, omega0, f, 4.0 * n)
-        ev = problem.evaluate(phi, True)
+        ev = problem.evaluate(phi)
         rows, sign = problem.linear_coefficient(ev)
         ref = reference_j_coefficient(chi, ev.omega_vals, ev.lam, f)
         assert sign == -1.0
@@ -586,7 +586,7 @@ class TestRealTransformKernels:
         geom, chi, omega0, phi, f = random_kernel_instance(n, 50 + n)
         theta0 = math.pi / 5
         problem = make_dhym_problem(chi, omega0, f, theta0)
-        ev = problem.evaluate(phi, True)
+        ev = problem.evaluate(phi)
         rows, sign = problem.linear_coefficient(ev)
         ref = reference_dhym_coefficient(chi, ev.omega_vals, f, theta0)
         assert sign == 1.0
@@ -602,7 +602,7 @@ class TestRealTransformKernels:
                          field_from_modes(geom, [((1, 0, 0, 0), 0.02), ((0, 1, 1, 0), 0.01)]))
         f = ScalarField.constant(geom, 0.05)
         problem = make_dhym_problem(chi, kappa * chi, f, theta0)
-        rows, _ = problem.linear_coefficient(problem.evaluate(ScalarField.zeros(geom), True))
+        rows, _ = problem.linear_coefficient(problem.evaluate(ScalarField.zeros(geom)))
         r = kappa * kappa + 1.0
         w = (math.cos(theta0 - 2.0 * math.atan(1.0 / kappa))
              + 0.05 * math.cos(theta0) / r * kappa) / r
@@ -615,7 +615,7 @@ def j_newton_rows(n, seed):
     """The J Newton coefficient rows at the white-noise kernel instance."""
     geom, chi, omega0, phi, f = random_kernel_instance(n, seed)
     problem = make_j_problem(chi, omega0, f, 4.0 * n)
-    rows, _ = problem.linear_coefficient(problem.evaluate(phi, True))
+    rows, _ = problem.linear_coefficient(problem.evaluate(phi))
     return geom, rows
 
 
