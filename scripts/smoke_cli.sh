@@ -23,7 +23,9 @@ for mode in slope angle; do
     --out "$out/check-stability-$mode"
 done
 jdhym functionals --config configs/functionals.json --out "$out/functionals"
-jdhym verify-lemmas --trials 100 --out "$out/verify-lemmas"
+jdhym verify-lemmas --trials 10000 --seed 1 --out "$out/verify-lemmas"
+# one trial leaves most size groups of a pass empty
+jdhym verify-lemmas --trials 1 --out "$out/one-trial"
 
 # expect_exit CODE ARGS...: the command must exit with exactly CODE
 expect_exit() {
@@ -50,6 +52,11 @@ with_value() {
 expect_exit 1 check-stability --config "$(with_value configs/check_stability_angle.json samples 4)" \
   --out "$out/few-samples"
 test ! -e "$out/few-samples"
+for mode in slope angle; do
+  expect_exit 1 check-stability --config "$(with_value "configs/check_stability_$mode.json" datasets '[]')" \
+    --out "$out/no-datasets-$mode"
+  test ! -e "$out/no-datasets-$mode"
+done
 expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 7)" \
   --out "$out/odd-t-steps"
 test ! -e "$out/odd-t-steps"

@@ -235,6 +235,8 @@ def _cmd_solve(cfg: dict, out: Path, args) -> int:
 
 def _parse_datasets(cfg: dict) -> list[IntersectionData]:
     entries = _need(cfg, "", "datasets", list)
+    if not entries:
+        raise ConfigError("datasets", "need at least one dataset")
     out = []
     for i, d in enumerate(entries):
         if not isinstance(d, dict):

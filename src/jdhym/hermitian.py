@@ -2,9 +2,10 @@
 
 Hermitian matrices are plain complex ndarrays.  Everything here is a pure
 function of small dense matrices (n <= 6).  The private kernels (relative
-spectrum, leave-one-out sum, the two equations' values) act on leading batch
-axes, so they serve one matrix and a whole grid alike; together with the one
-check per hypothesis they are what the other modules call.
+spectrum, leave-one-out sum, the two equations' values, the dHYM derivatives)
+act on leading batch axes, so they serve one matrix, a whole grid and a batch
+of random trials alike; together with the one check per hypothesis they are
+what the other modules call.
 
 Conventions.  ``SpectrumRel`` holds the ascending roots of
 ``det(omega - lam * chi) = 0`` for positive Hermitian ``chi``, ``omega``.
@@ -375,12 +376,34 @@ def _dhym_angle_radius(lam: np.ndarray) -> tuple:
             _reduce_last(np.multiply, np.sqrt(lam * lam + 1.0)))
 
 
-def _dhym_value(lam: np.ndarray, f, theta0: float) -> tuple:
+def _dhym_value(lam: np.ndarray, f, theta0) -> tuple:
     """The dHYM value ``sin(theta0 - s) - f cos(theta0)/r``, zero at
     solutions, and the volume ratio ``r = |det(omega + i chi)| / det(chi)``
     (``s, r`` as in :func:`_dhym_angle_radius`)."""
     s, r = _dhym_angle_radius(lam)
-    return np.sin(theta0 - s) - f * math.cos(theta0) / r, r
+    return np.sin(theta0 - s) - f * np.cos(theta0) / r, r
+
+
+def _dhym_gradient(lam: np.ndarray, f, theta0) -> np.ndarray:
+    """Derivatives ``(cos(theta0 - s) + g*lam_i)/(lam_i^2 + 1)`` of
+    :func:`_dhym_value` in the eigenvalues, ``g = f cos(theta0)/r``."""
+    s, r = _dhym_angle_radius(lam)
+    g = f * np.cos(theta0) / r
+    return (np.cos(theta0 - s)[..., None] + g[..., None] * lam) / (lam * lam + 1.0)
+
+
+def _dhym_hessian(lam: np.ndarray, f, theta0) -> np.ndarray:
+    """Second derivatives of :func:`_dhym_value` in the eigenvalues (last two axes)."""
+    s, r = _dhym_angle_radius(lam)
+    g = (f * np.cos(theta0) / r)[..., None, None]
+    w = lam * lam + 1.0
+    x = lam / w
+    hess = (-np.sin(theta0 - s)[..., None, None] / (w[..., :, None] * w[..., None, :])
+            - g * (x[..., :, None] * x[..., None, :]))
+    i = np.arange(lam.shape[-1])
+    hess[..., i, i] += (-np.cos(theta0 - s)[..., None] * 2.0 * lam
+                        + g[..., 0] * (1.0 - lam * lam)) / (w * w)
+    return hess
 
 
 def f_value(f: float, spec: SpectrumRel, theta0: float) -> float:
@@ -403,24 +426,14 @@ def f_gradient(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
     f = _check_f(float(f), _f_bound_dhym(spec.n))
     if gamma_margin(spec, theta0) <= 0.0:
         raise DomainError("spectrum lies outside the Gamma region")
-    lam = spec.as_array()
-    s, r = _dhym_angle_radius(lam)
-    g = f * math.cos(theta0) / r
-    return math.cos(theta0 - s) / (lam * lam + 1.0) + g * lam / (lam * lam + 1.0)
+    return _dhym_gradient(spec.as_array(), f, theta0)
 
 
 def f_hessian(f: float, spec: SpectrumRel, theta0: float) -> np.ndarray:
     """Second derivatives of :func:`f_value` in the eigenvalues (n x n)."""
     theta0 = _check_theta0(theta0)
     f = _check_f(float(f), _f_bound_dhym(spec.n))
-    lam = spec.as_array()
-    s, r = _dhym_angle_radius(lam)
-    g = f * math.cos(theta0) / r
-    w = lam * lam + 1.0
-    hess = -math.sin(theta0 - s) / np.outer(w, w) - g * np.outer(lam / w, lam / w)
-    diag = -math.cos(theta0 - s) * 2.0 * lam / (w * w) + g * (1.0 - lam * lam) / (w * w)
-    hess[np.diag_indices_from(hess)] += diag
-    return hess
+    return _dhym_hessian(spec.as_array(), f, theta0)
 
 
 def truncate_spectrum(spec: SpectrumRel, cap: float) -> SpectrumRel:

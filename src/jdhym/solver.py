@@ -33,7 +33,7 @@ from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, complex_hessian, form_field,
                      mixed_density, relative_spectrum_field, resample)
 from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0,
-                        _dhym_angle_radius, _dhym_value, _f_bound_dhym, _f_bound_j,
+                        _dhym_gradient, _dhym_value, _f_bound_dhym, _f_bound_j,
                         _j_value, _loo_max, _reduce_last, _require_positive)
 
 __all__ = [
@@ -206,7 +206,7 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
     crossings.  At n = 2 the sum is ``a chi^-1 + b chi^-1 omega chi^-1`` with
     ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``;
     otherwise the pairs ``(lam_i, v_i)`` come from ``eigh`` in the Cholesky
-    frame of ``chi``.
+    frame of ``chi`` and the weights from ``hermitian._dhym_gradient``.
     """
     if chi.geometry.n == 2:
         chi_inv = _inv2(_chi2(chi))
@@ -223,9 +223,7 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
                                             else chi.values))
     lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
     V = Linv.conj().swapaxes(-1, -2) @ U
-    s, r = _dhym_angle_radius(lam)
-    g = f_vals * math.cos(theta0) / r
-    w = (np.cos(theta0 - s)[..., None] + g[..., None] * lam) / (lam * lam + 1.0)
+    w = _dhym_gradient(lam, f_vals, theta0)
     return _coefficient_rows(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex),
                                        np.conj(V)))
 

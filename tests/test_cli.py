@@ -452,6 +452,8 @@ class TestTypedConfigNumbers:
         ("check-stability", {**ANGLE_BASE, "samples": 4}, "samples"),
         ("check-stability", {**ANGLE_BASE, "t_max": 0.5}, "t_max"),
         ("check-stability", {**ANGLE_BASE, "epsilon": -0.1}, "epsilon"),
+        ("check-stability", stability_config(datasets=[]), "datasets"),
+        ("check-stability", {**ANGLE_BASE, "datasets": []}, "datasets"),
         ("functionals", functionals_config(t_steps=7), "t_steps"),
     ]
 

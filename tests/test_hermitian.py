@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdhym import hermitian, properties
 from jdhym.errors import DomainError, UsageError
 from jdhym.hermitian import (ConeSpec, SpectrumRel, cone_test_dhym,
                              cone_test_j, f_gradient, f_hessian, f_value,
@@ -311,6 +312,35 @@ class TestSubadditivityLemmas:
         monkeypatch.setattr(properties, "_f_bound_j", lambda n, c: -10.0)
         res = properties.suite_nondegeneracy(300, np.random.default_rng(23))
         assert not res["holds"], res
+
+    # (suite, the kernel it reads from jdhym.properties, a wrong stand-in for that kernel)
+    WRONG_KERNELS = [
+        ("fuzz_schur_trace", "_loo_max", lambda t: -hermitian._loo_max(t)),
+        ("fuzz_schur_arctan", "_loo_max", lambda t: -hermitian._loo_max(t)),
+        ("suite_gradient_positivity", "_dhym_gradient",
+         lambda *a: -hermitian._dhym_gradient(*a)),
+        ("suite_gradient_ordering", "_dhym_gradient",
+         lambda *a: -hermitian._dhym_gradient(*a)),
+        ("suite_gradient_fd", "_dhym_gradient", lambda *a: -hermitian._dhym_gradient(*a)),
+        ("suite_hessian_zero_slice", "_dhym_hessian",
+         lambda lam, *a: hermitian._dhym_hessian(lam, *a) + np.eye(lam.shape[-1])),
+        ("suite_boundary_negative", "_dhym_value",
+         lambda *a: (hermitian._dhym_value(*a)[0] + 1.0, None)),
+        ("suite_nondegeneracy", "_f_bound_j", lambda n, c: hermitian._f_bound_j(n, 1.0 / c)),
+    ]
+
+    @pytest.mark.parametrize("suite, kernel, wrong", WRONG_KERNELS,
+                             ids=[w[0] for w in WRONG_KERNELS])
+    def test_every_suite_fails_under_a_wrong_kernel(self, monkeypatch, suite, kernel, wrong):
+        monkeypatch.setattr(properties, kernel, wrong)
+        res = getattr(properties, suite)(200, np.random.default_rng(25))
+        assert not res["holds"], res
+
+    @pytest.mark.parametrize("trials", [1, 3, properties._CHUNK + 1])
+    def test_small_and_uneven_trial_counts(self, trials):
+        results = properties.run_property_suites(trials, 1)
+        assert len(results) == 8
+        assert all(r["trials"] == trials and r["holds"] for r in results), results
 
     def test_hessian_bound_on_zero_slice(self):
         from jdhym.properties import suite_hessian_zero_slice
