@@ -327,6 +327,12 @@ class _NewtonProblem:
     gauge_weight: np.ndarray
 
 
+def _det(form: FormField) -> np.ndarray:
+    """``det`` of the values of ``form``: ``fields.mixed_density`` of n copies over n!."""
+    n = form.geometry.n
+    return mixed_density([form.values] * n) / math.factorial(n)
+
+
 def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
                     value: Callable, cone_terms: Callable, rows: Callable,
                     sign: float) -> _NewtonProblem:
@@ -339,7 +345,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
     """
     geom = chi.geometry
-    det_chi = np.linalg.det(chi.values).real
+    det_chi = _det(chi)
     gauge = mixed_density([omega0.values] * geom.n)
 
     def evaluate(phi: ScalarField) -> _Eval:
@@ -357,20 +363,33 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
 
 
-def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
-                   c: float) -> _NewtonProblem:
+def _j_checked(chi: FormField, omega0: FormField, f: ScalarField, c: float) -> float:
+    """``c``, once the J hypotheses on ``(chi, omega0, f, c)`` hold."""
     n = _check_geoms(chi, omega0, f).n
     c = _check_c(c)
     _check_f(f.values, _f_bound_j(n, c))
+    return c
+
+
+def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
+                   c: float) -> _NewtonProblem:
+    c = _j_checked(chi, omega0, f, c)
     return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
                            lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0)
 
 
-def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
-                      theta0: float) -> _NewtonProblem:
+def _dhym_checked(chi: FormField, omega0: FormField, f: ScalarField,
+                  theta0: float) -> float:
+    """``theta0``, once the dHYM hypotheses on ``(chi, omega0, f, theta0)`` hold."""
     n = _check_geoms(chi, omega0, f).n
     theta0 = _check_theta0(theta0)
     _check_f(f.values, _f_bound_dhym(n))
+    return theta0
+
+
+def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
+                      theta0: float) -> _NewtonProblem:
+    theta0 = _dhym_checked(chi, omega0, f, theta0)
     return _newton_problem(
         chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
         lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0)
@@ -448,8 +467,8 @@ ETA_MAX = 1e-2  # Eisenstat-Walker forcing terms: the cap of eta_k
 ETA_GAMMA = 0.9  # and its factor
 
 
-def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
-                 config: SolverConfig) -> SolveReport:
+def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfig, *,
+                 min_steps: int = 0) -> SolveReport:
     """Damped inexact Newton with cone clamping and solvability projection.
 
     Step ``k`` solves the linearization to the relative Krylov residual of the
@@ -462,7 +481,11 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
     violations trigger step halving, and 30 failed halvings raise
     :class:`ConeBreachError`.  Success requires the sup-norm residual below
     ``tolerance``, the projection magnitude below ``10 * tolerance`` and a
-    final cone margin above ``tolerance``.
+    final cone margin above ``tolerance``, after at least ``min_steps`` steps.
+    A continuity march asks for one step from a predicted start (the
+    corrector, see :func:`_march`): a secant prediction can land just under
+    ``tolerance``, and accepting it as it stands would leave the path's
+    residual there instead of at rounding level.
     """
     geom = problem.geometry
     slack = config.cone_slack
@@ -477,7 +500,8 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField,
         history.append(float(np.max(np.abs(ev.residual))))
         margin_min = min(margin_min, ev.cone_margin)
         multiplier = abs(_weighted_mean(ev.residual, ev.weight))
-        if history[-1] <= config.tolerance and multiplier <= 10.0 * config.tolerance:
+        if (len(history) > min_steps and history[-1] <= config.tolerance
+                and multiplier <= 10.0 * config.tolerance):
             status = "converged" if ev.cone_margin > config.tolerance else "marginal-cone"
             break
         if len(history) > config.max_newton:
@@ -526,18 +550,58 @@ PATH_HALVINGS = 8
 COARSEST_N = 8
 
 
-def _path_entry(stage: str, t: float, report: SolveReport) -> dict:
-    """The ``path_history`` entry of an accepted solve at ``t``, with its grid ``N``."""
+def _path_entry(stage: str, t: float, start: str, report: SolveReport) -> dict:
+    """The ``path_history`` entry of an accepted solve at ``t``, with its grid ``N``
+    and its ``start``: ``"warm"``, ``"predicted"`` or ``"prolonged"``."""
     return {
-        "stage": stage, "t": t, "N": report.phi.geometry.N, "iterations": report.iterations,
+        "stage": stage, "t": t, "N": report.phi.geometry.N, "start": start,
+        "iterations": report.iterations,
         "residual": report.final_residual, "cone_margin": report.cone_margin_min,
         "multiplier": report.multiplier,
     }
 
 
+def _secant(t: float, t_prev: float, phi: ScalarField,
+            before: tuple[float, ScalarField] | None) -> ScalarField | None:
+    """The secant prediction at ``t`` through ``before = (t_b, phi_b)`` and the
+    last accepted ``(t_prev, phi)``, or ``None`` without a secant: no earlier
+    iterate, or one equal to ``phi``."""
+    if before is None or np.array_equal(before[1].values, phi.values):
+        return None
+    t_b, phi_b = before
+    return ScalarField(phi.geometry,
+                       phi.values + (t - t_prev) / (t_prev - t_b) * (phi.values - phi_b.values))
+
+
+def _corrected(problem: _NewtonProblem, phi: ScalarField, predicted: ScalarField | None,
+               config: SolverConfig) -> tuple[SolveReport, str]:
+    """The report of ``newton_solve`` on ``problem`` and the start it ran from:
+    ``predicted``, with at least one step, or the warm start ``phi`` when
+    there is no prediction or the cone refuses it (a :class:`ConeBreachError`
+    without a report)."""
+    if predicted is not None:
+        try:
+            return newton_solve(problem, predicted, config, min_steps=1), "predicted"
+        except ConeBreachError as exc:
+            if exc.report is not None:
+                raise
+    return newton_solve(problem, phi, config), "warm"
+
+
 def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
            targets, stage: str, history: list) -> tuple[ScalarField, SolveReport]:
-    """Warm-started marching with bisection on step failure.
+    """Predictor-corrector marching with bisection on step failure.
+
+    Each solve at ``t`` starts from the secant prediction ``phi_k + (t -
+    t_k)/(t_k - t_{k-1}) (phi_k - phi_{k-1})`` through the last two accepted
+    iterates, the stage's start counting as the first, and takes at least
+    one Newton step, the corrector (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, SIAM Classics 45, 2003, ch. 2).  Without
+    a secant (before the stage accepts its first target, or when the two
+    iterates are equal) or when the cone refuses the prediction, it starts
+    from the last accepted iterate (the warm start); that retry belongs to
+    the same solve.  Each ``path_history`` entry records the start it
+    converged from.
 
     A failed step inserts the midpoint of the gap from the last accepted
     ``t``.  Each target allows ``PATH_HALVINGS`` such halvings, and the stage
@@ -551,6 +615,7 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
     budget = 2 * (len(targets) + PATH_HALVINGS)
     solves = 0
     t_prev = float(t_start)
+    before = None  # the accepted (t, phi) before (t_prev, phi)
     report = None
 
     def abort(message: str, t: float, cause: str) -> ContinuationError:
@@ -570,7 +635,8 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
             problem = make_problem(t)
             failure = None
             try:
-                report = newton_solve(problem, phi, config)
+                report, start = _corrected(problem, phi, _secant(t, t_prev, phi, before),
+                                           config)
                 if not report.success:
                     failure = report.status
             except ConeBreachError as exc:
@@ -582,8 +648,9 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
                 halvings += 1
                 pending.append(0.5 * (t_prev + t))
                 continue
+            before = (t_prev, phi)
             phi = report.phi
-            history.append(_path_entry(stage, t, report))
+            history.append(_path_entry(stage, t, start, report))
             t_prev = t
             pending.pop()
     return phi, report
@@ -602,7 +669,7 @@ def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: Scala
                                  else resample(form.potential, coarse))
                       for form in (chi, omega0))
     f_c = resample(f, coarse)
-    det_chi = np.linalg.det(chi_c.values).real
+    det_chi = _det(chi_c)
     shift = (mass(chi_c, omega_c) - float(np.mean(f_c.values * det_chi))) \
         / float(np.mean(det_chi))
     return chi_c, omega_c, f_c + shift
@@ -610,21 +677,24 @@ def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: Scala
 
 def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: float,
                 config: SolverConfig) -> SolveReport:
-    """A continuity path, nested over grids (Brandt, Math. Comp. 31, 1977).
+    """A predictor-corrector continuity path, nested over grids (Brandt, Math.
+    Comp. 31, 1977).
 
     ``path(chi, omega0, f, param)`` (:func:`_j_path` or :func:`_dhym_path`)
     checks the hypotheses on the given grid and returns the stages ``(name,
     t_start, t_end, problem(t))``, the ``mass`` that :func:`_restrict` keeps
-    and the target problem, built first.  When ``N/2 >= COARSEST_N`` the
-    path runs on the data restricted to ``N/2``, itself nested; its endpoint,
-    prolonged by :func:`fields.resample`, starts one :func:`newton_solve` of
-    the target problem, recorded as the last target of the last stage (by
-    mesh independence, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
-    Anal. 23, 1986, that start lies in the fine quadratic basin).  On the
-    coarsest grid, after a coarse ``DomainError``, ``ConeBreachError`` or
-    ``ContinuationError`` and after an unconverged fine solve, each stage is
-    marched from zero on this grid to ``path_steps`` equal steps, following
-    the coarse entries accepted so far.
+    and a builder of the target problem, which equals the last stage's
+    problem at ``t_end``.  When ``N/2 >= COARSEST_N`` the path runs on the
+    data restricted to ``N/2``, itself nested; its endpoint, prolonged by
+    :func:`fields.resample`, starts one :func:`newton_solve` of the target
+    problem, built only here and recorded as the last target of the last
+    stage with the start ``"prolonged"`` (by mesh independence, Allgower,
+    Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986, that start
+    lies in the fine quadratic basin).  On the coarsest grid, after a coarse
+    ``DomainError``, ``ConeBreachError`` or ``ContinuationError`` and after
+    an unconverged fine solve, each stage is marched from zero on this grid
+    by :func:`_march` (secant predictor, Newton corrector) to ``path_steps``
+    equal steps, following the coarse entries accepted so far.
     """
     stages, mass, target = path(chi, omega0, f, param)
     geom = chi.geometry
@@ -634,10 +704,10 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
             coarse = _continuity(path, *_restrict(TorusGeometry(geom.n, geom.N // 2), chi,
                                                   omega0, f, mass), param, config)
             history = coarse.path_history
-            report = newton_solve(target, resample(coarse.phi, geom), config)
+            report = newton_solve(target(), resample(coarse.phi, geom), config)
             if report.success:
                 name, _, t_end, _ = stages[-1]
-                report.path_history = history + [_path_entry(name, t_end, report)]
+                report.path_history = history + [_path_entry(name, t_end, "prolonged", report)]
                 return report
         except ContinuationError as exc:
             if exc.report is not None:
@@ -679,33 +749,36 @@ def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, fl
 
 def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     """The stages of :func:`continuity_path_j` on the grid of its data."""
-    target = make_j_problem(chi, omega0, f, c)
-    geom = target.geometry
+    c = _j_checked(chi, omega0, f, c)
+    geom = chi.geometry
     n = geom.n
     rhs_int, scale = _j_class_rhs(chi, omega0, c)
-    _check_integrability(rhs_int, float(np.mean(f.values * np.linalg.det(chi.values).real)),
-                         scale, "int(f chi^n)/n!")
+    det_chi = _det(chi)
+    _check_integrability(rhs_int, float(np.mean(f.values * det_chi)), scale, "int(f chi^n)/n!")
 
     def tilt(t: float):
         chi_t = t * chi + (1.0 - t) * (c / n) * omega0
-        det_chi_t = np.mean(mixed_density([chi_t.values] * n))
-        f_t = ScalarField.constant(geom, t * rhs_int * math.factorial(n) / float(det_chi_t))
+        f_t = ScalarField.constant(geom, t * rhs_int / float(np.mean(_det(chi_t))))
         return make_j_problem(chi_t, omega0, f_t, c)
 
-    f1 = rhs_int * math.factorial(n) / float(np.mean(mixed_density([chi.values] * n)))
+    f1 = rhs_int / float(np.mean(det_chi))
     return ([("j-stage1", 0.0, 1.0, tilt),
              ("j-stage2", 0.0, 1.0, lambda s: make_j_problem(
                  chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), c))],
-            lambda ch, om: _j_class_rhs(ch, om, c)[0], target)
+            lambda ch, om: _j_class_rhs(ch, om, c)[0],
+            lambda: make_j_problem(chi, omega0, f, c))
 
 
 def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
                       c: float, config: SolverConfig) -> SolveReport:
-    """Two-stage continuity method for the J-type equation, nested over grids.
+    """Two-stage predictor-corrector continuity method for the J-type
+    equation, nested over grids.
 
     Stage 1 tilts the reference form from ``(c/n) * omega0`` to ``chi`` with
     the constant right-hand side recomputed from the integrability identity
     at each step; stage 2 interpolates that constant to the target ``f``.
+    Each stage marches by secant predictions and Newton corrections (see
+    :func:`_march`).
 
     The hypotheses are checked on the given grid first.  For ``N >= 16`` the
     path then runs on the data restricted to ``N/2`` (recursively, down to
@@ -720,7 +793,7 @@ def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], fl
     """``omega ->`` the constant ``f`` that the dHYM integrability identity
     gives for ``(chi, omega)``: ``mean(tan(theta0) Re D - Im D) / mean(det chi)``
     with ``D = det(omega + i chi)``."""
-    vol_chi = float(np.mean(np.linalg.det(chi.values).real))
+    vol_chi = float(np.mean(_det(chi)))
 
     def const(omega_form: FormField) -> float:
         det = np.linalg.det(omega_form.values + 1j * chi.values)
@@ -731,15 +804,15 @@ def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], fl
 
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
-    target = make_dhym_problem(chi, omega0, f, theta0)
-    geom = target.geometry
+    theta0 = _dhym_checked(chi, omega0, f, theta0)
+    geom = chi.geometry
     n = geom.n
     lam0 = relative_spectrum_field(chi.values, omega0.values)
     gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "
                                 f"(Gamma margin {gamma_margin:.3e})")
-    det_chi = np.linalg.det(chi.values).real
+    det_chi = _det(chi)
     class_const = _dhym_class_const(chi, theta0)
     rhs = class_const(omega0)
     _check_integrability(rhs, float(np.mean(f.values * det_chi)) / float(np.mean(det_chi)),
@@ -752,26 +825,28 @@ def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float)
                                  theta0)
 
     def mass(ch: FormField, om: FormField) -> float:
-        return _dhym_class_const(ch, theta0)(om) * float(np.mean(np.linalg.det(ch.values).real))
+        return _dhym_class_const(ch, theta0)(om) * float(np.mean(_det(ch)))
 
     return ([("dhym-stage1", 1.0, 0.0,
               lambda t: with_class_f(t * cot_n * chi + (1.0 - t) * kappa * omega0)),
              ("dhym-stage2", kappa, 1.0, lambda t: with_class_f(t * omega0)),
              ("dhym-stage3", 0.0, 1.0, lambda s: make_dhym_problem(
                  chi, omega0, ScalarField(geom, (1.0 - s) * rhs + s * f.values), theta0))],
-            mass, target)
+            mass, lambda: make_dhym_problem(chi, omega0, f, theta0))
 
 
 def continuity_path_dhym(chi: FormField, omega0_target: FormField,
                          f_target: ScalarField, theta0: float,
                          config: SolverConfig) -> SolveReport:
-    """Three-stage continuity method for the dHYM equation, nested over grids.
+    """Three-stage predictor-corrector continuity method for the dHYM
+    equation, nested over grids.
 
     Starts at the exactly solvable ``omega0 = cot(theta0/n) * chi, f = 0``,
     tilts to an enlarged multiple of the target form, scales that multiple
     back down to 1, then interpolates the constant right-hand side to the
     target ``f``.  The constant along stages 1-2 comes from the
-    integrability identity and stays non-negative.
+    integrability identity and stays non-negative.  Each stage marches by
+    secant predictions and Newton corrections (see :func:`_march`).
 
     The hypotheses are checked on the given grid first; the grids are then
     nested as in :func:`continuity_path_j`, the fine solve being recorded as

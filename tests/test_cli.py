@@ -111,6 +111,39 @@ class TestSolveDhym:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "converged"
 
+    def test_config_path_corrects_every_prediction(self, tmp_path):
+        # a predicted start lands just under the tolerance; without its corrector
+        # step the endpoint's residual would stay there, not at rounding level
+        out = tmp_path / "out"
+        assert main(["solve-dhym", "--config", str(CONFIGS / "solve_dhym.json"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        history = report["path_history"]
+        starts = [h["start"] for h in history]
+        assert starts[-1] == "prolonged" and set(starts[:-1]) == {"warm", "predicted"}
+        assert all(h["iterations"] >= 1 for h in history if h["start"] == "predicted")
+        assert sum(h["iterations"] for h in history) <= 16
+        assert report["final_residual"] <= 1e-13
+
+    def test_refused_predictions_fall_back_to_warm_starts(self, tmp_path, monkeypatch):
+        from jdhym import solver
+        from jdhym.errors import ConeBreachError
+        newton = solver.newton_solve
+
+        def refusing(problem, phi0, config, min_steps=0):
+            if min_steps:
+                raise ConeBreachError("predicted start outside the cone")
+            return newton(problem, phi0, config)
+
+        monkeypatch.setattr(solver, "newton_solve", refusing)
+        out = tmp_path / "out"
+        assert main(["solve-dhym", "--config", str(CONFIGS / "solve_dhym.json"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # 3 stages of 6 targets and the fine finish: no bisection, no extra entry
+        assert [h["start"] for h in report["path_history"]] == ["warm"] * 18 + ["prolonged"]
+        assert report["final_residual"] <= 1e-13
+
     def test_theta_hat_alias(self, tmp_path):
         theta0 = math.pi / 5
         s = (1 + math.cos(theta0)) / math.sin(theta0)

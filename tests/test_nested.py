@@ -237,8 +237,8 @@ class TestNestedPath:
                 fine_problems.append(problem)
             return problem
 
-        def failing_on_fine_target(problem, phi0, config):
-            report = newton(problem, phi0, config)
+        def failing_on_fine_target(problem, phi0, config, **kwargs):
+            report = newton(problem, phi0, config, **kwargs)
             if any(problem is p for p in fine_problems):
                 if failure == "cone-breach":
                     raise ConeBreachError("forced", report=report)
@@ -279,6 +279,36 @@ class TestNestedPath:
         with pytest.raises(error):
             call()
         assert not touched
+
+    @pytest.mark.parametrize("kind", ["j", "dhym"])
+    def test_target_is_the_last_stage_at_its_end(self, kind):
+        if kind == "j":
+            path, (chi, omega0, f, param) = solver._j_path, j_instance(16)
+        else:
+            path, (chi, omega0, f), param = solver._dhym_path, dhym_instance(16), THETA0
+        mass = path(chi, omega0, f, param)[1]
+        for data in ((chi, omega0, f),
+                     solver._restrict(TorusGeometry(2, 8), chi, omega0, f, mass)):
+            stages, _, target = path(*data, param)
+            _, _, t_end, problem = stages[-1]
+            phi = field_from_modes(data[0].geometry, [((0, 1, 0, 0), 0.01)])
+            got, want = target(), problem(t_end)
+            assert np.array_equal(got.gauge_weight, want.gauge_weight)
+            a, b = got.evaluate(phi), want.evaluate(phi)
+            assert np.array_equal(a.residual, b.residual)
+            assert np.array_equal(a.weight, b.weight)
+
+    def test_target_built_only_where_the_fine_solve_runs(self, monkeypatch):
+        built = []
+        path = solver._j_path
+
+        def recording(chi, omega0, f, c):
+            stages, mass, target = path(chi, omega0, f, c)
+            return stages, mass, lambda: built.append(chi.geometry.N) or target()
+
+        monkeypatch.setattr(solver, "_j_path", recording)
+        assert continuity_path_j(*j_instance(16), SolverConfig(path_steps=2)).success
+        assert built == [16]
 
     def test_every_entry_carries_its_grid(self):
         chi, omega0, f, c = j_instance(32)

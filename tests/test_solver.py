@@ -184,6 +184,13 @@ class TestNewtonSolve:
         rep = newton_solve(make_j_problem(chi, omega0, f, c), phistar, SolverConfig())
         assert rep.success and rep.iterations == 0
 
+    def test_min_steps_forces_a_corrector_step(self):
+        geom = TorusGeometry(1, 32)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        rep = newton_solve(make_j_problem(chi, omega0, f, c), phistar, SolverConfig(),
+                           min_steps=1)
+        assert rep.success and rep.iterations == 1
+
     def test_manufactured_n1(self):
         geom = TorusGeometry(1, 64)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
@@ -725,12 +732,16 @@ class TestFailureBounds:
 
     @staticmethod
     def stub_solver(monkeypatch, accept):
-        """Replace the Newton solve by ``accept(t, t_prev)``; phi carries t."""
+        """Replace the Newton solve by ``accept(t, t_prev)``, ``t_prev`` the last
+        accepted ``t``; phi carries t."""
         calls = []
+        accepted = [0.0]
 
-        def stub(t, phi, config):
+        def stub(t, phi, config, **kwargs):
             calls.append(t)
-            status = "converged" if accept(t, float(phi.values.flat[0])) else "no-convergence"
+            status = "converged" if accept(t, accepted[-1]) else "no-convergence"
+            if status == "converged":
+                accepted.append(t)
             return SolveReport(ScalarField.constant(phi.geometry, t), [0.0], 1.0, 0.0, 0.0,
                                0.0, status, 0)
 
@@ -769,6 +780,30 @@ class TestFailureBounds:
                           SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
         assert exc.value.report.status == "solve-budget"
         assert exc.value.report.path_history is history and len(history) == 18
+
+    def test_refused_prediction_retries_within_its_solve(self, monkeypatch):
+        # the cone refuses every predicted start: each warm retry belongs to the
+        # refused solve, so the stage of test_stage_solve_budget still gets its
+        # 32 solves and accepts the same 18 targets, all from warm starts
+        calls = self.stub_solver(monkeypatch, lambda t, t_prev: t - t_prev <= 1.0 / 32)
+        stub, refused = solver.newton_solve, []
+
+        def refusing(t, phi, config, min_steps=0):
+            if min_steps:
+                refused.append(t)
+                raise ConeBreachError("predicted start outside the cone")
+            return stub(t, phi, config)
+
+        monkeypatch.setattr(solver, "newton_solve", refusing)
+        history = []
+        with pytest.raises(ContinuationError) as exc:
+            solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                          SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
+        assert exc.value.cause == "solve-budget"
+        assert len(calls) == 2 * (8 + solver.PATH_HALVINGS)
+        # the three solves up to the first accepted t have no secant to predict from
+        assert len(refused) == len(calls) - 3
+        assert len(history) == 18 and {h["start"] for h in history} == {"warm"}
 
 
 def _validator_cases():
