@@ -29,13 +29,18 @@ jdhym verify-lemmas --trials 10000 --seed 1 --out "$out/verify-lemmas"
 # one trial leaves most size groups of a pass empty
 jdhym verify-lemmas --trials 1 --out "$out/one-trial"
 
-# expect_exit CODE ARGS...: the command must exit with exactly CODE
+# expect_exit CODE ARGS...: the command must exit with exactly CODE, and say
+# why in a diagnostic, not in a Python traceback
 expect_exit() {
-  local want=$1 got=0
+  local want=$1 got=0 err
   shift
-  jdhym "$@" 2>/dev/null || got=$?
+  err=$(jdhym "$@" 2>&1 >/dev/null) || got=$?
   if [ "$got" -ne "$want" ]; then
     echo "expected exit $want, got $got: jdhym $*" >&2
+    exit 1
+  fi
+  if [[ "$err" == *Traceback* ]]; then
+    printf 'traceback from jdhym %s:\n%s\n' "$*" "$err" >&2
     exit 1
   fi
 }
@@ -62,4 +67,11 @@ done
 expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 7)" \
   --out "$out/odd-t-steps"
 test ! -e "$out/odd-t-steps"
+# so is a config value of the wrong type
+expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples 5)" \
+  --out "$out/samples-not-a-list"
+test ! -e "$out/samples-not-a-list"
+# without --out, where output_dir would name the directory
+expect_exit 1 solve-j --config "$(with_value configs/solve_j.json output_dir 5)"
+test ! -e 5
 echo "CLI smoke test passed: $out"

@@ -21,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import properties
-from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
-                     PreconditionError, UsageError)
+from .errors import ContinuationError, DataError, DomainError, PreconditionError, UsageError
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
-from .hermitian import hermitian_defect
+from .hermitian import ensure_hermitian
 from .functionals import (_check_t_steps, aubin_i, compute_c0, coercivity_probe,
                           j_chi_functional, j_omega0_functional)
 from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
@@ -97,10 +96,8 @@ def _parse_matrix(entry, path: str, n: int) -> np.ndarray:
             prow.append(complex(*(_number(v, f"{path}[{i}][{j}][{k}]", float)
                                   for k, v in enumerate(pair))))
         rows.append(prow)
-    mat = np.array(rows)
+    mat = _checked(path, ensure_hermitian, np.array(rows))
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if hermitian_defect(mat) > 1e-10 * scale:
-        raise ConfigError(path, "matrix is not Hermitian to 1e-10")
     if np.any(np.linalg.eigvalsh(mat) <= 1e-10 * scale):
         raise ConfigError(path, "matrix is not positive definite to 1e-10")
     return mat
@@ -317,7 +314,7 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     t_steps = _checked("t_steps", _check_t_steps, _need(cfg, "", "t_steps", int, 32))
     c0 = compute_c0(chi, omega0)
     samples = [phi]
-    for i, entry in enumerate(cfg.get("phi_samples", [])):
+    for i, entry in enumerate(_need(cfg, "", "phi_samples", list, [])):
         samples.append(_parse_potential(entry, f"phi_samples[{i}]", geom))
     scatter = coercivity_probe(chi, omega0, samples, c0=c0, t_steps=t_steps)
     report = {
@@ -398,19 +395,16 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             print("error: config root must be an object", file=sys.stderr)
             return EXIT_CONFIG
-    out = Path(args.out) if args.out else Path(cfg.get("output_dir", "out"))
     try:
         declared = cfg.get("problem")
         if declared is not None and declared != args.command:
             raise ConfigError("problem",
                               f"declares {declared!r} but command is {args.command!r}")
-        return _COMMANDS[args.command](cfg, out, args)
+        out_dir = _need(cfg, "", "output_dir", str, "out")  # checked under --out too
+        return _COMMANDS[args.command](cfg, Path(args.out or out_dir), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConeBreachError as exc:
-        print(f"cone breach: {exc}", file=sys.stderr)
-        return EXIT_CONE_BREACH
     except ContinuationError as exc:
         print(f"continuation failure: {exc}", file=sys.stderr)
         return EXIT_CONE_BREACH if exc.cause == "cone-breach" else EXIT_NO_CONVERGENCE

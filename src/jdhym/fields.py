@@ -40,7 +40,7 @@ import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
 from .hermitian import (_check_geoms, _relative_eigvals, _require_positive,
-                        ensure_hermitian)
+                        ensure_hermitian, is_positive_definite)
 
 __all__ = [
     "TorusGeometry",
@@ -203,9 +203,6 @@ class ScalarField:
     @classmethod
     def constant(cls, geom: TorusGeometry, value: float) -> "ScalarField":
         return cls(geom, np.full(geom.shape, float(value)))
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -408,15 +405,20 @@ def complex_hessian(phi: ScalarField) -> FormField:
 def kahler_form(geom: TorusGeometry, base: np.ndarray, phi: ScalarField | None) -> FormField:
     """``base + i d dbar(phi)`` with a positivity check over the grid.
 
-    Raises :class:`NotKahlerError` carrying the offending grid point when the
-    minimum eigenvalue margin is non-positive.
+    The Hermitian ``base`` must be positive definite to
+    ``hermitian.POSITIVITY_RTOL`` (else :class:`DomainError`); the form
+    must then be positive at every grid point (:func:`_require_kahler`).
     """
-    base = np.asarray(base, dtype=complex)
-    if not np.all(np.linalg.eigvalsh(0.5 * (base + base.conj().T)) > 0):
+    if not is_positive_definite(ensure_hermitian(base)):
         raise DomainError("base matrix must be positive definite")
     form = form_field(geom, base, phi)
-    if phi is not None:
-        _require_positive(min_eigenvalue_field(form.values), "form")
+    return form if phi is None else _require_kahler(form, "form")
+
+
+def _require_kahler(form: FormField, what: str) -> FormField:
+    """``form``, once its smallest eigenvalue is positive at every grid point;
+    otherwise :class:`NotKahlerError` names the grid point of the smallest."""
+    _require_positive(min_eigenvalue_field(form.values), what)
     return form
 
 

@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fields import (FormField, ScalarField, complex_gradient, complex_hessian,
-                     mixed_density, min_eigenvalue_field)
-from .hermitian import _check_geoms, _require_positive
+from .fields import (FormField, ScalarField, _require_kahler, complex_gradient,
+                     complex_hessian, mixed_density)
+from .hermitian import _check_geoms
 
 __all__ = [
     "compute_c0",
@@ -26,15 +26,6 @@ __all__ = [
     "monge_ampere_energy",
     "coercivity_probe",
 ]
-
-
-def _omega_phi(omega0: FormField, phi: ScalarField) -> FormField:
-    return omega0 + complex_hessian(phi)
-
-
-def _require_kahler(form: FormField, what: str) -> FormField:
-    _require_positive(min_eigenvalue_field(form.values), what)
-    return form
 
 
 def compute_c0(chi: FormField, omega0: FormField) -> float:
@@ -58,7 +49,7 @@ def j_chi_functional(chi: FormField, omega0: FormField, phi: ScalarField,
     """
     geom = chi.geometry
     n = geom.n
-    omega_phi = _require_kahler(_omega_phi(omega0, phi), "omega_phi")
+    omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
     total = 0.0
     for k in range(n):
         mats = [chi.values] + [omega0.values] * k + [omega_phi.values] * (n - 1 - k)
@@ -78,7 +69,7 @@ def j_chi_derivative(chi: FormField, omega0: FormField, phi: ScalarField,
     """
     geom = chi.geometry
     n = geom.n
-    omega_phi = _require_kahler(_omega_phi(omega0, phi), "omega_phi")
+    omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
     dens = (mixed_density([chi.values] + [omega_phi.values] * (n - 1)) / math.factorial(n - 1)
             - c0 * mixed_density([omega_phi.values] * n) / math.factorial(n))
     return float(np.mean(u.values * dens))
@@ -93,7 +84,7 @@ def aubin_i(omega0: FormField, phi: ScalarField, form: str = "direct") -> float:
     """
     geom = omega0.geometry
     n = geom.n
-    omega_phi = _require_kahler(_omega_phi(omega0, phi), "omega_phi")
+    omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
     if form == "direct":
         dens = mixed_density([omega0.values] * n) - mixed_density([omega_phi.values] * n)
         return float(np.mean(phi.values * dens))
@@ -122,7 +113,8 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     ``form='potential'`` uses the density
     ``phi (omega0 ^ omega_t^(n-1)/(n-1)! - n omega_t^n/n!)``;
     ``form='gradient'`` uses ``i dphi ^ dbar(phi) ^ t omega_t^(n-1)/(n-1)!``.
-    The path must stay Kahler for every node; the first bad node is named.
+    The path must stay Kahler for every node; the first bad node is named
+    (a :class:`NotKahlerError` with its grid point).
     """
     geom = omega0.geometry
     n = geom.n
@@ -136,11 +128,8 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     ts = np.linspace(0.0, 1.0, t_steps + 1)
     integrand = np.empty_like(ts)
     for i, t in enumerate(ts):
-        omega_t = omega0 + float(t) * hess
-        margin = float(np.min(min_eigenvalue_field(omega_t.values)))
-        if margin <= 0.0:
-            raise DomainError(f"ray leaves the Kahler cone first at t = {t:.6g} "
-                              f"(margin {margin:.3e})")
+        omega_t = _require_kahler(omega0 + float(t) * hess,
+                                  f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
         if form == "potential":
             dens = (mixed_density([omega0.values] + [omega_t.values] * (n - 1))
                     / math.factorial(n - 1)
@@ -160,7 +149,7 @@ def monge_ampere_energy(omega0: FormField, phi: ScalarField) -> float:
     """Volume-normalized Monge-Ampere energy; shifts by ``c`` under ``phi + c``."""
     geom = omega0.geometry
     n = geom.n
-    omega_phi = _omega_phi(omega0, phi)
+    omega_phi = omega0 + complex_hessian(phi)
     total = 0.0
     for k in range(n + 1):
         mats = [omega0.values] * k + [omega_phi.values] * (n - k)

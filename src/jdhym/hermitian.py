@@ -278,14 +278,21 @@ def cone_test_dhym(spec: SpectrumRel, cone: ConeSpec) -> bool:
     return p_level_arctan(spec) < cone.theta0 - cone.slack
 
 
+def _cone_margin(terms: np.ndarray, bound: float) -> float:
+    """``bound`` minus the worst leave-one-out sum of ``terms`` (last axis) over
+    all leading axes, positive inside the cone: the J-cone for ``1/lam`` and
+    ``c``, the Gamma region for ``arctan(1/lam)`` and ``theta0``."""
+    return float(bound) - float(np.max(_loo_max(terms)))
+
+
 def j_cone_margin(spec: SpectrumRel, c: float) -> float:
     """``c`` minus the worst leave-one-out reciprocal sum (positive inside)."""
-    return float(c) - p_level(spec)
+    return _cone_margin(1.0 / spec.as_array(), c)
 
 
 def gamma_margin(spec: SpectrumRel, theta0: float) -> float:
     """``theta0`` minus the worst leave-one-out arctan sum (positive inside)."""
-    return float(theta0) - p_level_arctan(spec)
+    return _cone_margin(np.arctan(1.0 / spec.as_array()), theta0)
 
 
 def schur_complement(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

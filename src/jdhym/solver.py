@@ -32,9 +32,9 @@ from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, complex_hessian, form_field,
                      mixed_density, relative_spectrum_field, resample)
-from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0,
-                        _dhym_gradient, _dhym_value, _f_bound_dhym, _f_bound_j,
-                        _j_value, _loo_max, _reduce_last, _require_positive)
+from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
+                        _dhym_angle_radius, _dhym_gradient, _dhym_value, _f_bound_dhym,
+                        _f_bound_j, _j_value, _reduce_last, _require_positive)
 
 __all__ = [
     "SolverConfig",
@@ -212,8 +212,9 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
         chi_inv = _inv2(_chi2(chi))
         l1, l2 = lam[..., 0], lam[..., 1]
         q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
-        C = np.cos(theta0 - (np.arctan(1.0 / l1) + np.arctan(1.0 / l2)))
-        g = f_vals * math.cos(theta0) / (np.sqrt(q1) * np.sqrt(q2))
+        s, r = _dhym_angle_radius(lam)
+        C = np.cos(theta0 - s)
+        g = f_vals * math.cos(theta0) / r
         b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
         a = (C + g * l1) / q1 - b * l1
         t0, t1, t01 = _gxg2(chi_inv, _herm2(omega_vals))
@@ -258,9 +259,8 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
     lam, omega_vals = _lam_field(chi, omega0, phi)
-    if c is not None:
-        if float(np.max(_loo_max(1.0 / lam))) >= c:
-            raise EllipticityLostError("iterate is not a strict c-subsolution")
+    if c is not None and _cone_margin(1.0 / lam, c) <= 0.0:
+        raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / _reduce_last(np.multiply, lam)
     if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
         raise EllipticityLostError("linearized coefficient lost positivity")
@@ -353,7 +353,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
         kahler = float(np.min(lam[..., 0]))
         if kahler <= 0.0:
             return _Eval(phi, omega_vals, lam, kahler, -math.inf, None, None)
-        cone = param - float(np.max(_loo_max(cone_terms(lam))))
+        cone = _cone_margin(cone_terms(lam), param)
         res, ratio = value(lam, f.values, param)
         return _Eval(phi, omega_vals, lam, kahler, cone, res, det_chi * ratio)
 
@@ -808,7 +808,7 @@ def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float)
     geom = chi.geometry
     n = geom.n
     lam0 = relative_spectrum_field(chi.values, omega0.values)
-    gamma_margin = theta0 - float(np.max(_loo_max(np.arctan(1.0 / lam0))))
+    gamma_margin = _cone_margin(np.arctan(1.0 / lam0), theta0)
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "
                                 f"(Gamma margin {gamma_margin:.3e})")

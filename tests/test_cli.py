@@ -480,7 +480,8 @@ class TestTypedConfigNumbers:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config field '{path}'" in capsys.readouterr().err
 
-    # (command, config, key) with the key's value a well-formed number out of range
+    # (command, config, key) with the key's value a well-formed number out of
+    # range, or a well-formed value of the wrong type
     OUT_OF_RANGE = [
         ("check-stability", {**ANGLE_BASE, "samples": 4}, "samples"),
         ("check-stability", {**ANGLE_BASE, "t_max": 0.5}, "t_max"),
@@ -488,6 +489,7 @@ class TestTypedConfigNumbers:
         ("check-stability", stability_config(datasets=[]), "datasets"),
         ("check-stability", {**ANGLE_BASE, "datasets": []}, "datasets"),
         ("functionals", functionals_config(t_steps=7), "t_steps"),
+        ("functionals", functionals_config(phi_samples=5), "phi_samples"),
     ]
 
     @pytest.mark.parametrize("command, doc, key", OUT_OF_RANGE,
@@ -512,6 +514,20 @@ class TestTypedConfigNumbers:
         assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 1
         assert f"config field 'solver.{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("solve-j", solve_j_config(output_dir=5)),
+        ("check-stability", stability_config(output_dir=5)),
+        ("functionals", functionals_config(output_dir=["o"])),
+    ], ids=["solve-j", "check-stability", "functionals"])
+    @pytest.mark.parametrize("flags", [[], ["--out", "o"]], ids=["config-dir", "out-flag"])
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys, monkeypatch, command, doc,
+                                         flags):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg, *flags]) == 1
+        assert "config field 'output_dir'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_every_solver_field_round_trips(self):
         import dataclasses

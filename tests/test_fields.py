@@ -6,7 +6,7 @@ import pytest
 import scipy.fft as sfft
 import scipy.linalg
 
-from jdhym.errors import DataError, NotKahlerError, UsageError
+from jdhym.errors import DataError, DomainError, NotKahlerError, UsageError
 from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
                           complex_gradient, complex_hessian, constant_form,
                           field_from_modes,
@@ -173,6 +173,19 @@ class TestKahlerForm:
             kahler_form(g1, np.eye(1), phi)
         assert exc.value.grid_index is not None
         assert exc.value.margin < 0.0
+
+    @pytest.mark.parametrize("low", [0.0, 1e-13, -1e-3])
+    def test_base_positive_to_the_relative_tolerance(self, g2, low):
+        # the base is tested as hermitian.is_positive_definite tests a matrix:
+        # smallest eigenvalue above 1e-12 times max(1, largest entry)
+        with pytest.raises(DomainError, match="base matrix must be positive definite"):
+            kahler_form(g2, np.diag([low, 5.0]), None)
+        assert kahler_form(g2, np.diag([1e-11, 5.0]), None).min_eigenvalue() > 0.0
+
+    def test_non_hermitian_base_is_a_usage_error(self, g2):
+        # tested as given, not through its Hermitian part (which is singular here)
+        with pytest.raises(UsageError, match="not Hermitian"):
+            kahler_form(g2, np.array([[1.0, 2.0], [0.0, 1.0]]), None)
 
     def test_form_linear_combination_tracks_potentials(self, g1):
         a = form_field(g1, np.array([[1.0]]), field_from_modes(g1, [((1, 0), 0.01)]))

@@ -138,6 +138,16 @@ class TestJOmega0:
         with pytest.raises(DomainError, match="first at t"):
             j_omega0_functional(omega0, phi, t_steps=8)
 
+    def test_first_bad_t_carries_its_grid_point(self):
+        geom = TorusGeometry(1, 32)
+        omega0 = constant_form(geom, np.eye(1))
+        phi = field_from_modes(geom, [((1, 0), 0.5)])
+        with pytest.raises(NotKahlerError, match=r"first at t = 0\.25\)") as exc:
+            j_omega0_functional(omega0, phi, t_steps=8)
+        # omega_t = 1 + t Hess(phi) is smallest where cos(2 pi x) = 1, at x = 0
+        assert exc.value.grid_index == (0, 0)
+        assert exc.value.margin == pytest.approx(1.0 - 0.25 * 0.5 * np.pi ** 2)
+
 
 class TestCoercivityProbe:
     def test_j_identity_instance(self):

@@ -165,6 +165,24 @@ class TestConeTests:
         assert j_cone_margin(spec, 3.0) == pytest.approx(2.0)
         assert gamma_margin(spec, 0.7) == pytest.approx(0.7 - math.atan(1.0))
 
+    def test_one_margin_for_both_cones(self):
+        # the pointwise margins are the grid margin of one spectrum
+        lam = np.array([[1.0, 2.0, 4.0], [0.5, 3.0, 3.0]])
+        for row in lam:
+            spec = SpectrumRel(tuple(row))
+            assert j_cone_margin(spec, 3.0) == hermitian._cone_margin(1.0 / row, 3.0)
+            assert gamma_margin(spec, 0.7) == hermitian._cone_margin(np.arctan(1.0 / row), 0.7)
+        assert hermitian._cone_margin(1.0 / lam, 3.0) == 3.0 - (1.0 / 0.5 + 1.0 / 3.0)
+
+    def test_gamma_sample_n1(self):
+        # n = 1: the leave-one-out sum is empty, so the sampler pins arctan(1/lam)
+        # itself below theta0
+        rng = np.random.default_rng(11)
+        for theta0 in (0.05, 0.4, math.pi / 4 - 0.01):
+            spec = sample_gamma_point(rng, 1, theta0)
+            assert spec.n == 1 and spec.values[0] > 0.0
+            assert math.atan(1.0 / spec.values[0]) < theta0
+
 
 class TestSchurComplement:
     def test_zero_c_is_identity(self):

@@ -1,5 +1,6 @@
 import math
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -804,6 +805,54 @@ class TestFailureBounds:
         # the three solves up to the first accepted t have no secant to predict from
         assert len(refused) == len(calls) - 3
         assert len(history) == 18 and {h["start"] for h in history} == {"warm"}
+
+
+class TestStepHalvingExhaustion:
+    @staticmethod
+    def refusing_problem():
+        """A J problem whose cone accepts the first potential it evaluates and
+        refuses every later one; returns the problem and its evaluations."""
+        geom = TorusGeometry(1, 8)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        problem = make_j_problem(chi, omega0, f, c)
+        evaluate, seen = problem.evaluate, []
+
+        def refusing(phi):
+            seen.append(phi)
+            ev = evaluate(phi)
+            return ev if len(seen) == 1 else dataclasses.replace(ev, cone_margin=-math.inf)
+
+        problem.evaluate = refusing
+        return problem, seen
+
+    def test_exhausted_halvings_raise_a_cone_breach_report(self):
+        problem, seen = self.refusing_problem()
+        start = ScalarField.zeros(problem.geometry)
+        with pytest.raises(ConeBreachError) as exc:
+            newton_solve(problem, start, SolverConfig())
+        report = exc.value.report
+        assert report.status == "cone-breach" and not report.success
+        assert report.iterations == 0 and report.phi is start
+        assert len(seen) == 1 + 30  # the start, then one candidate per halving
+
+    def test_corrector_reraises_without_a_warm_retry(self, monkeypatch):
+        # the cone accepts the predicted start, so the breach comes from the
+        # step halving and carries a report: no retry from the warm start
+        problem, seen = self.refusing_problem()
+        geom = problem.geometry
+        newton, calls = solver.newton_solve, []
+
+        def counting(problem, phi0, config, **kwargs):
+            calls.append(kwargs)
+            return newton(problem, phi0, config, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", counting)
+        predicted = ScalarField.constant(geom, 1e-3)
+        with pytest.raises(ConeBreachError) as exc:
+            solver._corrected(problem, ScalarField.zeros(geom), predicted, SolverConfig())
+        assert exc.value.report.status == "cone-breach"
+        assert calls == [{"min_steps": 1}]
+        assert seen[0] is predicted
 
 
 def _validator_cases():

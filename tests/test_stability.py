@@ -181,6 +181,31 @@ class TestHypothesisCheck:
         assert not out["overall"]
         assert "branch undefined" in out["datasets"][0]["reason"]
 
+    def test_vanishing_polynomial_is_an_undefined_branch(self):
+        d = IntersectionData(p=1, n=1, a=(0.0, 0.0), label="zero")
+        with pytest.raises(BranchUndefinedError, match="vanishes near t = 1"):
+            angle_branch(d)
+        rec = dhym_hypothesis_check([d], 1.0, epsilon=0.0)["datasets"][0]
+        assert not rec["ok"]
+        assert rec["reason"] == "branch undefined: intersection polynomial vanishes near t = 1"
+
+    def test_terminal_deviation_reason(self):
+        # arctan(2t) at t_max = 2 is still 0.245 short of pi/2
+        d = IntersectionData(p=1, n=2, a=(1.0, 0.5), label="short")
+        rec = dhym_hypothesis_check([d], 2.5, epsilon=0.0, t_max=2.0)["datasets"][0]
+        assert not rec["ok"]
+        assert rec["terminal_deviation"] == pytest.approx(math.pi / 2 - math.atan(4.0))
+        assert rec["reason"] == "terminal deviation 2.450e-01 exceeds 1.0e-02"
+
+    def test_full_dimension_start_reason(self):
+        # p = n: the branch must start at theta_hat; arctan(10) is not 1
+        d = IntersectionData(p=1, n=1, a=(1.0, 0.1), label="V=M")
+        out = dhym_hypothesis_check([d], 1.0, epsilon=0.0)
+        rec = out["datasets"][0]
+        assert not rec["ok"] and not out["overall"]
+        assert rec["reason"] == (f"theta(1) = {math.atan(10.0):.12g} differs from "
+                                 f"theta_hat = 1")
+
     def test_vm_dataset_mandatory(self):
         n = 2
         theta_hat = n * math.pi / 2 - 0.4
