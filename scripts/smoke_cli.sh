@@ -71,6 +71,12 @@ test ! -e "$out/odd-t-steps"
 expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples 5)" \
   --out "$out/samples-not-a-list"
 test ! -e "$out/samples-not-a-list"
+# a chi that is not Kahler on the grid is refused (exit 2, nothing written),
+# also when c is a number and no c0 is computed
+expect_exit 2 solve-j --config "$(with_value "$(with_value configs/solve_j.json c 3)" chi \
+  '{"base": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+    "potential": [{"freq": [1, 0, 0, 0], "amp": 0.2}]}')" --out "$out/non-kahler-chi"
+test ! -e "$out/non-kahler-chi"
 # without --out, where output_dir would name the directory
 expect_exit 1 solve-j --config "$(with_value configs/solve_j.json output_dir 5)"
 test ! -e 5

@@ -25,8 +25,7 @@ from .errors import ContinuationError, DataError, DomainError, PreconditionError
 from .fields import (FormField, ScalarField, TorusGeometry, field_from_modes,
                      form_field, save_scalar_field)
 from .hermitian import ensure_hermitian
-from .functionals import (_check_t_steps, aubin_i, compute_c0, coercivity_probe,
-                          j_chi_functional, j_omega0_functional)
+from .functionals import _check_t_steps, aubin_i, compute_c0, coercivity_probe
 from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
                      estimate_peak_bytes)
 from .stability import (IntersectionData, _check_epsilon, _check_samples, _check_t_max,
@@ -316,12 +315,14 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     samples = [phi]
     for i, entry in enumerate(_need(cfg, "", "phi_samples", list, [])):
         samples.append(_parse_potential(entry, f"phi_samples[{i}]", geom))
+    # refuses a phi outside the cone before any output; sample 0 then has both energies
+    aubin = aubin_i(omega0, phi)
     scatter = coercivity_probe(chi, omega0, samples, c0=c0, t_steps=t_steps)
     report = {
         "c0": c0,
-        "j_chi": j_chi_functional(chi, omega0, phi, c0),
-        "aubin_i": aubin_i(omega0, phi),
-        "j_omega0": j_omega0_functional(omega0, phi, t_steps=t_steps),
+        "j_chi": scatter[0]["j_chi"],
+        "aubin_i": aubin,
+        "j_omega0": scatter[0]["j_omega0"],
         "coercivity_points": [[r["j_omega0"], r["j_chi"]] for r in scatter
                               if r["error"] is None],
     }

@@ -56,6 +56,7 @@ __all__ = [
     "kahler_form",
     "mixed_density",
     "integrate",
+    "intersections",
     "complex_gradient",
     "relative_spectrum_field",
     "min_eigenvalue_field",
@@ -480,9 +481,9 @@ def integrate(field: ScalarField | None, weights, geom: TorusGeometry | None = N
     """Integral of a scalar against a wedge of forms: the grid mean of
     ``field * D(weights)`` (unit total volume).
 
-    ``weights`` is a list of :class:`FormField` (or raw matrix grids) whose
-    length must equal ``n``.  The factors and ``geom`` must fix exactly one
-    grid; otherwise ``UsageError``.
+    ``weights`` is a list of ``n`` :class:`FormField`, raw matrix grids or
+    constant matrices.  ``field``, the forms and ``geom`` may fix at most
+    one grid; otherwise ``UsageError``.
     """
     _check_geoms(field, geom, *(w for w in weights if isinstance(w, FormField)))
     dens = mixed_density([w.values if isinstance(w, FormField) else np.asarray(w)
@@ -490,6 +491,13 @@ def integrate(field: ScalarField | None, weights, geom: TorusGeometry | None = N
     if field is not None:
         dens = dens * field.values
     return float(np.mean(dens))
+
+
+def intersections(chi, omega) -> np.ndarray:
+    """The intersection vector ``a_k = int chi^k ^ omega^(n-k)``, ``k = 0..n``, of
+    two forms, matrix grids or constant matrices (see :func:`integrate`)."""
+    n = np.shape(chi.base if isinstance(chi, FormField) else chi)[-1]
+    return np.array([integrate(None, [chi] * k + [omega] * (n - k)) for k in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

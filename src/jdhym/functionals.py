@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .fields import (FormField, ScalarField, _require_kahler, complex_gradient,
-                     complex_hessian, mixed_density)
-from .hermitian import _check_geoms
+                     complex_hessian, hessian_values, integrate, intersections,
+                     min_eigenvalue_field)
+from .hermitian import _check_geoms, _require_positive
 
 __all__ = [
     "compute_c0",
@@ -29,15 +30,20 @@ __all__ = [
 
 
 def compute_c0(chi: FormField, omega0: FormField) -> float:
-    """``n * int(chi ^ omega0^(n-1)) / int(omega0^n)``; class data only."""
+    """``n a_1 / a_0`` of the intersection vector ``a_k = int chi^k ^ omega0^(n-k)``,
+    that is ``n * int(chi ^ omega0^(n-1)) / int(omega0^n)``; class data only."""
     n = _check_geoms(chi, omega0).n
     _require_kahler(chi, "chi")
     _require_kahler(omega0, "omega0")
-    num = np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))
-    den = np.mean(mixed_density([omega0.values] * n))
-    if den <= 0.0 or num <= 0.0:
-        raise DomainError("wedge integrals must be positive")
-    return float(n * num / den)
+    a = intersections(chi, omega0)
+    return float(n * a[1] / a[0])
+
+
+def _ladder(w: ScalarField | None, fixed: list, omega0: FormField, omega_phi: FormField,
+            m: int) -> float:
+    """``sum_{k=0..m} int w fixed ^ omega0^k ^ omega_phi^(m-k)`` (``w = None`` is 1)."""
+    return sum(integrate(w, fixed + [omega0] * k + [omega_phi] * (m - k))
+               for k in range(m + 1))
 
 
 def j_chi_functional(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -47,17 +53,10 @@ def j_chi_functional(chi: FormField, omega0: FormField, phi: ScalarField,
     Value is invariant under ``phi -> phi + const`` thanks to the defining
     property of ``c0``.
     """
-    geom = chi.geometry
-    n = geom.n
+    n = chi.geometry.n
     omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
-    total = 0.0
-    for k in range(n):
-        mats = [chi.values] + [omega0.values] * k + [omega_phi.values] * (n - 1 - k)
-        total += np.mean(phi.values * mixed_density(mats)) / math.factorial(n)
-    for k in range(n + 1):
-        mats = [omega0.values] * k + [omega_phi.values] * (n - k)
-        total -= c0 * np.mean(phi.values * mixed_density(mats)) / math.factorial(n + 1)
-    return float(total)
+    return (_ladder(phi, [chi], omega0, omega_phi, n - 1) / math.factorial(n)
+            - c0 * _ladder(phi, [], omega0, omega_phi, n) / math.factorial(n + 1))
 
 
 def j_chi_derivative(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -67,12 +66,10 @@ def j_chi_derivative(chi: FormField, omega0: FormField, phi: ScalarField,
     Equals ``int u * (chi ^ omega_phi^(n-1)/(n-1)! - c0 * omega_phi^n/n!)``;
     it vanishes for all ``u`` exactly at solutions.
     """
-    geom = chi.geometry
-    n = geom.n
+    n = chi.geometry.n
     omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
-    dens = (mixed_density([chi.values] + [omega_phi.values] * (n - 1)) / math.factorial(n - 1)
-            - c0 * mixed_density([omega_phi.values] * n) / math.factorial(n))
-    return float(np.mean(u.values * dens))
+    return (integrate(u, [chi] + [omega_phi] * (n - 1)) / math.factorial(n - 1)
+            - c0 * integrate(u, [omega_phi] * n) / math.factorial(n))
 
 
 def aubin_i(omega0: FormField, phi: ScalarField, form: str = "direct") -> float:
@@ -82,21 +79,19 @@ def aubin_i(omega0: FormField, phi: ScalarField, form: str = "direct") -> float:
     ``i int dphi ^ dbar(phi) ^ sum_k omega0^k omega_phi^(n-1-k)`` instead;
     the two agree to quadrature accuracy.
     """
-    geom = omega0.geometry
-    n = geom.n
+    n = omega0.geometry.n
     omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
     if form == "direct":
-        dens = mixed_density([omega0.values] * n) - mixed_density([omega_phi.values] * n)
-        return float(np.mean(phi.values * dens))
+        return integrate(phi, [omega0] * n) - integrate(phi, [omega_phi] * n)
     if form != "gradient":
         raise UsageError("form must be 'direct' or 'gradient'")
+    return _ladder(None, [_gradient_form(phi)], omega0, omega_phi, n - 1)
+
+
+def _gradient_form(phi: ScalarField) -> np.ndarray:
+    """The matrix grid ``dphi_i conj(dphi_j)`` of the (1,1)-form ``i dphi ^ dbar(phi)``."""
     grad = complex_gradient(phi)
-    gmat = grad[..., :, None] * np.conj(grad[..., None, :])
-    total = 0.0
-    for k in range(n):
-        mats = [gmat] + [omega0.values] * k + [omega_phi.values] * (n - 1 - k)
-        total += np.mean(mixed_density(mats))
-    return float(total)
+    return grad[..., :, None] * np.conj(grad[..., None, :])
 
 
 def _check_t_steps(t_steps: int) -> int:
@@ -113,49 +108,43 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     ``form='potential'`` uses the density
     ``phi (omega0 ^ omega_t^(n-1)/(n-1)! - n omega_t^n/n!)``;
     ``form='gradient'`` uses ``i dphi ^ dbar(phi) ^ t omega_t^(n-1)/(n-1)!``.
-    The path must stay Kahler for every node; the first bad node is named
-    (a :class:`NotKahlerError` with its grid point).
+    Both are polynomials of degree ``<= n <= 3`` in ``t``, which Simpson's rule
+    integrates exactly.  ``omega_t`` is affine in ``t``, so the ray is Kahler
+    once both ends are; if one is not, the first bad node is named (a
+    :class:`NotKahlerError` with its grid point).
     """
-    geom = omega0.geometry
-    n = geom.n
+    n = omega0.geometry.n
     _check_t_steps(t_steps)
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
-    hess = complex_hessian(phi)
-    if form == "gradient":
-        grad = complex_gradient(phi)
-        gmat = grad[..., :, None] * np.conj(grad[..., None, :])
+    hess = hessian_values(phi)
     ts = np.linspace(0.0, 1.0, t_steps + 1)
+    if min(np.min(min_eigenvalue_field(omega0.values + t * hess)) for t in (0.0, 1.0)) <= 0:
+        for t in ts:
+            _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess),
+                              f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
+    gmat = _gradient_form(phi) if form == "gradient" else None
     integrand = np.empty_like(ts)
     for i, t in enumerate(ts):
-        omega_t = _require_kahler(omega0 + float(t) * hess,
-                                  f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
-        if form == "potential":
-            dens = (mixed_density([omega0.values] + [omega_t.values] * (n - 1))
-                    / math.factorial(n - 1)
-                    - n * mixed_density([omega_t.values] * n) / math.factorial(n))
-            integrand[i] = np.mean(phi.values * dens)
+        omega_t = omega0.values + float(t) * hess
+        if form == "potential":  # n omega_t^n/n! = omega_t^n/(n-1)!
+            integrand[i] = (integrate(phi, [omega0] + [omega_t] * (n - 1))
+                            - integrate(phi, [omega_t] * n))
         else:
-            mats = [gmat] + [omega_t.values] * (n - 1)
-            integrand[i] = t * np.mean(mixed_density(mats)) / math.factorial(n - 1)
+            integrand[i] = t * integrate(None, [gmat] + [omega_t] * (n - 1))
     h = 1.0 / t_steps
     weights = np.ones_like(ts)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.sum(weights * integrand) * h / 3.0)
+    return float(np.sum(weights * integrand) * h / 3.0) / math.factorial(n - 1)
 
 
 def monge_ampere_energy(omega0: FormField, phi: ScalarField) -> float:
     """Volume-normalized Monge-Ampere energy; shifts by ``c`` under ``phi + c``."""
-    geom = omega0.geometry
-    n = geom.n
+    n = omega0.geometry.n
     omega_phi = omega0 + complex_hessian(phi)
-    total = 0.0
-    for k in range(n + 1):
-        mats = [omega0.values] * k + [omega_phi.values] * (n - k)
-        total += np.mean(phi.values * mixed_density(mats))
-    vol = np.mean(mixed_density([omega0.values] * n))
-    return float(total / ((n + 1) * vol))
+    return (_ladder(phi, [], omega0, omega_phi, n)
+            / ((n + 1) * integrate(None, [omega0] * n)))
 
 
 def coercivity_probe(chi: FormField, omega0: FormField, phis,

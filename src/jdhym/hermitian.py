@@ -348,11 +348,11 @@ def _check_f(f, bound: float):
 
 
 def _check_geoms(*objs):
-    """The one grid geometry of the given fields, forms and geometries (``None`` skipped)."""
+    """The one grid geometry of the given fields, forms and geometries, if any."""
     geoms = {getattr(o, "geometry", o) for o in objs if o is not None}
-    if len(geoms) != 1:
+    if len(geoms) > 1:
         raise UsageError("all fields must share one grid")
-    return geoms.pop()
+    return next(iter(geoms), None)
 
 
 def _require_positive(margins: np.ndarray, what: str) -> None:
@@ -361,7 +361,7 @@ def _require_positive(margins: np.ndarray, what: str) -> None:
     flat = int(np.argmin(margins))
     margin = float(margins.reshape(-1)[flat])
     if margin <= 0.0:
-        idx = np.unravel_index(flat, margins.shape)
+        idx = tuple(int(i) for i in np.unravel_index(flat, margins.shape))
         raise NotKahlerError(f"{what} is not positive at grid index {idx} (margin {margin:.3e})",
                              grid_index=idx, margin=margin)
 

@@ -30,8 +30,9 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
-                     _hessian_symbols, _irfft, _pairs, complex_hessian, form_field,
-                     mixed_density, relative_spectrum_field, resample)
+                     _hessian_symbols, _irfft, _pairs, _require_kahler, complex_hessian,
+                     form_field, integrate, intersections, mixed_density,
+                     relative_spectrum_field, resample)
 from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
                         _dhym_angle_radius, _dhym_gradient, _dhym_value, _f_bound_dhym,
                         _f_bound_j, _j_value, _reduce_last, _require_positive)
@@ -327,10 +328,10 @@ class _NewtonProblem:
     gauge_weight: np.ndarray
 
 
-def _det(form: FormField) -> np.ndarray:
-    """``det`` of the values of ``form``: ``fields.mixed_density`` of n copies over n!."""
-    n = form.geometry.n
-    return mixed_density([form.values] * n) / math.factorial(n)
+def _chi_mean(f: ScalarField | None, chi: FormField) -> float:
+    """``mean(f det chi) = int(f chi^n)/n!``; ``f = None`` stands for 1."""
+    n = chi.geometry.n
+    return integrate(f, [chi] * n) / math.factorial(n)
 
 
 def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
@@ -345,7 +346,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
     """
     geom = chi.geometry
-    det_chi = _det(chi)
+    det_chi = mixed_density([chi.values] * geom.n) / math.factorial(geom.n)
     gauge = mixed_density([omega0.values] * geom.n)
 
     def evaluate(phi: ScalarField) -> _Eval:
@@ -366,6 +367,8 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
 def _j_checked(chi: FormField, omega0: FormField, f: ScalarField, c: float) -> float:
     """``c``, once the J hypotheses on ``(chi, omega0, f, c)`` hold."""
     n = _check_geoms(chi, omega0, f).n
+    _require_kahler(chi, "chi")
+    _require_kahler(omega0, "omega0")
     c = _check_c(c)
     _check_f(f.values, _f_bound_j(n, c))
     return c
@@ -382,6 +385,8 @@ def _dhym_checked(chi: FormField, omega0: FormField, f: ScalarField,
                   theta0: float) -> float:
     """``theta0``, once the dHYM hypotheses on ``(chi, omega0, f, theta0)`` hold."""
     n = _check_geoms(chi, omega0, f).n
+    _require_kahler(chi, "chi")
+    _require_kahler(omega0, "omega0")
     theta0 = _check_theta0(theta0)
     _check_f(f.values, _f_bound_dhym(n))
     return theta0
@@ -669,9 +674,7 @@ def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: Scala
                                  else resample(form.potential, coarse))
                       for form in (chi, omega0))
     f_c = resample(f, coarse)
-    det_chi = _det(chi_c)
-    shift = (mass(chi_c, omega_c) - float(np.mean(f_c.values * det_chi))) \
-        / float(np.mean(det_chi))
+    shift = (mass(chi_c, omega_c) - _chi_mean(f_c, chi_c)) / _chi_mean(None, chi_c)
     return chi_c, omega_c, f_c + shift
 
 
@@ -737,14 +740,13 @@ def _check_integrability(required: float, given: float, scale: float, what: str)
 
 
 def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, float]:
-    """``c*int(omega0^n)/n! - int(chi ^ omega0^(n-1))/(n-1)!``, the value the
-    integrability identity asks of ``int(f chi^n)/n! = mean(f det chi)``, and
-    the scale of its checks."""
+    """``c a_0/n! - a_1/(n-1)!`` of the intersection vector ``a_k = int chi^k ^
+    omega0^(n-k)``, the value the integrability identity asks of
+    ``int(f chi^n)/n! = mean(f det chi)``, and the scale of its checks."""
     n = chi.geometry.n
-    vol_omega = float(np.mean(mixed_density([omega0.values] * n))) / math.factorial(n)
-    cross = float(np.mean(mixed_density([chi.values] + [omega0.values] * (n - 1)))) \
-        / math.factorial(n - 1)
-    return c * vol_omega - cross, max(1.0, abs(c) * vol_omega)
+    a = intersections(chi, omega0)
+    vol_omega = a[0] / math.factorial(n)
+    return c * vol_omega - a[1] / math.factorial(n - 1), max(1.0, abs(c) * vol_omega)
 
 
 def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
@@ -753,15 +755,14 @@ def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     geom = chi.geometry
     n = geom.n
     rhs_int, scale = _j_class_rhs(chi, omega0, c)
-    det_chi = _det(chi)
-    _check_integrability(rhs_int, float(np.mean(f.values * det_chi)), scale, "int(f chi^n)/n!")
+    _check_integrability(rhs_int, _chi_mean(f, chi), scale, "int(f chi^n)/n!")
 
     def tilt(t: float):
         chi_t = t * chi + (1.0 - t) * (c / n) * omega0
-        f_t = ScalarField.constant(geom, t * rhs_int / float(np.mean(_det(chi_t))))
+        f_t = ScalarField.constant(geom, t * rhs_int / _chi_mean(None, chi_t))
         return make_j_problem(chi_t, omega0, f_t, c)
 
-    f1 = rhs_int / float(np.mean(det_chi))
+    f1 = rhs_int / _chi_mean(None, chi)
     return ([("j-stage1", 0.0, 1.0, tilt),
              ("j-stage2", 0.0, 1.0, lambda s: make_j_problem(
                  chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), c))],
@@ -791,13 +792,15 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
 
 def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], float]:
     """``omega ->`` the constant ``f`` that the dHYM integrability identity
-    gives for ``(chi, omega)``: ``mean(tan(theta0) Re D - Im D) / mean(det chi)``
-    with ``D = det(omega + i chi)``."""
-    vol_chi = float(np.mean(_det(chi)))
-
+    gives for ``(chi, omega)``: ``(tan(theta0) Re z - Im z) n!/a_n`` with
+    ``a = intersections(chi, omega)`` and ``z = mean det(omega + i chi) =
+    sum_k i^k a_k/(k!(n-k)!)``."""
     def const(omega_form: FormField) -> float:
-        det = np.linalg.det(omega_form.values + 1j * chi.values)
-        return float(np.mean(math.tan(theta0) * det.real - det.imag) / vol_chi)
+        a = intersections(chi, omega_form)
+        n = len(a) - 1
+        z = sum(1j ** k * a[k] / (math.factorial(k) * math.factorial(n - k))
+                for k in range(n + 1))
+        return (math.tan(theta0) * z.real - z.imag) / (a[n] / math.factorial(n))
 
     return const
 
@@ -812,10 +815,9 @@ def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float)
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "
                                 f"(Gamma margin {gamma_margin:.3e})")
-    det_chi = _det(chi)
     class_const = _dhym_class_const(chi, theta0)
     rhs = class_const(omega0)
-    _check_integrability(rhs, float(np.mean(f.values * det_chi)) / float(np.mean(det_chi)),
+    _check_integrability(rhs, _chi_mean(f, chi) / _chi_mean(None, chi),
                          max(1.0, abs(rhs)), "mean(f det chi)/mean(det chi)")
     cot_n = 1.0 / math.tan(theta0 / n)
     kappa = cot_n / float(np.min(lam0[..., 0])) + 1.0
@@ -825,7 +827,7 @@ def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float)
                                  theta0)
 
     def mass(ch: FormField, om: FormField) -> float:
-        return _dhym_class_const(ch, theta0)(om) * float(np.mean(_det(ch)))
+        return _dhym_class_const(ch, theta0)(om) * _chi_mean(None, ch)
 
     return ([("dhym-stage1", 1.0, 0.0,
               lambda t: with_class_f(t * cot_n * chi + (1.0 - t) * kappa * omega0)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchUndefinedError, UsageError
-from .fields import mixed_density
+from .fields import intersections
 
 __all__ = [
     "IntersectionData",
@@ -260,7 +260,7 @@ def coordinate_subtorus_data(chi_base: np.ndarray, omega0_base: np.ndarray
     """Intersection vectors of all coordinate subtori for constant base forms.
 
     For each subset S of coordinates, the restricted forms are the principal
-    submatrices and ``a_k`` is the wedge density of the restricted pair.
+    submatrices and ``a`` is their :func:`fields.intersections` vector.
     """
     chi_base = np.asarray(chi_base, dtype=complex)
     omega0_base = np.asarray(omega0_base, dtype=complex)
@@ -271,10 +271,8 @@ def coordinate_subtorus_data(chi_base: np.ndarray, omega0_base: np.ndarray
     for p in range(1, n + 1):
         for subset in itertools.combinations(range(n), p):
             idx = np.ix_(subset, subset)
-            chi_s = chi_base[idx]
-            om_s = omega0_base[idx]
-            a = [float(np.asarray(mixed_density([chi_s] * k + [om_s] * (p - k))))
-                 for k in range(p + 1)]
             label = "V=M" if p == n else "V[" + ",".join(str(i + 1) for i in subset) + "]"
-            out.append(IntersectionData(p=p, n=n, a=tuple(a), label=label))
+            out.append(IntersectionData(p=p, n=n, a=tuple(intersections(chi_base[idx],
+                                                                        omega0_base[idx])),
+                                        label=label))
     return out

@@ -93,6 +93,16 @@ class TestSolveJ:
             omega0={"base": [[[1.0, 0.0], [0.3, 0.1]], [[0.0, 0.0], [1.0, 0.0]]]}))
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("which", ["chi", "omega0"])
+    def test_non_kahler_form_exits_2_with_a_numeric_c(self, tmp_path, capsys, which):
+        doc = solve_j_config(c=3.0, f=None)
+        doc[which] = {**doc[which], "potential": [{"freq": [1, 0, 0, 0], "amp": 0.2}]}
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{which} is not positive at grid index (0, 0, 0, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveDhym:
     def test_trivial_instance(self, tmp_path):
@@ -301,6 +311,14 @@ class TestFunctionalsCommand:
         lines = (out / "coercivity.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + phi + one sample
 
+    def test_phi_outside_the_cone_exits_2_without_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "f.json", functionals_config(
+            phi=[{"freq": [1, 0, 0, 0], "amp": 0.2}]))
+        out = tmp_path / "out"
+        assert main(["functionals", "--config", cfg, "--out", str(out)]) == 2
+        assert "omega_phi is not positive at grid index (0, 0, 0, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodeRouting:
     def test_no_convergence_maps_to_3(self, tmp_path, monkeypatch):
@@ -490,6 +508,22 @@ class TestTypedConfigNumbers:
         ("check-stability", {**ANGLE_BASE, "datasets": []}, "datasets"),
         ("functionals", functionals_config(t_steps=7), "t_steps"),
         ("functionals", functionals_config(phi_samples=5), "phi_samples"),
+        ("solve-j", solve_j_config(chi={"base": [[[1.0, 0.0], [0.0, 0.0]]]}), "chi.base"),
+        ("solve-j", solve_j_config(chi={"base": [[[1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}),
+         "chi.base[0]"),
+        ("solve-j", solve_j_config(chi={"base": [[[1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}),
+         "chi.base[0][0]"),
+        ("solve-j", solve_j_config(omega0={"base": [[[1.0, 0.0], [2.0, 0.0]],
+                                                    [[2.0, 0.0], [1.0, 0.0]]]}),
+         "omega0.base"),
+        ("solve-j", solve_j_config(chi={"base": [[[1.0, 0.0], [0.0, 0.0]],
+                                                 [[0.0, 0.0], [2.0, 0.0]]],
+                                        "potential": {"freq": [1, 0, 0, 0], "amp": 0.01}}),
+         "chi.potential"),
+        ("solve-j", solve_j_config(f=[[1, 0, 0, 0]]), "f[0]"),
+        ("solve-j", solve_j_config(solver=5), "solver"),
+        ("solve-dhym", solve_j_config(), "theta0"),
+        ("check-stability", stability_config(datasets=[5]), "datasets[0]"),
     ]
 
     @pytest.mark.parametrize("command, doc, key", OUT_OF_RANGE,
@@ -500,6 +534,19 @@ class TestTypedConfigNumbers:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert f"config field '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("[1, 2]", "config root must be an object"),
+    ], ids=["unreadable", "root-not-an-object"])
+    def test_unusable_config_file_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["solve-j", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_cone_slack_exits_1(self, tmp_path, capsys):

@@ -10,8 +10,9 @@ from jdhym.errors import DataError, DomainError, NotKahlerError, UsageError
 from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
                           complex_gradient, complex_hessian, constant_form,
                           field_from_modes,
-                          form_field, hessian_values, integrate, kahler_form,
-                          load_scalar_field, mixed_density, mollifier_profile,
+                          form_field, hessian_values, integrate, intersections,
+                          kahler_form, load_scalar_field, min_eigenvalue_field,
+                          mixed_density, mollifier_profile,
                           mollifier_normalization, mollify,
                           random_bandlimited, regularized_max, resample,
                           relative_spectrum_field, save_scalar_field,
@@ -174,6 +175,12 @@ class TestKahlerForm:
         assert exc.value.grid_index is not None
         assert exc.value.margin < 0.0
 
+    def test_grid_index_is_plain_ints(self, g1):
+        phi = field_from_modes(g1, [((1, 0), 1.0)])
+        with pytest.raises(NotKahlerError, match=r"at grid index \(0, 0\) \(margin") as exc:
+            kahler_form(g1, np.eye(1), phi)
+        assert all(type(i) is int for i in exc.value.grid_index)
+
     @pytest.mark.parametrize("low", [0.0, 1e-13, -1e-3])
     def test_base_positive_to_the_relative_tolerance(self, g2, low):
         # the base is tested as hermitian.is_positive_definite tests a matrix:
@@ -247,6 +254,15 @@ class TestIntegration:
         with pytest.raises(UsageError):
             integrate(ScalarField.zeros(g1), [constant_form(g2, np.eye(2))] * 2)
 
+    def test_intersections_of_forms_and_constant_matrices(self, g2):
+        chi, om = np.diag([1.0, 2.0]), np.eye(2)
+        # a_k = D(chi^k, omega^(2-k)): D(I,I) = 2, D(chi,I) = 3, D(chi,chi) = 4
+        assert intersections(chi, om).tolist() == [2.0, 3.0, 4.0]
+        assert intersections(constant_form(g2, chi), constant_form(g2, om)).tolist() == \
+            [2.0, 3.0, 4.0]
+        grid = np.broadcast_to(chi, g2.shape + (2, 2))
+        assert intersections(grid, om).tolist() == [2.0, 3.0, 4.0]
+
 
 def random_hpd3(rng):
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -304,6 +320,15 @@ class TestRelativeSpectrumField:
         lam = relative_spectrum_field(np.array(chis), np.array(oms))
         oracle = np.array([scipy.linalg.eigh(o, c, eigvals_only=True) for c, o in zip(chis, oms)])
         assert np.max(np.abs(lam - oracle) / oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_min_eigenvalue_field_matches_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(4, 5, n, n)) + 1j * rng.normal(size=(4, 5, n, n))
+        mats = a + np.conj(np.swapaxes(a, -1, -2))
+        got = min_eigenvalue_field(mats)
+        assert got.shape == (4, 5)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(mats)[..., 0], rtol=1e-12, atol=1e-12)
 
 
 class TestMollify:

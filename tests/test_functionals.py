@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jdhym import functionals
 from jdhym.errors import DomainError, NotKahlerError
 from jdhym.fields import (ScalarField, TorusGeometry, constant_form,
                           field_from_modes, form_field, random_bandlimited)
@@ -147,6 +148,19 @@ class TestJOmega0:
         # omega_t = 1 + t Hess(phi) is smallest where cos(2 pi x) = 1, at x = 0
         assert exc.value.grid_index == (0, 0)
         assert exc.value.margin == pytest.approx(1.0 - 0.25 * 0.5 * np.pi ** 2)
+
+
+    def test_a_kahler_ray_tests_only_its_ends(self, monkeypatch):
+        # omega_t is affine in t, so its smallest eigenvalue is concave in t
+        geom = TorusGeometry(2, 8)
+        omega0 = constant_form(geom, np.eye(2))
+        phi = field_from_modes(geom, [((1, 0, 0, 0), 0.01)])
+        calls = []
+        spectrum = functionals.min_eigenvalue_field
+        monkeypatch.setattr(functionals, "min_eigenvalue_field",
+                            lambda mats: calls.append(1) or spectrum(mats))
+        j_omega0_functional(omega0, phi, t_steps=8)
+        assert len(calls) == 2
 
 
 class TestCoercivityProbe:

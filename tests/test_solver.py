@@ -13,7 +13,7 @@ from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
                           PreconditionError, UsageError)
 from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, complex_hessian,
                           constant_form, field_from_modes, form_field,
-                          mixed_density, relative_spectrum_field)
+                          mixed_density, random_bandlimited, relative_spectrum_field)
 from jdhym.functionals import compute_c0
 from jdhym.solver import (SolveReport, SolverConfig, continuity_path_dhym,
                           continuity_path_j, dhym_linearization_apply,
@@ -456,6 +456,40 @@ class TestContinuityPathDhym:
         f_bad = ScalarField.constant(geom, -0.004)  # wrong mass, inside f-bound
         with pytest.raises(PreconditionError):
             continuity_path_dhym(chi, omega0, f_bad, theta0, SolverConfig())
+
+
+class TestKahlerHypotheses:
+    """Both paths check chi and omega0 on the grid before any other hypothesis."""
+
+    @pytest.mark.parametrize("which", ["chi", "omega0"])
+    @pytest.mark.parametrize("path, param", [(continuity_path_j, 3.0),
+                                             (continuity_path_dhym, math.pi / 5)],
+                             ids=["j", "dhym"])
+    def test_non_kahler_form_is_named(self, path, param, which):
+        geom = TorusGeometry(2, 8)
+        forms = {"chi": constant_form(geom, np.eye(2)),
+                 "omega0": constant_form(geom, 3.0 * np.eye(2))}
+        # smallest eigenvalue 1 - 0.2 pi^2 < 0 where x_1 = 0
+        forms[which] = form_field(geom, np.eye(2), field_from_modes(geom, [((1, 0, 0, 0), 0.2)]))
+        with pytest.raises(NotKahlerError,
+                           match=rf"^{which} is not positive at grid index \(0, 0, 0, 0\)"):
+            path(forms["chi"], forms["omega0"], ScalarField.zeros(geom), param, SolverConfig())
+
+
+class TestClassData:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dhym_class_const_matches_the_complex_determinant(self, n):
+        # mean det(omega + i chi) from the intersection vector, against a batched LU
+        geom = TorusGeometry(n, 8)
+        rng = np.random.default_rng(n)
+        chi = form_field(geom, np.diag(np.arange(1.0, n + 1.0)),
+                         random_bandlimited(geom, rng, kmax=1, amplitude=0.01))
+        omega = form_field(geom, 2.0 * np.eye(n) + 0.1 * np.ones((n, n)),
+                           random_bandlimited(geom, rng, kmax=1, amplitude=0.01))
+        det = np.linalg.det(omega.values + 1j * chi.values)
+        want = (np.mean(math.tan(0.5) * det.real - det.imag)
+                / np.mean(np.linalg.det(chi.values).real))
+        assert solver._dhym_class_const(chi, 0.5)(omega) == pytest.approx(want, rel=1e-13)
 
 
 class TestConfigValidation:

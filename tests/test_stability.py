@@ -213,6 +213,12 @@ class TestHypothesisCheck:
         out = dhym_hypothesis_check([only_sub], theta_hat, epsilon=0.0)
         assert not out["overall"] and not out["vm_present"]
 
+    def test_no_datasets_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="at least one dataset"):
+            max_uniform_epsilon([], 3.0)
+        with pytest.raises(UsageError, match="at least one dataset"):
+            dhym_hypothesis_check([], 2.5, epsilon=0.0)
+
     def test_theta_hat_range_enforced(self):
         d = IntersectionData(p=1, n=2, a=(1.0, 1.0))
         with pytest.raises(UsageError):
