@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run every CLI command on the configs in configs/ and check the exit codes:
 # both solves must converge to a final residual of at most 1e-13 (a path
-# endpoint left at the tolerance instead of rounding level fails), the
-# analysis commands must exit 0, and the flags a command does not take must be
-# refused.
+# endpoint left at the tolerance instead of rounding level fails) in no more
+# Newton steps (the sum of the path_history iterations) than they take now,
+# the analysis commands must exit 0, and the flags a command does not take
+# must be refused.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -15,10 +16,14 @@ set -euo pipefail
 out="${1:-$(mktemp -d)}"
 jdhym() { python -m jdhym.cli "$@"; }
 
+# Newton steps of each solve's whole path on its config
+declare -A max_steps=([solve-j]=18 [solve-dhym]=16)
 for cmd in solve-j solve-dhym; do
   jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd"
   python -c "import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r['status'] != 'converged' or r['final_residual'] > 1e-13)" \
     "$out/$cmd/report.json"
+  python -c "import json, sys; steps = sum(e['iterations'] for e in json.load(open(sys.argv[1]))['path_history']); sys.exit(f'{sys.argv[2]}: {steps} Newton steps, more than {sys.argv[3]}' if steps > int(sys.argv[3]) else 0)" \
+    "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}"
 done
 for mode in slope angle; do
   jdhym check-stability --config "configs/check_stability_$mode.json" \

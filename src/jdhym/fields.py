@@ -312,7 +312,7 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
         entry = out[..., i, j]
         entry.real = _irfft(geom, sym[n + 2 * p] * phat)
         entry.imag = _irfft(geom, sym[n + 2 * p + 1] * phat)
-        out[..., j, i] = np.conj(entry)
+        np.conj(entry, out=out[..., j, i])
     return out
 
 
@@ -389,7 +389,8 @@ def form_field(geom: TorusGeometry, base: np.ndarray,
         vals = np.broadcast_to(base, geom.shape + base.shape)
     else:
         _check_geoms(potential, geom)
-        vals = hessian_values(potential) + base
+        vals = hessian_values(potential)
+        vals += base
     return FormField(geom, base, potential, vals)
 
 

@@ -80,9 +80,10 @@ def aubin_i(omega0: FormField, phi: ScalarField, form: str = "direct") -> float:
     the two agree to quadrature accuracy.
     """
     n = omega0.geometry.n
-    omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
-    if form == "direct":
-        return integrate(phi, [omega0] * n) - integrate(phi, [omega_phi] * n)
+    hess = complex_hessian(phi)
+    omega_phi = _require_kahler(omega0 + hess, "omega_phi")
+    if form == "direct":  # omega0^n - omega_phi^n = -hess ^ sum_k omega0^k ^ omega_phi^(n-1-k)
+        return -_ladder(phi, [hess], omega0, omega_phi, n - 1)
     if form != "gradient":
         raise UsageError("form must be 'direct' or 'gradient'")
     return _ladder(None, [_gradient_form(phi)], omega0, omega_phi, n - 1)
@@ -127,9 +128,8 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     integrand = np.empty_like(ts)
     for i, t in enumerate(ts):
         omega_t = omega0.values + float(t) * hess
-        if form == "potential":  # n omega_t^n/n! = omega_t^n/(n-1)!
-            integrand[i] = (integrate(phi, [omega0] + [omega_t] * (n - 1))
-                            - integrate(phi, [omega_t] * n))
+        if form == "potential":  # n omega_t^n/n! = omega_t^n/(n-1)!; omega0 - omega_t = -t hess
+            integrand[i] = -t * integrate(phi, [hess] + [omega_t] * (n - 1))
         else:
             integrand[i] = t * integrate(None, [gmat] + [omega_t] * (n - 1))
     h = 1.0 / t_steps

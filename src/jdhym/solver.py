@@ -31,9 +31,9 @@ from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, _require_kahler, complex_hessian,
-                     form_field, integrate, intersections, mixed_density,
+                     form_field, hessian_values, integrate, intersections, mixed_density,
                      relative_spectrum_field, resample)
-from .hermitian import (_check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
+from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
                         _dhym_angle_radius, _dhym_gradient, _dhym_value, _f_bound_dhym,
                         _f_bound_j, _j_value, _reduce_last, _require_positive)
 
@@ -103,10 +103,12 @@ class SolveReport:
 
 
 # Peak memory of a solve per grid point, in float64 grid arrays: the peak RSS
-# measured for continuity paths and cold Newton solves (about 21 arrays at
-# n = 1, 46 at n = 2, 200 at n = 3, where the forms and the eigh-based
-# coefficient hold complex 3 x 3 fields), rounded up for Krylov bases that
-# fill and for the temporaries of other data.
+# above the built inputs measured for cold Newton solves of a manufactured J
+# instance (about 32 arrays at n = 1, N = 1024; 46 at n = 2, N = 32; 133 at
+# n = 3, N = 8, where the forms and the eigh-based coefficient hold complex
+# 3 x 3 fields) and for the continuity paths of configs/ at n = 2, N = 32
+# (31, inputs included), rounded up for Krylov bases that fill and for the
+# temporaries of other data.
 PEAK_GRID_ARRAYS = {1: 32, 2: 64, 3: 256}
 
 
@@ -120,9 +122,11 @@ def estimate_peak_bytes(geom: TorusGeometry) -> int:
 
 
 def _lam_field(chi: FormField, omega0: FormField, phi: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """(relative spectrum field, omega_phi values)."""
-    omega = omega0 + complex_hessian(phi)
-    return relative_spectrum_field(chi.values, omega.values), omega.values
+    """(relative spectrum field, omega_phi values); ``omega_phi`` is summed
+    into the Hessian grid, so a step holds one complex matrix grid."""
+    omega = hessian_values(phi)
+    omega += omega0.values
+    return relative_spectrum_field(chi.values, omega), omega
 
 
 def _residual(problem: _NewtonProblem, phi: ScalarField) -> ScalarField:
@@ -166,9 +170,29 @@ def _gxg2(g: tuple, x: tuple) -> tuple:
     return t0, t1, t01
 
 
-def _chi2(chi: FormField) -> tuple:
-    """``chi`` as a 2 x 2 triple; a constant form is read from its base matrix."""
-    return _herm2(chi.base if chi.potential is None else chi.values)
+def _rows2(block, chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+           f_vals: np.ndarray) -> np.ndarray:
+    """The rows (see :func:`fields._hermitian_rows`) of an n = 2 coefficient,
+    written into one array block by block.
+
+    ``block(omega, chi, lam, f)`` maps ``hermitian._BLOCK2`` points of each
+    input (the forms as 2 x 2 triples) to the coefficient's triple, so its
+    temporaries stay in cache and no full-grid one is made.  A constant
+    ``chi`` is read from its base matrix.
+    """
+    shape = lam.shape[:-1]
+    omega = omega_vals.reshape(-1, 2, 2)
+    chi = np.broadcast_to(chi.base if chi.potential is None else chi.values,
+                          shape + (2, 2)).reshape(-1, 2, 2)
+    lam = lam.reshape(-1, 2)
+    f_vals = f_vals.reshape(-1)
+    rows = np.empty((4, len(lam)))
+    for start in range(0, len(lam), _BLOCK2):
+        part = slice(start, start + _BLOCK2)
+        m0, m1, m01 = block(_herm2(omega[part]), _herm2(chi[part]), lam[part], f_vals[part])
+        rows[0, part], rows[1, part] = m0, m1
+        rows[2, part], rows[3, part] = 2.0 * m01.real, 2.0 * m01.imag
+    return rows.reshape((4,) + shape)
 
 
 def _coefficient_rows(M: np.ndarray) -> np.ndarray:
@@ -183,13 +207,17 @@ def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
     """Rows of the Hermitian W with ``d(j_residual)(u) = -tr(W Hess u)``.
 
     ``W = G chi G + q G`` with ``G = omega^-1`` and ``q = f chi^n/omega^n``;
-    written out entrywise at n = 2.
+    written out entrywise at n = 2, block by block (:func:`_rows2`).
     """
-    q = f_vals / _reduce_last(np.multiply, lam)
     if chi.geometry.n == 2:
-        g = _inv2(_herm2(omega_vals))
-        t0, t1, t01 = _gxg2(g, _chi2(chi))
-        return _hermitian_rows([t0 + q * g[0], t1 + q * g[1]], [t01 + q * g[2]])
+        def block(omega, chi2, lam, f):
+            g = _inv2(omega)
+            q = f / _reduce_last(np.multiply, lam)
+            t0, t1, t01 = _gxg2(g, chi2)
+            return t0 + q * g[0], t1 + q * g[1], t01 + q * g[2]
+
+        return _rows2(block, chi, omega_vals, lam, f_vals)
+    q = f_vals / _reduce_last(np.multiply, lam)
     gi = np.linalg.inv(omega_vals)
     return _coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
                              + q[..., None, None] * gi)
@@ -205,22 +233,25 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
     sqrt(lam_i^2 + 1)`` are symmetric in the eigenvalues, so the weights
     coincide on clusters and ``M`` is continuous through eigenvalue
     crossings.  At n = 2 the sum is ``a chi^-1 + b chi^-1 omega chi^-1`` with
-    ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``;
-    otherwise the pairs ``(lam_i, v_i)`` come from ``eigh`` in the Cholesky
-    frame of ``chi`` and the weights from ``hermitian._dhym_gradient``.
+    ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``,
+    block by block (:func:`_rows2`); otherwise the pairs ``(lam_i, v_i)``
+    come from ``eigh`` in the Cholesky frame of ``chi`` and the weights from
+    ``hermitian._dhym_gradient``.
     """
     if chi.geometry.n == 2:
-        chi_inv = _inv2(_chi2(chi))
-        l1, l2 = lam[..., 0], lam[..., 1]
-        q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
-        s, r = _dhym_angle_radius(lam)
-        C = np.cos(theta0 - s)
-        g = f_vals * math.cos(theta0) / r
-        b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
-        a = (C + g * l1) / q1 - b * l1
-        t0, t1, t01 = _gxg2(chi_inv, _herm2(omega_vals))
-        return _hermitian_rows([a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1],
-                               [a * chi_inv[2] + b * t01])
+        def block(omega, chi2, lam, f):
+            chi_inv = _inv2(chi2)
+            l1, l2 = lam[..., 0], lam[..., 1]
+            q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
+            s, r = _dhym_angle_radius(lam)
+            C = np.cos(theta0 - s)
+            g = f * math.cos(theta0) / r
+            b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
+            a = (C + g * l1) / q1 - b * l1
+            t0, t1, t01 = _gxg2(chi_inv, omega)
+            return a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1, a * chi_inv[2] + b * t01
+
+        return _rows2(block, chi, omega_vals, lam, f_vals)
     Linv = np.linalg.inv(np.linalg.cholesky(chi.base if chi.potential is None
                                             else chi.values))
     lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
@@ -308,9 +339,20 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
 
 @dataclass
 class _Eval:
+    """One iterate's evaluation.
+
+    ``omega_vals`` (``omega_phi``, one complex matrix grid) and ``lam`` (its
+    relative spectrum) are what the coefficient rows are built from;
+    :func:`newton_solve` sets both to ``None`` once the rows are assembled,
+    so the Krylov solve and the next line-search candidate do not overlap
+    them.  ``c2`` is ``max sum(lam_i)``, the report's ``c2_diagnostic``, kept
+    as a float for that reason.
+    """
+
     phi: ScalarField
-    omega_vals: np.ndarray
-    lam: np.ndarray
+    omega_vals: np.ndarray | None
+    lam: np.ndarray | None
+    c2: float
     kahler_margin: float
     cone_margin: float
     residual: np.ndarray | None
@@ -351,12 +393,13 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
 
     def evaluate(phi: ScalarField) -> _Eval:
         lam, omega_vals = _lam_field(chi, omega0, phi)
+        c2 = float(np.max(_reduce_last(np.add, lam)))
         kahler = float(np.min(lam[..., 0]))
         if kahler <= 0.0:
-            return _Eval(phi, omega_vals, lam, kahler, -math.inf, None, None)
+            return _Eval(phi, omega_vals, lam, c2, kahler, -math.inf, None, None)
         cone = _cone_margin(cone_terms(lam), param)
         res, ratio = value(lam, f.values, param)
-        return _Eval(phi, omega_vals, lam, kahler, cone, res, det_chi * ratio)
+        return _Eval(phi, omega_vals, lam, c2, kahler, cone, res, det_chi * ratio)
 
     def linear_coefficient(ev: _Eval):
         return rows(ev), sign
@@ -491,6 +534,11 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     corrector, see :func:`_march`): a secant prediction can land just under
     ``tolerance``, and accepting it as it stands would leave the path's
     residual there instead of at rounding level.
+
+    Array lifetime: a step holds the iterate's ``omega_phi`` and relative
+    spectrum only until its coefficient rows are assembled, then releases
+    them (see :class:`_Eval`); the Krylov solve and the line-search candidate
+    run beside the rows and the iterate's potential, residual and weight.
     """
     geom = problem.geometry
     slack = config.cone_slack
@@ -513,6 +561,7 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
             status = "no-convergence"
             break
         coef, sign = problem.linear_coefficient(ev)
+        ev.omega_vals = ev.lam = None  # the rows replace them
         eta = ETA_MAX if len(history) == 1 else min(
             ETA_MAX, ETA_GAMMA * (history[-1] / history[-2]) ** 2)
         # Newton step: sign * tr(M Hess u) = -residual, to relative residual eta
@@ -540,7 +589,7 @@ def _build_report(ev: _Eval, history: list[float], margin_min, multiplier,
     """The report of the iterate ``ev``; ``history`` holds one residual per iterate."""
     return SolveReport(phi=ev.phi, residual_history=history,
                        cone_margin_min=float(margin_min),
-                       c2_diagnostic=float(np.max(_reduce_last(np.add, ev.lam))),
+                       c2_diagnostic=ev.c2,
                        c0_diagnostic=ev.phi.oscillation(), multiplier=float(multiplier),
                        status=status, iterations=len(history) - 1)
 

@@ -2,6 +2,7 @@ import math
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,32 @@ class TestNewtonSolve:
         # invariance is exact in exact arithmetic; FFT roundoff scales with
         # the shift magnitude
         assert np.max(np.abs(r1.values - r2.values)) < 1e-11
+
+
+class TestStepMemory:
+    def test_omega_phi_in_place_equals_the_form_sum(self):
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        for base in (omega0, constant_form(geom, np.eye(2))):
+            _, omega_vals = solver._lam_field(chi, base, phistar)
+            assert np.array_equal(omega_vals, (base + complex_hessian(phistar)).values)
+
+    def test_cold_solve_peak_in_grid_arrays(self):
+        # criterion 5's instance at n = 2, N = 16; the bound (36 float64 grid
+        # arrays above the solve's start) was fixed before measuring
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        problem = make_j_problem(chi, omega0, f, c)
+        newton_solve(problem, ScalarField.zeros(geom), SolverConfig())  # fills the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = newton_solve(problem, ScalarField.zeros(geom), SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.success
+        assert (peak - start) / (8 * geom.grid_size) <= 36.0
 
 
 class TestContinuityPathJ:
@@ -652,6 +679,27 @@ class TestRealTransformKernels:
         assert relative_error(matrix_from_rows(rows, 2),
                               w * np.linalg.inv(chi.values)) <= 1e-6
 
+    @pytest.mark.parametrize("constant_chi", [False, True])
+    def test_blocked_n2_rows_match_general_formulas(self, constant_chi):
+        # N = 16 spans 16 blocks of hermitian._BLOCK2 points
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        if constant_chi:
+            chi = constant_form(geom, chi.base)
+        lam, omega_vals = solver._lam_field(chi, omega0, phistar)
+        gi = np.linalg.inv(omega_vals)
+        q = f.values / np.prod(lam, axis=-1)
+        j_ref = solver._coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
+                                         + q[..., None, None] * gi)
+        j_rows = solver._j_rows(chi, omega_vals, lam, f.values)
+        assert j_rows.shape == j_ref.shape
+        assert relative_error(j_rows, j_ref) <= 1e-13
+        theta0 = math.pi / 5
+        f_d = ScalarField(geom, 0.01 + 0.5 * phistar.values)
+        d_ref = reference_dhym_coefficient(chi, omega_vals, f_d, theta0)
+        d_rows = solver._dhym_rows(chi, omega_vals, lam, f_d.values, theta0)
+        assert relative_error(d_rows, solver._coefficient_rows(d_ref)) <= 1e-13
+
 
 def j_newton_rows(n, seed):
     """The J Newton coefficient rows at the white-noise kernel instance."""
@@ -868,6 +916,18 @@ class TestStepHalvingExhaustion:
         assert report.status == "cone-breach" and not report.success
         assert report.iterations == 0 and report.phi is start
         assert len(seen) == 1 + 30  # the start, then one candidate per halving
+
+    def test_cone_breach_report_keeps_the_accepted_c2(self):
+        # the iterate's grid arrays are released before the Krylov solve, so
+        # the report's c2 comes from the float kept at its evaluation
+        problem, seen = self.refusing_problem()
+        geom = problem.geometry
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        start = ScalarField(geom, 0.5 * phistar.values)
+        with pytest.raises(ConeBreachError) as exc:
+            newton_solve(problem, start, SolverConfig())
+        lam = relative_spectrum_field(chi.values, (omega0 + complex_hessian(start)).values)
+        assert exc.value.report.c2_diagnostic == float(np.max(np.sum(lam, axis=-1)))
 
     def test_corrector_reraises_without_a_warm_retry(self, monkeypatch):
         # the cone accepts the predicted start, so the breach comes from the
