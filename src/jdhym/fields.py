@@ -173,9 +173,23 @@ def _hermitian_rows(diag, upper) -> np.ndarray:
     return np.stack(rows)
 
 
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """Half spectrum (last axis ``0..N/2``) of a real grid array.
+
+    Every real transform of the package goes through this function and
+    :func:`_irfft`.  Both run serially: the continuation paths march on N = 8
+    and 16 grids (4,096 and 65,536 points at n = 2), where starting scipy's
+    thread pool costs more than the transform (the timed pairs are in
+    CHANGES.md).  Both look ``sfft.<name>`` up at each call, so that a
+    stand-in for the module sees every transform.
+    """
+    return sfft.rfftn(values)
+
+
 def _irfft(geom: TorusGeometry, spectrum: np.ndarray) -> np.ndarray:
-    """Real grid values of a half spectrum that is Hermitian in the full one."""
-    return sfft.irfftn(spectrum, s=geom.shape, workers=-1)
+    """Real grid values of a half spectrum that is Hermitian in the full one
+    (serial, as :func:`_rfft` explains)."""
+    return sfft.irfftn(spectrum, s=geom.shape)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -270,7 +284,7 @@ def resample(phi: ScalarField, geom: TorusGeometry) -> ScalarField:
     keep_src = [np.r_[0:m, src.N - m + 1:src.N]] * (2 * src.n - 1) + [np.arange(m)]
     keep_dst = [np.r_[0:m, geom.N - m + 1:geom.N]] * (2 * geom.n - 1) + [np.arange(m)]
     out = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,), dtype=complex)
-    out[np.ix_(*keep_dst)] = sfft.rfftn(phi.values, workers=-1)[np.ix_(*keep_src)]
+    out[np.ix_(*keep_dst)] = _rfft(phi.values)[np.ix_(*keep_src)]
     return ScalarField(geom, _irfft(geom, out) * (geom.grid_size / src.grid_size))
 
 
@@ -303,7 +317,7 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
         raise DataError("potential contains non-finite values")
     geom = phi.geometry
     n = geom.n
-    phat = sfft.rfftn(phi.values, workers=-1)
+    phat = _rfft(phi.values)
     sym = _hessian_symbols(geom)
     out = np.empty(geom.shape + (n, n), dtype=complex)
     for i in range(n):
@@ -321,7 +335,7 @@ def complex_gradient(phi: ScalarField) -> np.ndarray:
     geom = phi.geometry
     n = geom.n
     g = _frequencies(geom, half=True, odd=True)
-    phat = sfft.rfftn(phi.values, workers=-1)
+    phat = _rfft(phi.values)
     out = np.empty(geom.shape + (n,), dtype=complex)
     for j in range(n):
         # zeta_j = pi*(l_j + i*k_j): i*pi*k_j is Hermitian and gives the real
@@ -536,7 +550,7 @@ def _mollify_transfer(geom: TorusGeometry, delta: float) -> np.ndarray:
         r2 = r2 + d * d
     kernel = mollifier_normalization(geom.n) * mollifier_profile(np.sqrt(r2) / delta)
     kernel = kernel / delta ** (2 * geom.n)
-    transfer = sfft.fftn(kernel, workers=-1) / geom.grid_size
+    transfer = sfft.fftn(kernel) / geom.grid_size
     transfer = transfer / transfer.flat[0].real  # preserve constants exactly
     transfer.setflags(write=False)
     return transfer
@@ -553,8 +567,7 @@ def smooth_array(geom: TorusGeometry, values: np.ndarray, delta: float) -> np.nd
     grid_axes = tuple(range(2 * geom.n))
     extra = values.ndim - 2 * geom.n
     mult = transfer.reshape(geom.shape + (1,) * extra) if extra else transfer
-    out = sfft.ifftn(sfft.fftn(values, axes=grid_axes, workers=-1) * mult,
-                     axes=grid_axes, workers=-1)
+    out = sfft.ifftn(sfft.fftn(values, axes=grid_axes) * mult, axes=grid_axes)
     return out.real if np.isrealobj(values) else out
 
 

@@ -228,15 +228,18 @@ def _reduce_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return op(a[..., 0], a[..., 1]) if n == 2 else a[..., 0].copy()
 
 
-def _loo_max(terms: np.ndarray) -> np.ndarray:
+def _loo_max(terms: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
     """Largest leave-one-out sum over the last axis: the total minus the
-    smallest term, 0 for a single term (the empty sum)."""
+    smallest term, 0 for a single term (the empty sum).  ``total`` is the
+    terms' sum when the caller has it already."""
     # the smallest term from elementwise minima of the n slices: a reduction
     # along the short last axis of a grid is an order of magnitude slower
-    low = terms[..., 0]
+    low = terms[..., 0].copy()
     for i in range(1, terms.shape[-1]):
-        low = np.minimum(low, terms[..., i])
-    return _reduce_last(np.add, terms) - low
+        np.minimum(low, terms[..., i], out=low)
+    if total is None:
+        total = _reduce_last(np.add, terms)
+    return np.subtract(total, low, out=low)
 
 
 def p_level(spec: SpectrumRel) -> float:
@@ -278,11 +281,12 @@ def cone_test_dhym(spec: SpectrumRel, cone: ConeSpec) -> bool:
     return p_level_arctan(spec) < cone.theta0 - cone.slack
 
 
-def _cone_margin(terms: np.ndarray, bound: float) -> float:
+def _cone_margin(terms: np.ndarray, bound: float, total: np.ndarray | None = None) -> float:
     """``bound`` minus the worst leave-one-out sum of ``terms`` (last axis) over
     all leading axes, positive inside the cone: the J-cone for ``1/lam`` and
-    ``c``, the Gamma region for ``arctan(1/lam)`` and ``theta0``."""
-    return float(bound) - float(np.max(_loo_max(terms)))
+    ``c``, the Gamma region for ``arctan(1/lam)`` and ``theta0``.  ``total``
+    is as in :func:`_loo_max`."""
+    return float(bound) - float(np.max(_loo_max(terms, total)))
 
 
 def j_cone_margin(spec: SpectrumRel, c: float) -> float:
@@ -370,24 +374,27 @@ def _require_positive(margins: np.ndarray, what: str) -> None:
 # the two equations as functions of the relative spectrum (last axis)
 
 
-def _j_value(lam: np.ndarray, f, c: float) -> tuple:
-    """The J value ``sum(1/lam_i) + f/prod(lam_i) - c``, zero at solutions,
-    and the volume ratio ``prod(lam_i) = omega^n / chi^n``."""
+def _j_value(lam: np.ndarray, f, c: float, total: np.ndarray) -> tuple:
+    """The J value ``total + f/prod(lam_i) - c``, zero at solutions, and the
+    volume ratio ``prod(lam_i) = omega^n / chi^n``; ``total`` is
+    ``sum(1/lam_i)``, which the caller has from the cone margin."""
     prod = _reduce_last(np.multiply, lam)
-    return _reduce_last(np.add, 1.0 / lam) + f / prod - c, prod
+    return total + f / prod - c, prod
 
 
-def _dhym_angle_radius(lam: np.ndarray) -> tuple:
-    """``s = sum arctan(1/lam_i)`` and ``r = prod sqrt(lam_i^2 + 1)``."""
-    return (_reduce_last(np.add, np.arctan(1.0 / lam)),
-            _reduce_last(np.multiply, np.sqrt(lam * lam + 1.0)))
+def _dhym_angle_radius(lam: np.ndarray, s: np.ndarray | None = None) -> tuple:
+    """``s = sum arctan(1/lam_i)`` (computed unless the caller has it) and
+    ``r = prod sqrt(lam_i^2 + 1)``."""
+    if s is None:
+        s = _reduce_last(np.add, np.arctan(1.0 / lam))
+    return s, _reduce_last(np.multiply, np.sqrt(lam * lam + 1.0))
 
 
-def _dhym_value(lam: np.ndarray, f, theta0) -> tuple:
+def _dhym_value(lam: np.ndarray, f, theta0, s: np.ndarray | None = None) -> tuple:
     """The dHYM value ``sin(theta0 - s) - f cos(theta0)/r``, zero at
     solutions, and the volume ratio ``r = |det(omega + i chi)| / det(chi)``
     (``s, r`` as in :func:`_dhym_angle_radius`)."""
-    s, r = _dhym_angle_radius(lam)
+    s, r = _dhym_angle_radius(lam, s)
     return np.sin(theta0 - s) - f * np.cos(theta0) / r, r
 
 

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
 from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
-                     _hessian_symbols, _irfft, _pairs, _require_kahler, complex_hessian,
+                     _hessian_symbols, _irfft, _pairs, _rfft, _require_kahler, complex_hessian,
                      form_field, hessian_values, integrate, intersections, mixed_density,
                      relative_spectrum_field, resample)
 from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
@@ -276,7 +275,7 @@ def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
     """``sign * tr(M Hess u)`` with M given by its rows."""
     if not np.all(np.isfinite(u.values)):
         raise DataError("direction contains non-finite values")
-    return ScalarField(geom, sign * _tr_m_hessian(geom, rows, sfft.rfftn(u.values, workers=-1)))
+    return ScalarField(geom, sign * _tr_m_hessian(geom, rows, _rfft(u.values)))
 
 
 def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -384,7 +383,8 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     ``value`` is ``hermitian._j_value`` (``param = c``) or
     ``hermitian._dhym_value`` (``param = theta0``); the volume ratio it also
     returns, times ``det chi``, weights the residual's mean.  The cone margin
-    is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``, and
+    is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``;
+    the terms' sum is taken once, for the margin and for ``value``.
     ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
     """
     geom = chi.geometry
@@ -397,8 +397,11 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
         kahler = float(np.min(lam[..., 0]))
         if kahler <= 0.0:
             return _Eval(phi, omega_vals, lam, c2, kahler, -math.inf, None, None)
-        cone = _cone_margin(cone_terms(lam), param)
-        res, ratio = value(lam, f.values, param)
+        terms = cone_terms(lam)
+        total = _reduce_last(np.add, terms)
+        cone = _cone_margin(terms, param, total)
+        del terms  # not beside the value's temporaries
+        res, ratio = value(lam, f.values, param, total)
         return _Eval(phi, omega_vals, lam, c2, kahler, cone, res, det_chi * ratio)
 
     def linear_coefficient(ev: _Eval):
@@ -483,7 +486,7 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
             return np.zeros_like(y)
         if next(budget, None) is None:
             raise _KrylovBudget
-        vhat = sfft.rfftn(y.reshape(shape), workers=-1)
+        vhat = _rfft(y.reshape(shape))
         vhat *= inv_sym
         out = _tr_m_hessian(geom, coef, vhat)
         out -= out.mean()
@@ -491,8 +494,10 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
 
     # drop unresolvable (annihilated-mode) content from the right-hand side;
     # it is quadrature junk and would otherwise stall the Krylov iteration
-    bhat = np.where(dead, 0.0, sfft.rfftn(rhs, workers=-1))
+    bhat = np.where(dead, 0.0, _rfft(rhs))
     b = _irfft(geom, bhat).reshape(-1)
+    # matvec reads only inv_sym, so the rest need not sit on the Krylov peak
+    del bhat, dead, sym
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(shape), 0
@@ -504,7 +509,7 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
                          maxiter=config.linear_max_iter)
     except _KrylovBudget:
         return np.zeros(shape), config.linear_max_iter
-    return _irfft(geom, inv_sym * sfft.rfftn(y.reshape(shape), workers=-1)), int(info)
+    return _irfft(geom, inv_sym * _rfft(y.reshape(shape))), int(info)
 
 
 def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:

@@ -156,6 +156,47 @@ class TestRealTransformCalculus:
         phi = ScalarField(geom, np.random.default_rng(20 + n).standard_normal(geom.shape))
         assert relative_error(complex_gradient(phi), reference_gradient(phi)) <= REAL_FFT_RTOL
 
+    def test_one_transform_entry_point(self, monkeypatch):
+        """Serial transforms give the bits threaded ones give, and every real
+        transform of ``fields`` and ``solver`` goes through ``fields.sfft``."""
+        from jdhym import fields, solver
+
+        class ThreadedFFT:
+            """``scipy.fft`` with the real transforms threaded and counted."""
+
+            def __init__(self):
+                self.calls = []
+
+            def __getattr__(self, name):
+                fn = getattr(sfft, name)
+                if name not in ("rfftn", "irfftn"):
+                    return fn
+
+                def call(*args, **kwargs):
+                    self.calls.append(name)
+                    return fn(*args, workers=-1, **kwargs)
+                return call
+
+        geom = TorusGeometry(2, 8)
+        rng = np.random.default_rng(30)
+        phi = ScalarField(geom, rng.standard_normal(geom.shape))
+        u = ScalarField(geom, rng.standard_normal(geom.shape))
+        rows = rng.standard_normal((4,) + geom.shape)
+
+        def outputs():
+            return (hessian_values(phi), complex_gradient(phi),
+                    solver._apply_rows(geom, rows, -1.0, u).values)
+
+        serial = outputs()
+        threaded = ThreadedFFT()
+        monkeypatch.setattr(fields, "sfft", threaded)
+        for a, b in zip(serial, outputs()):
+            assert np.array_equal(a, b)
+        # one forward and n^2 = 4 inverse transforms each (the gradient's 2n = 4)
+        assert threaded.calls.count("rfftn") == 3
+        assert threaded.calls.count("irfftn") == 12
+        assert not hasattr(solver, "sfft")
+
 
 class TestKahlerForm:
     def test_constant_margin(self, g2):

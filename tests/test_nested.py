@@ -16,27 +16,30 @@ from jdhym.solver import SolverConfig, continuity_path_dhym, continuity_path_j
 THETA0 = math.pi / 5
 
 
-def poisson_bump_instance(N, rho=0.8, height=0.01):
-    """An n = 1 dHYM instance whose ``f`` no grid resolves.
+def poisson_bump_instance(N, rho=0.8, height=0.01, n=1):
+    """A dHYM instance whose ``f`` no grid resolves.
 
-    ``f`` is a constant plus ``height`` times the product of two periodic
+    ``f`` is a constant plus ``height`` times the product of the periodic
     Poisson kernels ``P(u) = (1 - rho^2) / (1 - 2 rho cos(2 pi u) + rho^2)``
-    in ``x`` and ``y``: a smoothed bump whose Fourier coefficients
+    in all ``2n`` coordinates: a smoothed bump whose Fourier coefficients
     ``rho^(|k| + |l|)`` never vanish.  The bump's grid mean is taken out, so
     the integrability identity holds on every grid.
     """
-    geom = TorusGeometry(1, N)
-    x, y = geom.coordinates()
+    geom = TorusGeometry(n, N)
 
     def poisson(u):
         return (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(2.0 * math.pi * u) + rho * rho)
 
-    bump = np.broadcast_to(poisson(x) * poisson(y), geom.shape)
-    s = 1.8
-    chi = constant_form(geom, np.array([[1.0]]))
-    omega0 = constant_form(geom, np.array([[s]]))
-    # n = 1: det(omega0 + i chi) = s + i, so the class constant is tan(theta0) s - 1
-    f = ScalarField(geom, (math.tan(THETA0) * s - 1.0) + height * (bump - bump.mean()))
+    bump = 1.0
+    for u in geom.coordinates():
+        bump = bump * poisson(u)
+    bump = np.broadcast_to(bump, geom.shape)
+    # n = 1: det(omega0 + i chi) = s + i, so the class constant is tan(theta0) s - 1;
+    # n = 2: s = cot(theta0 / 2) puts the constant at tan(theta0) (s^2 - 1) - 2 s = 0
+    s, const = (1.8, math.tan(THETA0) * 1.8 - 1.0) if n == 1 else (1.0 / math.tan(THETA0 / 2), 0.0)
+    chi = constant_form(geom, np.eye(n))
+    omega0 = constant_form(geom, s * np.eye(n))
+    f = ScalarField(geom, const + height * (bump - bump.mean()))
     return chi, omega0, f
 
 
@@ -85,6 +88,33 @@ class TestGridConvergence:
         # as it would (to half per doubling) under algebraic decay
         assert e128 / e64 <= (e64 / e32) ** 1.5
         assert e128 <= 1e-8
+
+    def test_error_decays_geometrically_at_n2(self):
+        # rho = 0.5: the coefficients beyond N/2 shrink about 16-fold per
+        # doubling of N; the bounds were fixed before the first run.  On the
+        # N = 8 grid f's Nyquist content breaks the discrete integrability
+        # identity, and the residual stalls at its multiplier, 1.1e-8.
+        cfg = SolverConfig(path_steps=4, tolerance=1e-7)
+        ref = continuity_path_dhym(*poisson_bump_instance(32, rho=0.5, height=0.004, n=2),
+                                   THETA0, cfg)
+        assert ref.success
+        errors = []
+        for N in (8, 16):
+            rep = continuity_path_dhym(*poisson_bump_instance(N, rho=0.5, height=0.004, n=2),
+                                       THETA0, cfg)
+            assert rep.success
+            errors.append(potential_gap(rep.phi, resample(ref.phi, rep.phi.geometry)))
+        e8, e16 = errors
+        assert e8 > e16
+        assert e16 <= e8 / 8
+
+    @pytest.mark.xfail(raises=ContinuationError, strict=True,
+                       reason="f's Nyquist content at N = 8, n = 2 leaves no discrete "
+                              "solution below a residual of about 1e-8")
+    def test_n2_nyquist_data_reach_tight_tolerance(self):
+        data = poisson_bump_instance(8, rho=0.5, height=0.004, n=2)
+        rep = continuity_path_dhym(*data, THETA0, SolverConfig(path_steps=4, tolerance=1e-11))
+        assert rep.success
 
     def test_nested_path_agrees_with_single_level(self):
         cfg = SolverConfig(path_steps=4, tolerance=1e-11)

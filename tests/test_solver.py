@@ -258,22 +258,39 @@ class TestStepMemory:
             _, omega_vals = solver._lam_field(chi, base, phistar)
             assert np.array_equal(omega_vals, (base + complex_hessian(phistar)).values)
 
-    def test_cold_solve_peak_in_grid_arrays(self):
-        # criterion 5's instance at n = 2, N = 16; the bound (36 float64 grid
-        # arrays above the solve's start) was fixed before measuring
+    def test_cold_solve_peak_in_grid_arrays(self, monkeypatch):
+        # criterion 5's instance at n = 2, N = 16; the bounds (36 float64 grid
+        # arrays above the solve's start, 21.5 above a Krylov solve's start)
+        # were fixed before measuring.  A Krylov solve that keeps the
+        # right-hand side's half spectrum, mask and symbol alive reads 22.6.
         geom = TorusGeometry(2, 16)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         problem = make_j_problem(chi, omega0, f, c)
         newton_solve(problem, ScalarField.zeros(geom), SolverConfig())  # fills the caches
+        peaks = []  # the solve's peak, segment by segment
+        krylov = []  # each Krylov solve's peak above its start, in grid arrays
+        solve_linear = solver._solve_linear
+
+        def traced_solve_linear(*args, **kwargs):
+            at, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            out = solve_linear(*args, **kwargs)
+            krylov.append((tracemalloc.get_traced_memory()[1] - at) / (8 * geom.grid_size))
+            return out
+
+        monkeypatch.setattr(solver, "_solve_linear", traced_solve_linear)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             rep = newton_solve(problem, ScalarField.zeros(geom), SolverConfig())
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        peak = max(peaks)
         assert rep.success
         assert (peak - start) / (8 * geom.grid_size) <= 36.0
+        assert krylov and max(krylov) <= 21.5, krylov
 
 
 class TestContinuityPathJ:
