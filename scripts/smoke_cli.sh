@@ -2,9 +2,10 @@
 # Run every CLI command on the configs in configs/ and check the exit codes:
 # both solves must converge to a final residual of at most 1e-13 (a path
 # endpoint left at the tolerance instead of rounding level fails) in no more
-# Newton steps (the sum of the path_history iterations) than they take now,
-# the analysis commands must exit 0, and the flags a command does not take
-# must be refused.
+# Newton steps (the sum of the path_history iterations) and no more Newton
+# solves (the path_history entries) than they take now, the analysis
+# commands must exit 0, and the flags a command does not take must be
+# refused.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -16,14 +17,17 @@ set -euo pipefail
 out="${1:-$(mktemp -d)}"
 jdhym() { python -m jdhym.cli "$@"; }
 
-# Newton steps of each solve's whole path on its config
-declare -A max_steps=([solve-j]=18 [solve-dhym]=16)
+# Newton steps and Newton solves of each solve's whole path on its config
+# (a march that stops doubling its step, or a constant-f last stage marched
+# over every target, exceeds the solves)
+declare -A max_steps=([solve-j]=18 [solve-dhym]=12)
+declare -A max_solves=([solve-j]=8 [solve-dhym]=10)
 for cmd in solve-j solve-dhym; do
   jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd"
   python -c "import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r['status'] != 'converged' or r['final_residual'] > 1e-13)" \
     "$out/$cmd/report.json"
-  python -c "import json, sys; steps = sum(e['iterations'] for e in json.load(open(sys.argv[1]))['path_history']); sys.exit(f'{sys.argv[2]}: {steps} Newton steps, more than {sys.argv[3]}' if steps > int(sys.argv[3]) else 0)" \
-    "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}"
+  python -c "import json, sys; h = json.load(open(sys.argv[1]))['path_history']; steps = sum(e['iterations'] for e in h); sys.exit(f'{sys.argv[2]}: {steps} Newton steps in {len(h)} solves, more than {sys.argv[3]} in {sys.argv[4]}' if steps > int(sys.argv[3]) or len(h) > int(sys.argv[4]) else 0)" \
+    "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}" "${max_solves[$cmd]}"
 done
 for mode in slope angle; do
   jdhym check-stability --config "configs/check_stability_$mode.json" \

@@ -649,7 +649,8 @@ def _corrected(problem: _NewtonProblem, phi: ScalarField, predicted: ScalarField
 
 def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
            targets, stage: str, history: list) -> tuple[ScalarField, SolveReport]:
-    """Predictor-corrector marching with bisection on step failure.
+    """Predictor-corrector marching over a grid of ``targets``, with step
+    doubling and bisection on step failure.
 
     Each solve at ``t`` starts from the secant prediction ``phi_k + (t -
     t_k)/(t_k - t_{k-1}) (phi_k - phi_{k-1})`` through the last two accepted
@@ -662,13 +663,21 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
     the same solve.  Each ``path_history`` entry records the start it
     converged from.
 
+    The march steps over the grid with a stride, at first one target.  A
+    target reached without bisection from the prediction in exactly its one
+    forced step doubles the stride for the next step (the step-length
+    control of ibid., ch. 6: the step grows where the corrector contracts at
+    once); a warm start, a second step or a bisection resets it to one.  The
+    last target is always solved.
+
     A failed step inserts the midpoint of the gap from the last accepted
-    ``t``.  Each target allows ``PATH_HALVINGS`` such halvings, and the stage
-    allows ``2 * (len(targets) + PATH_HALVINGS)`` Newton solves in all
-    (twice the plain march plus one full chain of halvings, each of which
-    costs a midpoint and a retry); past either budget the stage raises
-    :class:`ContinuationError`.  It carries the last report, with the path
-    history so far and the cause of the failure as its status.
+    ``t`` (after a doubled step, a grid target it skipped).  Each target
+    allows ``PATH_HALVINGS`` such halvings, and the stage allows ``2 *
+    (len(targets) + PATH_HALVINGS)`` Newton solves in all (twice the plain
+    march plus one full chain of halvings, each of which costs a midpoint and
+    a retry); past either budget the stage raises :class:`ContinuationError`.
+    It carries the last report, with the path history so far and the cause
+    of the failure as its status.
     """
     targets = [float(t) for t in targets]
     budget = 2 * (len(targets) + PATH_HALVINGS)
@@ -676,14 +685,16 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
     t_prev = float(t_start)
     before = None  # the accepted (t, phi) before (t_prev, phi)
     report = None
+    index, stride = -1, 1  # the last grid target reached, and the step in targets
 
     def abort(message: str, t: float, cause: str) -> ContinuationError:
         if report is not None:
             report.path_history, report.status = history, cause
         return ContinuationError(message, stage=stage, t=t, cause=cause, report=report)
 
-    for target in targets:
-        pending = [target]
+    while index < len(targets) - 1:
+        index = min(index + stride, len(targets) - 1)
+        pending = [targets[index]]
         halvings = 0
         while pending:
             t = pending[-1]
@@ -712,6 +723,8 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
             history.append(_path_entry(stage, t, start, report))
             t_prev = t
             pending.pop()
+        one_step = halvings == 0 and start == "predicted" and report.iterations == 1
+        stride = 2 * stride if one_step else 1
     return phi, report
 
 
@@ -750,8 +763,12 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
     lies in the fine quadratic basin).  On the coarsest grid, after a coarse
     ``DomainError``, ``ConeBreachError`` or ``ContinuationError`` and after
     an unconverged fine solve, each stage is marched from zero on this grid
-    by :func:`_march` (secant predictor, Newton corrector) to ``path_steps``
-    equal steps, following the coarse entries accepted so far.
+    by :func:`_march` (secant predictor, Newton corrector, step doubling)
+    over a grid of ``path_steps`` equal targets, whose spacing is also the
+    first step, following the coarse entries accepted so far.  A spatially
+    constant ``f`` makes the last stage a single target at its end: its two
+    ends then differ by a constant that integrability holds to ``1e-8``, so
+    one warm solve covers it (and bisects if it fails).
     """
     stages, mass, target = path(chi, omega0, f, param)
     geom = chi.geometry
@@ -772,10 +789,11 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
         except (DomainError, ConeBreachError):
             pass
     phi = ScalarField.zeros(geom)
-    for name, t_start, t_end, problem in stages:
+    last = len(stages) - 1
+    for k, (name, t_start, t_end, problem) in enumerate(stages):
+        steps = 1 if k == last and np.ptp(f.values) == 0.0 else config.path_steps
         phi, report = _march(problem, phi, config, t_start,
-                             np.linspace(t_start, t_end, config.path_steps + 1)[1:], name,
-                             history)
+                             np.linspace(t_start, t_end, steps + 1)[1:], name, history)
     report.path_history = history
     return report
 
@@ -832,8 +850,10 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
     Stage 1 tilts the reference form from ``(c/n) * omega0`` to ``chi`` with
     the constant right-hand side recomputed from the integrability identity
     at each step; stage 2 interpolates that constant to the target ``f``.
-    Each stage marches by secant predictions and Newton corrections (see
-    :func:`_march`).
+    Each stage marches by secant predictions and Newton corrections over a
+    grid of ``config.path_steps`` targets, whose spacing is the first step
+    and which step doubling may skip (see :func:`_march`); a constant
+    target ``f`` makes stage 2 one target (see :func:`_continuity`).
 
     The hypotheses are checked on the given grid first.  For ``N >= 16`` the
     path then runs on the data restricted to ``N/2`` (recursively, down to
@@ -902,7 +922,10 @@ def continuity_path_dhym(chi: FormField, omega0_target: FormField,
     back down to 1, then interpolates the constant right-hand side to the
     target ``f``.  The constant along stages 1-2 comes from the
     integrability identity and stays non-negative.  Each stage marches by
-    secant predictions and Newton corrections (see :func:`_march`).
+    secant predictions and Newton corrections over a grid of
+    ``config.path_steps`` targets, whose spacing is the first step and which
+    step doubling may skip (see :func:`_march`); a constant target ``f``
+    makes stage 3 one target (see :func:`_continuity`).
 
     The hypotheses are checked on the given grid first; the grids are then
     nested as in :func:`continuity_path_j`, the fine solve being recorded as

@@ -132,7 +132,7 @@ class TestSolveDhym:
         starts = [h["start"] for h in history]
         assert starts[-1] == "prolonged" and set(starts[:-1]) == {"warm", "predicted"}
         assert all(h["iterations"] >= 1 for h in history if h["start"] == "predicted")
-        assert sum(h["iterations"] for h in history) <= 16
+        assert sum(h["iterations"] for h in history) <= 12
         assert report["final_residual"] <= 1e-13
 
     def test_refused_predictions_fall_back_to_warm_starts(self, tmp_path, monkeypatch):
@@ -150,8 +150,9 @@ class TestSolveDhym:
         assert main(["solve-dhym", "--config", str(CONFIGS / "solve_dhym.json"),
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        # 3 stages of 6 targets and the fine finish: no bisection, no extra entry
-        assert [h["start"] for h in report["path_history"]] == ["warm"] * 18 + ["prolonged"]
+        # warm starts never double the step: 6 targets in each of stages 1-2, the
+        # one target of the constant-f stage 3 and the fine finish, no bisection
+        assert [h["start"] for h in report["path_history"]] == ["warm"] * 13 + ["prolonged"]
         assert report["final_residual"] <= 1e-13
 
     def test_theta_hat_alias(self, tmp_path):

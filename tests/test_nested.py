@@ -346,3 +346,48 @@ class TestNestedPath:
         assert rep.success
         grids = [h["N"] for h in rep.path_history]
         assert grids == sorted(grids) and grids[-2:] == [16, 32] and set(grids) == {8, 16, 32}
+
+
+class TestLastStage:
+    """A constant target ``f`` makes the last stage one target at its end;
+    any other ``f`` marches it over the ``path_steps`` grid."""
+
+    @staticmethod
+    def marched(monkeypatch, path, *args):
+        """``path(*args)`` and the number of targets each stage was given."""
+        march, targets = solver._march, {}
+
+        def recording(make_problem, phi, config, t_start, stage_targets, stage, history):
+            targets[stage] = len(stage_targets)
+            return march(make_problem, phi, config, t_start, stage_targets, stage, history)
+
+        monkeypatch.setattr(solver, "_march", recording)
+        return path(*args), targets
+
+    @pytest.mark.parametrize("kind", ["j", "dhym"])
+    def test_constant_f_is_one_target(self, monkeypatch, kind):
+        if kind == "j":
+            chi, omega0, _, c = j_instance(8)
+            path, stage, args = continuity_path_j, "j-stage2", (
+                chi, omega0, ScalarField.zeros(chi.geometry), c)
+        else:
+            path, stage, args = continuity_path_dhym, "dhym-stage3", (*dhym_instance(8), THETA0)
+        rep, targets = self.marched(monkeypatch, path, *args, SolverConfig(path_steps=6))
+        assert rep.success and rep.final_residual <= 1e-13
+        last = [h for h in rep.path_history if h["stage"] == stage]
+        assert [h["t"] for h in last] == [1.0] and targets[stage] == 1
+        assert all(n == 6 for s, n in targets.items() if s != stage)
+
+    @pytest.mark.parametrize("kind", ["j", "dhym"])
+    def test_varying_f_marches_the_target_grid(self, monkeypatch, kind):
+        if kind == "j":
+            path, stage, args = continuity_path_j, "j-stage2", j_instance(8)
+        else:
+            path, stage, args = (continuity_path_dhym, "dhym-stage3",
+                                 (*poisson_bump_instance(8), THETA0))
+        rep, targets = self.marched(monkeypatch, path, *args,
+                                    SolverConfig(path_steps=4, tolerance=1e-11))
+        assert rep.success and targets[stage] == 4
+        # its first step is one grid spacing; step doubling may skip later targets
+        last = [h["t"] for h in rep.path_history if h["stage"] == stage]
+        assert last[0] == 0.25 and last[-1] == 1.0 and set(last) <= {0.25, 0.5, 0.75, 1.0}

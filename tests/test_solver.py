@@ -831,19 +831,20 @@ class TestFailureBounds:
         assert np.all(rep.phi.values == 0.0)
 
     @staticmethod
-    def stub_solver(monkeypatch, accept):
+    def stub_solver(monkeypatch, accept, corrector_steps=0):
         """Replace the Newton solve by ``accept(t, t_prev)``, ``t_prev`` the last
-        accepted ``t``; phi carries t."""
+        accepted ``t``; phi carries t.  A solve from a predicted start (one
+        with ``min_steps``) reports ``corrector_steps`` iterations, a warm one 0."""
         calls = []
         accepted = [0.0]
 
-        def stub(t, phi, config, **kwargs):
+        def stub(t, phi, config, min_steps=0):
             calls.append(t)
             status = "converged" if accept(t, accepted[-1]) else "no-convergence"
             if status == "converged":
                 accepted.append(t)
             return SolveReport(ScalarField.constant(phi.geometry, t), [0.0], 1.0, 0.0, 0.0,
-                               0.0, status, 0)
+                               0.0, status, corrector_steps if min_steps else 0)
 
         monkeypatch.setattr(solver, "newton_solve", stub)
         return calls
@@ -904,6 +905,29 @@ class TestFailureBounds:
         # the three solves up to the first accepted t have no secant to predict from
         assert len(refused) == len(calls) - 3
         assert len(history) == 18 and {h["start"] for h in history} == {"warm"}
+
+    @pytest.mark.parametrize("steps, accepted", [(1, [1, 2, 4, 8]), (2, range(1, 9))])
+    def test_one_step_corrections_double_the_stride(self, monkeypatch, steps, accepted):
+        # the first target has no secant (warm); each later one is predicted, and
+        # a one-step correction doubles the stride (1, 2, 4, clipped to the end)
+        # while a second step keeps it at one target
+        calls = self.stub_solver(monkeypatch, lambda t, t_prev: True, corrector_steps=steps)
+        history = []
+        solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                      SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
+        assert [h["t"] for h in history] == calls == [k / 8 for k in accepted]
+        assert [h["start"] for h in history] == ["warm"] + ["predicted"] * (len(calls) - 1)
+
+    def test_refused_doubled_step_bisects_to_the_skipped_target(self, monkeypatch):
+        # steps longer than the target spacing fail: each doubled step falls
+        # back to the grid target it skipped, and the stride returns to 1
+        calls = self.stub_solver(monkeypatch, lambda t, t_prev: t - t_prev <= 1 / 8,
+                                 corrector_steps=1)
+        history = []
+        solver._march(lambda t: t, ScalarField.zeros(TorusGeometry(1, 8)),
+                      SolverConfig(), 0.0, np.linspace(0.0, 1.0, 9)[1:], "stub", history)
+        assert calls == [1 / 8, 2 / 8, 4 / 8, 3 / 8, 4 / 8, 5 / 8, 7 / 8, 6 / 8, 7 / 8, 1.0]
+        assert [h["t"] for h in history] == [k / 8 for k in range(1, 9)]
 
 
 class TestStepHalvingExhaustion:
