@@ -181,7 +181,10 @@ def _rfft(values: np.ndarray) -> np.ndarray:
     and 16 grids (4,096 and 65,536 points at n = 2), where starting scipy's
     thread pool costs more than the transform (the timed pairs are in
     CHANGES.md).  Both look ``sfft.<name>`` up at each call, so that a
-    stand-in for the module sees every transform.
+    stand-in for the module sees every transform.  Both keep the input's
+    precision: float32 values give a complex64 spectrum and a complex64
+    spectrum gives float32 values, which the float32 Krylov operator of
+    ``solver._solve_linear`` relies on.
     """
     return sfft.rfftn(values)
 

@@ -14,7 +14,11 @@ the mean-zero projection ``A u = b`` of the linear system: ``lgmres`` solves
 the residual outside the numerical range (its volume-weighted mean) is
 surfaced as ``multiplier`` instead of silently absorbed.
 Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
-term with ``linear_tol`` as its floor (see :func:`newton_solve`).
+term with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
+that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32,
+whose relative error (2.5e-7) stays far below the residual asked for; the
+Krylov basis, the residual and the Newton update stay float64 (see
+:func:`_solve_linear`).
 """
 
 from __future__ import annotations
@@ -261,10 +265,16 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
 
 
 def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np.ndarray:
-    """``tr(M Hess u)`` from ``rfftn(u)`` and the rows of M, without the Hessian."""
-    out = np.zeros(geom.shape)
+    """``tr(M Hess u)`` from ``rfftn(u)`` and the rows of M, without the Hessian.
+
+    Computed in the precision of ``coef``: float32 rows take the symbols
+    rounded to float32 inside the product (no cached copy) and a complex64
+    ``phat``, and give a float32 result.
+    """
+    out = np.zeros(geom.shape, coef.dtype)
+    spectral = np.result_type(coef.dtype, np.complex64)
     for row, sym in zip(coef, _hessian_symbols(geom)):
-        e = _irfft(geom, sym * phat)
+        e = _irfft(geom, np.multiply(sym, phat, dtype=spectral))
         e *= row
         out += e
     return out
@@ -454,6 +464,11 @@ class _KrylovBudget(Exception):
     """Raised by the Krylov operator when ``linear_max_iter`` is used up."""
 
 
+# Krylov solves asked for a relative residual of at least this apply their
+# operator in float32 (see _solve_linear)
+FLOAT32_RTOL = 1e-4
+
+
 def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
                   config: SolverConfig, rtol: float | None = None) -> tuple[np.ndarray, int]:
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
@@ -464,9 +479,21 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     ``|b - A u| <= rtol |b|`` (default ``linear_tol``).  Asking for more than
     ``linear_max_iter`` applications of ``A`` ends the solve.  Returns ``u``
     and the ``lgmres`` info (non-zero, with ``u`` unusable, on failure).
+
+    Precision: when ``rtol >= FLOAT32_RTOL`` the operator ``A P`` (the
+    transform, ``inv_sym``, the rows and symbols, the mean projection) runs
+    in float32 on float32 copies of the rows and ``inv_sym``; ``y`` is cast
+    in and the result back to float64.  ``lgmres`` and its basis, ``b``,
+    ``u = P y`` and the caller's residual, gauge and update stay float64,
+    and tighter solves are float64 throughout.  The float32 operator is
+    ``A P`` to a relative 2.5e-7 (white noise at n = 2, N = 32), more than
+    two orders below the tightest residual it serves, so the solve still
+    meets its forcing term, which is all an inexact Newton step needs
+    (Kelley, "Newton's method in mixed precision", SIAM Review 64, 2022).
     """
     G = geom.grid_size
     shape = geom.shape
+    rtol = config.linear_tol if rtol is None else rtol
     # the half-spectrum symbol of u -> tr(Mbar Hess u), Mbar the grid mean of M;
     # negative away from the mean
     sym = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,))
@@ -478,6 +505,8 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
     inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
     budget = iter(range(config.linear_max_iter))  # one item per application of A
+    dtype = np.float32 if rtol >= FLOAT32_RTOL else np.float64
+    op_coef, op_inv = coef.astype(dtype, copy=False), inv_sym.astype(dtype, copy=False)
 
     # every Hessian symbol vanishes at k = 0, so A P needs only its output
     # projected; inv_sym is 0 there, so u = P y is mean-zero
@@ -486,11 +515,11 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
             return np.zeros_like(y)
         if next(budget, None) is None:
             raise _KrylovBudget
-        vhat = _rfft(y.reshape(shape))
-        vhat *= inv_sym
-        out = _tr_m_hessian(geom, coef, vhat)
+        vhat = _rfft(y.reshape(shape).astype(dtype, copy=False))
+        vhat *= op_inv
+        out = _tr_m_hessian(geom, op_coef, vhat)
         out -= out.mean()
-        return out.reshape(-1)
+        return out.reshape(-1).astype(np.float64, copy=False)
 
     # drop unresolvable (annihilated-mode) content from the right-hand side;
     # it is quadrature junk and would otherwise stall the Krylov iteration
@@ -504,7 +533,7 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     # each restart cycle applies A, so the budget ends a solve before maxiter
     try:
         y, info = lgmres(LinearOperator((G, G), matvec=matvec, dtype=float), b,
-                         rtol=config.linear_tol if rtol is None else rtol, atol=0.0,
+                         rtol=rtol, atol=0.0,
                          inner_m=min(30, config.linear_max_iter),
                          maxiter=config.linear_max_iter)
     except _KrylovBudget:
@@ -665,10 +694,12 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
 
     The march steps over the grid with a stride, at first one target.  A
     target reached without bisection from the prediction in exactly its one
-    forced step doubles the stride for the next step (the step-length
-    control of ibid., ch. 6: the step grows where the corrector contracts at
-    once); a warm start, a second step or a bisection resets it to one.  The
-    last target is always solved.
+    forced step, or from the warm start in no step, doubles the stride for
+    the next step (the step-length control of ibid., ch. 6: the step grows
+    where the corrector contracts at once, or where the iterate does not
+    move and there is no secant to predict with); any other warm solve, a
+    second step or a bisection resets it to one.  The last target is always
+    solved.
 
     A failed step inserts the midpoint of the gap from the last accepted
     ``t`` (after a doubled step, a grid target it skipped).  Each target
@@ -723,8 +754,9 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
             history.append(_path_entry(stage, t, start, report))
             t_prev = t
             pending.pop()
-        one_step = halvings == 0 and start == "predicted" and report.iterations == 1
-        stride = 2 * stride if one_step else 1
+        # a predicted target in its one forced step, or a warm one in no step
+        easy = report.iterations == (1 if start == "predicted" else 0)
+        stride = 2 * stride if halvings == 0 and easy else 1
     return phi, report
 
 

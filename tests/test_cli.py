@@ -360,8 +360,10 @@ class TestExitCodeRouting:
         assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "krylov-failure"
-        # stage 1 is exact at phi = 0 and needs no Krylov solve; stage 2 fails
-        assert [h["stage"] for h in report["path_history"]] == ["j-stage1"] * 3
+        # stage 1 is exact at phi = 0 and needs no Krylov solve; its 0-step warm
+        # solves double the stride (t = 1/3, then 1); stage 2 fails
+        assert [(h["stage"], h["t"]) for h in report["path_history"]] == [
+            ("j-stage1", pytest.approx(1 / 3)), ("j-stage1", 1.0)]
         assert (out / "phi.bin").exists()
         assert (out / "residual_history.csv").exists()
 

@@ -391,3 +391,29 @@ class TestLastStage:
         # its first step is one grid spacing; step doubling may skip later targets
         last = [h["t"] for h in rep.path_history if h["stage"] == stage]
         assert last[0] == 0.25 and last[-1] == 1.0 and set(last) <= {0.25, 0.5, 0.75, 1.0}
+
+
+class TestStillStages:
+    """A stage whose iterate does not move doubles its stride after each
+    0-step warm solve: constant ``chi`` and ``omega0`` keep dHYM stages 1-2
+    at ``phi = 0``."""
+
+    def test_zero_step_warm_solves_grow_the_stride(self):
+        data = poisson_bump_instance(8)
+        cfg = SolverConfig(path_steps=8, tolerance=1e-11)
+        rep = continuity_path_dhym(*data, THETA0, cfg)
+        assert rep.success
+        # strides 1, 2, 4, then the last target: 4 of each stage's 8 targets
+        for stage in ("dhym-stage1", "dhym-stage2"):
+            entries = [h for h in rep.path_history if h["stage"] == stage]
+            assert len(entries) == 4
+            assert all(h["start"] == "warm" and h["iterations"] == 0 for h in entries)
+        # stages 1-2 leave phi = 0, so stage 3 marched alone from zero gives
+        # the path's stage-3 entries and its endpoint
+        stages, _, _ = solver._dhym_path(*data, THETA0)
+        name, t_start, t_end, problem = stages[-1]
+        history = []
+        phi, _ = solver._march(problem, ScalarField.zeros(data[0].geometry), cfg, t_start,
+                               np.linspace(t_start, t_end, 9)[1:], name, history)
+        assert [h for h in rep.path_history if h["stage"] == name] == history
+        assert np.array_equal(rep.phi.values, phi.values)

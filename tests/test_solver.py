@@ -743,6 +743,18 @@ class TestLinearSolve:
         # bound fixed before measuring; the stop test is linear_tol = 1e-10
         assert np.linalg.norm(out - out.mean() - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_loose_residual_contract(self, n):
+        # at the float32 threshold the operator runs in float32; the float64
+        # residual still meets the requested rtol (bound fixed before measuring)
+        geom, rows = j_newton_rows(n, 60 + n)
+        rhs = white_noise_rhs(geom, 70 + n)
+        rtol = solver.FLOAT32_RTOL
+        u, info = solver._solve_linear(geom, rows, rhs, SolverConfig(), rtol)
+        assert info == 0
+        out = solver._tr_m_hessian(geom, rows, sfft.rfftn(u))
+        assert np.linalg.norm(out - out.mean() - rhs) <= rtol * np.linalg.norm(rhs)
+
     @pytest.mark.parametrize("max_iter", [3, 10, 60])
     def test_linear_max_iter_bounds_operator_applications(self, monkeypatch, max_iter):
         geom, rows = j_newton_rows(1, 61)
@@ -775,6 +787,46 @@ class TestLinearSolve:
         _, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
         assert info != 0
         assert len(calls) == max_iter
+
+
+class TestKrylovPrecision:
+    """Loose Krylov solves apply their operator in float32; tight ones in float64."""
+
+    @staticmethod
+    def solve(monkeypatch, rtol, **config):
+        """``_solve_linear`` at ``rtol`` and the dtypes of each operator
+        application's rows and spectrum."""
+        geom, rows = j_newton_rows(2, 62)
+        dtypes = []
+        tr_m_hessian = solver._tr_m_hessian
+
+        def recorded(geom, coef, phat):
+            dtypes.append((coef.dtype, phat.dtype))
+            return tr_m_hessian(geom, coef, phat)
+
+        monkeypatch.setattr(solver, "_tr_m_hessian", recorded)
+        u, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 72),
+                                       SolverConfig(**config), rtol)
+        return u, info, dtypes
+
+    @pytest.mark.parametrize("rtol, single", [
+        (solver.FLOAT32_RTOL, True), (np.nextafter(solver.FLOAT32_RTOL, 0.0), False)])
+    def test_precision_follows_rtol(self, monkeypatch, rtol, single):
+        u, info, dtypes = self.solve(monkeypatch, rtol)
+        expected = (np.float32, np.complex64) if single else (np.float64, np.complex128)
+        assert info == 0 and dtypes
+        assert all(d == expected for d in dtypes)
+        assert u.dtype == np.float64
+        assert abs(u.mean()) <= 1e-14 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 4])
+    def test_linear_max_iter_is_an_exact_cap_in_float32(self, monkeypatch, max_iter):
+        # this solve needs 5 applications to reach the threshold, so each cap
+        # below that ends a float32 solve
+        _, info, dtypes = self.solve(monkeypatch, solver.FLOAT32_RTOL,
+                                     linear_max_iter=max_iter)
+        assert info != 0
+        assert len(dtypes) == max_iter and all(d == np.float32 for d, _ in dtypes)
 
 
 class TestForcingTerms:
@@ -834,7 +886,8 @@ class TestFailureBounds:
     def stub_solver(monkeypatch, accept, corrector_steps=0):
         """Replace the Newton solve by ``accept(t, t_prev)``, ``t_prev`` the last
         accepted ``t``; phi carries t.  A solve from a predicted start (one
-        with ``min_steps``) reports ``corrector_steps`` iterations, a warm one 0."""
+        with ``min_steps``) reports ``corrector_steps`` iterations, a warm one
+        1 (phi moves, so a warm solve takes a step)."""
         calls = []
         accepted = [0.0]
 
@@ -844,7 +897,7 @@ class TestFailureBounds:
             if status == "converged":
                 accepted.append(t)
             return SolveReport(ScalarField.constant(phi.geometry, t), [0.0], 1.0, 0.0, 0.0,
-                               0.0, status, corrector_steps if min_steps else 0)
+                               0.0, status, corrector_steps if min_steps else 1)
 
         monkeypatch.setattr(solver, "newton_solve", stub)
         return calls
