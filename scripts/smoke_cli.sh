@@ -80,6 +80,9 @@ test ! -e "$out/odd-t-steps"
 expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples 5)" \
   --out "$out/samples-not-a-list"
 test ! -e "$out/samples-not-a-list"
+expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples '[null]')" \
+  --out "$out/null-sample"
+test ! -e "$out/null-sample"
 # a chi that is not Kahler on the grid is refused (exit 2, nothing written),
 # also when c is a number and no c0 is computed
 expect_exit 2 solve-j --config "$(with_value "$(with_value configs/solve_j.json c 3)" chi \

@@ -102,9 +102,7 @@ def _parse_matrix(entry, path: str, n: int) -> np.ndarray:
     return mat
 
 
-def _parse_potential(entry, path: str, geom: TorusGeometry) -> ScalarField | None:
-    if entry is None:
-        return None
+def _parse_potential(entry, path: str, geom: TorusGeometry) -> ScalarField:
     if not isinstance(entry, list):
         raise ConfigError(path, "expected a list of modes")
     modes = []
@@ -120,8 +118,9 @@ def _parse_potential(entry, path: str, geom: TorusGeometry) -> ScalarField | Non
 
 def _parse_form(doc, path: str, geom: TorusGeometry) -> FormField:
     base = _parse_matrix(_need(doc, path, "base"), f"{path}.base", geom.n)
-    pot = _parse_potential(doc.get("potential"), f"{path}.potential", geom)
-    return form_field(geom, base, pot)
+    pot = doc.get("potential")
+    return form_field(geom, base, None if pot is None else
+                      _parse_potential(pot, f"{path}.potential", geom))
 
 
 def _parse_geometry(doc: dict) -> TorusGeometry:

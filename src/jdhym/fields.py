@@ -495,15 +495,15 @@ def mixed_density(mats) -> np.ndarray:
     return np.asarray(out.real)
 
 
-def integrate(field: ScalarField | None, weights, geom: TorusGeometry | None = None) -> float:
+def integrate(field: ScalarField | None, weights) -> float:
     """Integral of a scalar against a wedge of forms: the grid mean of
     ``field * D(weights)`` (unit total volume).
 
     ``weights`` is a list of ``n`` :class:`FormField`, raw matrix grids or
-    constant matrices.  ``field``, the forms and ``geom`` may fix at most
-    one grid; otherwise ``UsageError``.
+    constant matrices.  ``field`` and the forms may fix at most one grid;
+    otherwise ``UsageError``.
     """
-    _check_geoms(field, geom, *(w for w in weights if isinstance(w, FormField)))
+    _check_geoms(field, *(w for w in weights if isinstance(w, FormField)))
     dens = mixed_density([w.values if isinstance(w, FormField) else np.asarray(w)
                           for w in weights])
     if field is not None:

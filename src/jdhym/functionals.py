@@ -1,5 +1,6 @@
 """Energy functionals: the topological constant, the chi-energy, Aubin's I,
-the base-form energy in both integral representations, and a coercivity probe.
+the base-form energy (the chi-energy at ``chi = omega0``) in both integral
+representations, each exact, and a coercivity probe.
 
 All functionals are shift-invariant in the potential; the probe therefore
 reports the sup and the Monge-Ampere-energy normalization shifts alongside
@@ -96,7 +97,8 @@ def _gradient_form(phi: ScalarField) -> np.ndarray:
 
 
 def _check_t_steps(t_steps: int) -> int:
-    """An even number of at least 2 Simpson steps."""
+    """An even number of at least 2 ray intervals; a ray that leaves the
+    Kahler cone is scanned at their nodes."""
     if t_steps < 2 or t_steps % 2:
         raise UsageError("t_steps must be an even integer >= 2")
     return t_steps
@@ -104,39 +106,32 @@ def _check_t_steps(t_steps: int) -> int:
 
 def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
                         form: str = "potential") -> float:
-    """The base-form energy as a Simpson t-integral over the ray ``t*phi``.
+    """The base-form energy: the chi-energy at ``chi = omega0``, ``c0 = n``.
 
-    ``form='potential'`` uses the density
-    ``phi (omega0 ^ omega_t^(n-1)/(n-1)! - n omega_t^n/n!)``;
-    ``form='gradient'`` uses ``i dphi ^ dbar(phi) ^ t omega_t^(n-1)/(n-1)!``.
-    Both are polynomials of degree ``<= n <= 3`` in ``t``, which Simpson's rule
-    integrates exactly.  ``omega_t`` is affine in ``t``, so the ray is Kahler
-    once both ends are; if one is not, the first bad node is named (a
-    :class:`NotKahlerError` with its grid point).
+    Over the ray ``t*phi``, ``form='potential'`` integrates the density
+    ``phi (omega0 ^ omega_t^(n-1)/(n-1)! - n omega_t^n/n!)``
+    (:func:`j_chi_functional`) and ``form='gradient'`` the density
+    ``i dphi ^ dbar(phi) ^ t omega_t^(n-1)/(n-1)!``, both exactly; the latter's
+    ``t``-integral is ``sum_k C(n-1,k)/(k+2) Hess(phi)^k ^ omega0^(n-1-k)``.
+    ``omega_t`` is affine in ``t``, so the ray is Kahler once both ends are;
+    if one is not, the first bad one of ``t_steps + 1`` evenly spaced nodes
+    is named (a :class:`NotKahlerError` with its grid point).
     """
     n = omega0.geometry.n
     _check_t_steps(t_steps)
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
     hess = hessian_values(phi)
-    ts = np.linspace(0.0, 1.0, t_steps + 1)
     if min(np.min(min_eigenvalue_field(omega0.values + t * hess)) for t in (0.0, 1.0)) <= 0:
-        for t in ts:
+        for t in np.linspace(0.0, 1.0, t_steps + 1):
             _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess),
                               f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
-    gmat = _gradient_form(phi) if form == "gradient" else None
-    integrand = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        omega_t = omega0.values + float(t) * hess
-        if form == "potential":  # n omega_t^n/n! = omega_t^n/(n-1)!; omega0 - omega_t = -t hess
-            integrand[i] = -t * integrate(phi, [hess] + [omega_t] * (n - 1))
-        else:
-            integrand[i] = t * integrate(None, [gmat] + [omega_t] * (n - 1))
-    h = 1.0 / t_steps
-    weights = np.ones_like(ts)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.sum(weights * integrand) * h / 3.0) / math.factorial(n - 1)
+    if form == "potential":
+        return j_chi_functional(omega0, omega0, phi, n)
+    gmat = _gradient_form(phi)
+    return sum(math.comb(n - 1, k) / (k + 2)
+               * integrate(None, [gmat] + [hess] * k + [omega0] * (n - 1 - k))
+               for k in range(n)) / math.factorial(n - 1)
 
 
 def monge_ampere_energy(omega0: FormField, phi: ScalarField) -> float:

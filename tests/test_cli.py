@@ -511,6 +511,7 @@ class TestTypedConfigNumbers:
         ("check-stability", {**ANGLE_BASE, "datasets": []}, "datasets"),
         ("functionals", functionals_config(t_steps=7), "t_steps"),
         ("functionals", functionals_config(phi_samples=5), "phi_samples"),
+        ("functionals", functionals_config(phi_samples=[None]), "phi_samples[0]"),
         ("solve-j", solve_j_config(chi={"base": [[[1.0, 0.0], [0.0, 0.0]]]}), "chi.base"),
         ("solve-j", solve_j_config(chi={"base": [[[1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}),
          "chi.base[0]"),

@@ -162,6 +162,33 @@ class TestJOmega0:
         j_omega0_functional(omega0, phi, t_steps=8)
         assert len(calls) == 2
 
+    # (n, seed): samples on which a t-quadrature's rounding shows in the last bits
+    RAYS = [(1, 1), (2, 3), (3, 2)]
+
+    @staticmethod
+    def ray_sample(n, seed):
+        geom = TorusGeometry(n, 8)
+        omega0 = form_field(geom, np.eye(n),
+                            field_from_modes(geom, [((1,) + (0,) * (2 * n - 1), 0.01)]))
+        return omega0, random_bandlimited(geom, np.random.default_rng(seed), kmax=1,
+                                          amplitude=0.003)
+
+    @pytest.mark.parametrize("n, seed", RAYS)
+    def test_value_independent_of_t_steps(self, n, seed):
+        # the energy is integrated exactly; t_steps only spaces the ray scan
+        omega0, phi = self.ray_sample(n, seed)
+        for form in ("potential", "gradient"):
+            values = {j_omega0_functional(omega0, phi, t_steps=t, form=form)
+                      for t in (2, 32, 256)}
+            assert len(values) == 1, (form, values)
+
+    @pytest.mark.parametrize("n, seed", RAYS)
+    def test_gradient_form_is_chi_energy_at_omega0(self, n, seed):
+        # J_omega0 is the chi-energy at chi = omega0, where c0 = n
+        omega0, phi = self.ray_sample(n, seed)
+        assert j_omega0_functional(omega0, phi, form="gradient") == \
+            pytest.approx(j_chi_functional(omega0, omega0, phi, n), rel=1e-13)
+
 
 class TestCoercivityProbe:
     def test_j_identity_instance(self):
