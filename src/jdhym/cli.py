@@ -176,26 +176,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_history_csv(path: Path, report) -> None:
+def _write_csv(path: Path, rows) -> None:
+    """``rows`` as CSV: a float in 17 significant digits, ``None`` as an empty cell."""
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "sup_residual"])
-        for i, r in enumerate(report.residual_history):
-            w.writerow([i, f"{r:.17g}"])
-        if report.path_history:
-            w.writerow([])
-            w.writerow(["stage", "N", "t", "iterations", "residual", "cone_margin",
-                        "multiplier"])
-            for h in report.path_history:
-                w.writerow([h["stage"], h["N"], f"{h['t']:.17g}", h["iterations"],
-                            *(f"{h[k]:.17g}" for k in ("residual", "cone_margin", "multiplier"))])
+        csv.writer(fh).writerows(
+            ["" if v is None else f"{v:.17g}" if isinstance(v, float) else v for v in row]
+            for row in rows)
 
 
 def _emit_solve(report, out: Path, omega0) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_scalar_field(out / "phi", report.phi, base=omega0.base)
     _write_json(out / "report.json", {**report.to_json_dict(), "phi_file": "phi.json"})
-    _write_history_csv(out / "residual_history.csv", report)
+    rows = [["iteration", "sup_residual"], *enumerate(report.residual_history)]
+    if report.path_history:
+        columns = ["stage", "N", "t", "iterations", "residual", "cone_margin", "multiplier"]
+        rows += [[], columns, *([h[k] for k in columns] for h in report.path_history)]
+    _write_csv(out / "residual_history.csv", rows)
 
 
 def _cmd_solve(cfg: dict, out: Path, args) -> int:
@@ -327,13 +324,8 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
     }
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "functionals.json", report)
-    with (out / "coercivity.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "j_omega0", "j_chi", "sup_shift", "energy_shift", "error"])
-        for r in scatter:
-            w.writerow([r["sample"], *("" if r[k] is None else f"{r[k]:.17g}" for k in
-                                       ("j_omega0", "j_chi", "sup_shift", "energy_shift")),
-                        r["error"] or ""])
+    columns = ["sample", "j_omega0", "j_chi", "sup_shift", "energy_shift", "error"]
+    _write_csv(out / "coercivity.csv", [columns, *([r[k] for k in columns] for r in scatter)])
     return EXIT_OK
 
 
@@ -346,12 +338,8 @@ def _cmd_verify_lemmas(cfg: dict, out: Path, args) -> int:
             return EXIT_CONFIG
     results = properties.run_property_suites(trials=trials, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "lemma_slacks.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["property", "trials", "worst_slack", "threshold", "holds"])
-        for r in results:
-            w.writerow([r["property"], r["trials"], f"{r['worst_slack']:.17g}",
-                        f"{r['threshold']:.17g}", r["holds"]])
+    columns = ["property", "trials", "worst_slack", "threshold", "holds"]
+    _write_csv(out / "lemma_slacks.csv", [columns, *([r[k] for k in columns] for r in results)])
     all_hold = all(r["holds"] for r in results)
     _write_json(out / "lemmas.json", {"seed": seed, "trials": trials, "all_hold": all_hold,
                                       "results": results})

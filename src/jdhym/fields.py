@@ -39,7 +39,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
-from .hermitian import (_check_geoms, _relative_eigvals, _require_positive,
+from .hermitian import (_check_geoms, _check_integer, _relative_eigvals, _require_positive,
                         ensure_hermitian, is_positive_definite)
 
 __all__ = [
@@ -78,12 +78,12 @@ class TorusGeometry:
     N: int
 
     def __post_init__(self):
-        if not 1 <= int(self.n) <= 3:
-            raise UsageError(f"complex dimension must be 1..3, got {self.n}")
-        N = int(self.N)
+        n, N = _check_integer(self.n, "n"), _check_integer(self.N, "N")
+        if not 1 <= n <= 3:
+            raise UsageError(f"complex dimension must be 1..3, got {n}")
         if N < 8 or (N & (N - 1)) != 0:
             raise UsageError(f"N must be a power of two >= 8, got {N}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
 
     @property
@@ -650,7 +650,7 @@ def load_scalar_field(header_path: str | Path) -> tuple[ScalarField, np.ndarray 
     header_path = Path(header_path)
     try:
         header = json.loads(header_path.read_text())
-        geom = TorusGeometry(int(header["n"]), int(header["N"]))
+        geom = TorusGeometry(header["n"], header["N"])
         if header.get("format", "binary") != "binary":
             raise ValueError(f"unknown format {header['format']!r}")
         flat = np.frombuffer(header_path.with_name(header["values_file"]).read_bytes(),

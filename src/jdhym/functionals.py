@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .fields import (FormField, ScalarField, _require_kahler, complex_gradient,
-                     complex_hessian, hessian_values, integrate, intersections,
-                     min_eigenvalue_field)
+                     complex_hessian, integrate, intersections, min_eigenvalue_field)
 from .hermitian import _check_geoms, _require_positive
 
 __all__ = [
@@ -54,8 +53,14 @@ def j_chi_functional(chi: FormField, omega0: FormField, phi: ScalarField,
     Value is invariant under ``phi -> phi + const`` thanks to the defining
     property of ``c0``.
     """
-    n = chi.geometry.n
     omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
+    return _chi_energy(chi, omega0, phi, omega_phi, c0)
+
+
+def _chi_energy(chi: FormField, omega0: FormField, phi: ScalarField, omega_phi: FormField,
+                c0: float) -> float:
+    """:func:`j_chi_functional` at its Kahler ``omega_phi = omega0 + i d dbar(phi)``."""
+    n = chi.geometry.n
     return (_ladder(phi, [chi], omega0, omega_phi, n - 1) / math.factorial(n)
             - c0 * _ladder(phi, [], omega0, omega_phi, n) / math.factorial(n + 1))
 
@@ -121,13 +126,14 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     _check_t_steps(t_steps)
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
-    hess = hessian_values(phi)
-    if min(np.min(min_eigenvalue_field(omega0.values + t * hess)) for t in (0.0, 1.0)) <= 0:
+    hess = complex_hessian(phi)
+    omega_phi = omega0 + hess
+    if min(np.min(min_eigenvalue_field(w.values)) for w in (omega0, omega_phi)) <= 0:
         for t in np.linspace(0.0, 1.0, t_steps + 1):
-            _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess),
+            _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess.values),
                               f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
     if form == "potential":
-        return j_chi_functional(omega0, omega0, phi, n)
+        return _chi_energy(omega0, omega0, phi, omega_phi, n)
     gmat = _gradient_form(phi)
     return sum(math.comb(n - 1, k) / (k + 2)
                * integrate(None, [gmat] + [hess] * k + [omega0] * (n - 1 - k))

@@ -21,6 +21,7 @@ reciprocals ``1/lam_i``:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,6 +332,14 @@ def _check_c(c: float) -> float:
     if not c > 0.0:
         raise DomainError(f"c must be positive, got {c}")
     return c
+
+
+def _check_integer(value, what: str) -> int:
+    """``value``, an integer (numpy's too) or an integral float, as an int; a
+    size or count is refused rather than truncated."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
 def _f_bound_j(n: int, c: float) -> float:

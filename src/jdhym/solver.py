@@ -36,9 +36,9 @@ from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
                      _hessian_symbols, _irfft, _pairs, _rfft, _require_kahler, complex_hessian,
                      form_field, hessian_values, integrate, intersections, mixed_density,
                      relative_spectrum_field, resample)
-from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_theta0, _cone_margin,
-                        _dhym_angle_radius, _dhym_gradient, _dhym_value, _f_bound_dhym,
-                        _f_bound_j, _j_value, _reduce_last, _require_positive)
+from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
+                        _cone_margin, _dhym_angle_radius, _dhym_gradient, _dhym_value,
+                        _f_bound_dhym, _f_bound_j, _j_value, _reduce_last, _require_positive)
 
 __all__ = [
     "SolverConfig",
@@ -65,6 +65,8 @@ class SolverConfig:
     linear_max_iter: int = 400
 
     def __post_init__(self):
+        for name in ("max_newton", "path_steps", "linear_max_iter"):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if not (math.isfinite(self.tolerance) and self.tolerance >= 1e-12):
             raise UsageError("tolerance must be finite and >= 1e-12")
         if not 0.0 <= self.linear_tol < 1.0:
@@ -180,13 +182,11 @@ def _rows2(block, chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
 
     ``block(omega, chi, lam, f)`` maps ``hermitian._BLOCK2`` points of each
     input (the forms as 2 x 2 triples) to the coefficient's triple, so its
-    temporaries stay in cache and no full-grid one is made.  A constant
-    ``chi`` is read from its base matrix.
+    temporaries stay in cache and no full-grid one is made.
     """
     shape = lam.shape[:-1]
     omega = omega_vals.reshape(-1, 2, 2)
-    chi = np.broadcast_to(chi.base if chi.potential is None else chi.values,
-                          shape + (2, 2)).reshape(-1, 2, 2)
+    chi = chi.values.reshape(-1, 2, 2)
     lam = lam.reshape(-1, 2)
     f_vals = f_vals.reshape(-1)
     rows = np.empty((4, len(lam)))
@@ -420,37 +420,32 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
 
 
-def _j_checked(chi: FormField, omega0: FormField, f: ScalarField, c: float) -> float:
-    """``c``, once the J hypotheses on ``(chi, omega0, f, c)`` hold."""
+def _hypotheses(chi: FormField, omega0: FormField, f: ScalarField, param: float,
+                check_param: Callable, f_bound: Callable) -> float:
+    """``param``, once a theorem's hypotheses hold, in this order: one grid, ``chi`` and
+    ``omega0`` Kahler, ``check_param(param)``, ``f > f_bound(n, param)`` (``_J``, ``_DHYM``)."""
     n = _check_geoms(chi, omega0, f).n
     _require_kahler(chi, "chi")
     _require_kahler(omega0, "omega0")
-    c = _check_c(c)
-    _check_f(f.values, _f_bound_j(n, c))
-    return c
+    param = check_param(param)
+    _check_f(f.values, f_bound(n, param))
+    return param
+
+
+_J = (_check_c, _f_bound_j)  # the J theorem: c > 0
+_DHYM = (_check_theta0, lambda n, theta0: _f_bound_dhym(n))  # dHYM: theta0 in (0, pi/4)
 
 
 def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
                    c: float) -> _NewtonProblem:
-    c = _j_checked(chi, omega0, f, c)
+    c = _hypotheses(chi, omega0, f, c, *_J)
     return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
                            lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0)
 
 
-def _dhym_checked(chi: FormField, omega0: FormField, f: ScalarField,
-                  theta0: float) -> float:
-    """``theta0``, once the dHYM hypotheses on ``(chi, omega0, f, theta0)`` hold."""
-    n = _check_geoms(chi, omega0, f).n
-    _require_kahler(chi, "chi")
-    _require_kahler(omega0, "omega0")
-    theta0 = _check_theta0(theta0)
-    _check_f(f.values, _f_bound_dhym(n))
-    return theta0
-
-
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
                       theta0: float) -> _NewtonProblem:
-    theta0 = _dhym_checked(chi, omega0, f, theta0)
+    theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     return _newton_problem(
         chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
         lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0)
@@ -855,7 +850,7 @@ def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, fl
 
 def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     """The stages of :func:`continuity_path_j` on the grid of its data."""
-    c = _j_checked(chi, omega0, f, c)
+    c = _hypotheses(chi, omega0, f, c, *_J)
     geom = chi.geometry
     n = geom.n
     rhs_int, scale = _j_class_rhs(chi, omega0, c)
@@ -913,7 +908,7 @@ def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], fl
 
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
-    theta0 = _dhym_checked(chi, omega0, f, theta0)
+    theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     geom = chi.geometry
     n = geom.n
     lam0 = relative_spectrum_field(chi.values, omega0.values)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -406,6 +407,54 @@ class TestNestedPathArtifacts:
         rows = (out / "residual_history.csv").read_text().split("\n\n", 1)[1].split()
         assert rows[0] == "stage,N,t,iterations,residual,cone_margin,multiplier"
         assert [int(r.split(",")[1]) for r in rows[1:]] == grids
+
+
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvCells:
+    # one cell rule for every CSV: a float in 17 significant digits, which reads
+    # back exactly; a missing value as an empty cell
+
+    def test_residual_history_reads_back_the_report(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", solve_j_config())
+        out = tmp_path / "out"
+        assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows = read_csv(out / "residual_history.csv")
+        blank = rows.index([])
+        assert rows[0] == ["iteration", "sup_residual"]
+        assert [(int(i), float(r)) for i, r in rows[1:blank]] == \
+            list(enumerate(report["residual_history"]))
+        header, entries = rows[blank + 1], rows[blank + 2:]
+        assert len(entries) == len(report["path_history"]) > 0
+        for row, entry in zip(entries, report["path_history"]):
+            for key, cell in zip(header, row):
+                value = entry[key]
+                assert (float(cell) if isinstance(value, float) else type(value)(cell)) == value
+
+    def test_lemma_slacks_read_back_the_results(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify-lemmas", "--out", str(out), "--trials", "60", "--seed", "3"]) == 0
+        rows = read_csv(out / "lemma_slacks.csv")
+        results = json.loads((out / "lemmas.json").read_text())["results"]
+        assert rows[0] == ["property", "trials", "worst_slack", "threshold", "holds"]
+        for row, r in zip(rows[1:], results, strict=True):
+            assert row[:2] + row[4:] == [r["property"], str(r["trials"]), "True"]
+            assert (float(row[2]), float(row[3])) == (r["worst_slack"], r["threshold"])
+
+    def test_a_sample_outside_the_cone_has_empty_energy_cells(self, tmp_path):
+        cfg = write_config(tmp_path, "f.json", functionals_config(
+            phi_samples=[[{"freq": [1, 0, 0, 0], "amp": 0.2}]]))
+        out = tmp_path / "out"
+        assert main(["functionals", "--config", cfg, "--out", str(out)]) == 0
+        header, inside, outside = read_csv(out / "coercivity.csv")
+        assert header == ["sample", "j_omega0", "j_chi", "sup_shift", "energy_shift", "error"]
+        assert all(inside[1:5]) and inside[5] == ""
+        assert outside[:5] == ["1", "", "", "", ""]
+        assert "the ray leaves the Kahler cone" in outside[5]
 
 
 class TestMemoryPreflight:

@@ -40,6 +40,19 @@ class TestGeometry:
         with pytest.raises(UsageError):
             TorusGeometry(1, 4)
 
+    @pytest.mark.parametrize("n, N", [(2, 16.5), (2.7, 8), (2, "16"), (2, math.nan),
+                                      (2, math.inf)])
+    def test_non_integral_size_is_refused(self, n, N):
+        # refused rather than truncated (16.5 to 16, 2.7 to 2)
+        with pytest.raises(UsageError, match="must be an integer"):
+            TorusGeometry(n, N)
+
+    @pytest.mark.parametrize("n, N", [(np.int64(2), np.int32(16)), (2.0, 16.0)])
+    def test_integral_sizes_of_any_type(self, n, N):
+        geom = TorusGeometry(n, N)
+        assert (geom.n, geom.N) == (2, 16)
+        assert type(geom.n) is int and type(geom.N) is int
+
     def test_shape(self, g2):
         assert g2.shape == (8, 8, 8, 8)
         assert g2.grid_size == 8 ** 4
@@ -480,6 +493,13 @@ class TestSerialization:
         (tmp_path / "f.csv").write_text("0\n" * g1.grid_size)
         header.write_text(json.dumps({**doc, "format": "csv", "values_file": "f.csv"}))
         with pytest.raises(DataError, match="unknown format 'csv'"):
+            load_scalar_field(header)
+
+    def test_non_integral_header_size_is_refused(self, tmp_path, g1):
+        # not truncated to the N = 32 that the payload fits
+        header = save_scalar_field(tmp_path / "f", ScalarField.zeros(g1))
+        header.write_text(json.dumps({**json.loads(header.read_text()), "N": 32.5}))
+        with pytest.raises(DataError, match="N must be an integer, got 32.5"):
             load_scalar_field(header)
 
     def test_corrupt_payload(self, tmp_path, g1):

@@ -162,6 +162,25 @@ class TestJOmega0:
         j_omega0_functional(omega0, phi, t_steps=8)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("form", ["potential", "gradient"])
+    def test_a_kahler_ray_makes_one_hessian(self, monkeypatch, form):
+        # the ray check's omega_phi also serves the potential form's energy
+        geom = TorusGeometry(2, 8)
+        omega0 = constant_form(geom, np.eye(2))
+        phi = field_from_modes(geom, [((1, 0, 0, 0), 0.01)])
+        calls = []
+
+        def counting(name):
+            real = getattr(functionals, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("complex_hessian", "hessian_values", "_require_kahler"):
+            if hasattr(functionals, name):
+                monkeypatch.setattr(functionals, name, counting(name))
+        j_omega0_functional(omega0, phi, t_steps=8, form=form)
+        assert sum(c != "_require_kahler" for c in calls) == 1
+        assert "_require_kahler" not in calls
+
     # (n, seed): samples on which a t-quadrature's rounding shows in the last bits
     RAYS = [(1, 1), (2, 3), (3, 2)]
 

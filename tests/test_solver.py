@@ -556,6 +556,18 @@ class TestConfigValidation:
             SolverConfig(cone_slack=slack)
         assert SolverConfig(cone_slack=0.5).cone_slack == 0.5
 
+    @pytest.mark.parametrize("name", ["max_newton", "path_steps", "linear_max_iter"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, "8"])
+    def test_non_integral_count_is_refused(self, name, value):
+        with pytest.raises(UsageError, match=f"^{name} must be an integer"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_newton", "path_steps", "linear_max_iter"])
+    def test_integral_count_of_any_type(self, name):
+        for value in (np.int64(3), 3.0):
+            count = getattr(SolverConfig(**{name: value}), name)
+            assert count == 3 and type(count) is int
+
 
 # Complex-FFT and eigh references for the real-transform Newton kernels.
 KERNEL_RTOL = 1e-12  # fixed before the comparison; the arithmetic order differs
