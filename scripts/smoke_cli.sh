@@ -5,8 +5,9 @@
 # Newton steps (the sum of the path_history iterations) and no more Newton
 # solves (the path_history entries) than they take now, the analysis
 # commands must exit 0, the flags a command does not take must be refused,
-# and a second solve-dhym must write the same report.json and
-# residual_history.csv.
+# a second solve-dhym must write the same report.json and
+# residual_history.csv, and a second functionals the same functionals.json
+# and coercivity.csv.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -40,6 +41,10 @@ for mode in slope angle; do
     --out "$out/check-stability-$mode"
 done
 jdhym functionals --config configs/functionals.json --out "$out/functionals"
+jdhym functionals --config configs/functionals.json --out "$out/functionals-again"
+for artifact in functionals.json coercivity.csv; do
+  cmp "$out/functionals/$artifact" "$out/functionals-again/$artifact"
+done
 jdhym verify-lemmas --trials 10000 --seed 1 --out "$out/verify-lemmas"
 # one trial leaves most size groups of a pass empty
 jdhym verify-lemmas --trials 1 --out "$out/one-trial"

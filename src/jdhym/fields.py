@@ -551,10 +551,8 @@ def _mollify_transfer(geom: TorusGeometry, delta: float) -> np.ndarray:
     for u in coords:
         d = np.minimum(u, 1.0 - u)
         r2 = r2 + d * d
-    kernel = mollifier_normalization(geom.n) * mollifier_profile(np.sqrt(r2) / delta)
-    kernel = kernel / delta ** (2 * geom.n)
-    transfer = sfft.fftn(kernel) / geom.grid_size
-    transfer = transfer / transfer.flat[0].real  # preserve constants exactly
+    transfer = sfft.fftn(mollifier_profile(np.sqrt(r2) / delta))
+    transfer = transfer / transfer.flat[0].real  # unit mass, so constants are kept exactly
     transfer.setflags(write=False)
     return transfer
 

@@ -109,6 +109,23 @@ def _check_t_steps(t_steps: int) -> int:
     return t_steps
 
 
+def _kahler_ray(omega0: FormField, phi: ScalarField, t_steps: int) -> tuple:
+    """``(i d dbar(phi), omega_phi)``, once ``omega_t = omega0 + t i d dbar(phi)`` is
+    Kahler for all ``t`` in ``[0, 1]``.
+
+    ``omega_t`` is affine in ``t``, so the ray is Kahler once both ends are;
+    if one is not, the first bad one of ``t_steps + 1`` evenly spaced nodes
+    is named (a :class:`NotKahlerError` with its grid point).
+    """
+    hess = complex_hessian(phi)
+    omega_phi = omega0 + hess
+    if min(np.min(min_eigenvalue_field(w.values)) for w in (omega0, omega_phi)) <= 0:
+        for t in np.linspace(0.0, 1.0, t_steps + 1):
+            _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess.values),
+                              f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
+    return hess, omega_phi
+
+
 def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
                         form: str = "potential") -> float:
     """The base-form energy: the chi-energy at ``chi = omega0``, ``c0 = n``.
@@ -118,20 +135,14 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
     (:func:`j_chi_functional`) and ``form='gradient'`` the density
     ``i dphi ^ dbar(phi) ^ t omega_t^(n-1)/(n-1)!``, both exactly; the latter's
     ``t``-integral is ``sum_k C(n-1,k)/(k+2) Hess(phi)^k ^ omega0^(n-1-k)``.
-    ``omega_t`` is affine in ``t``, so the ray is Kahler once both ends are;
-    if one is not, the first bad one of ``t_steps + 1`` evenly spaced nodes
-    is named (a :class:`NotKahlerError` with its grid point).
+    A ray that leaves the Kahler cone is refused at the first bad one of
+    ``t_steps + 1`` evenly spaced nodes (:func:`_kahler_ray`).
     """
     n = omega0.geometry.n
     _check_t_steps(t_steps)
     if form not in ("potential", "gradient"):
         raise UsageError("form must be 'potential' or 'gradient'")
-    hess = complex_hessian(phi)
-    omega_phi = omega0 + hess
-    if min(np.min(min_eigenvalue_field(w.values)) for w in (omega0, omega_phi)) <= 0:
-        for t in np.linspace(0.0, 1.0, t_steps + 1):
-            _require_positive(min_eigenvalue_field(omega0.values + float(t) * hess.values),
-                              f"omega_t (the ray leaves the Kahler cone first at t = {t:.6g})")
+    hess, omega_phi = _kahler_ray(omega0, phi, t_steps)
     if form == "potential":
         return _chi_energy(omega0, omega0, phi, omega_phi, n)
     gmat = _gradient_form(phi)
@@ -160,15 +171,18 @@ def coercivity_probe(chi: FormField, omega0: FormField, phis,
     """
     if c0 is None:
         c0 = compute_c0(chi, omega0)
+    n = omega0.geometry.n
     records = []
     for idx, phi in enumerate(phis):
         rec = {"sample": idx, "j_omega0": None, "j_chi": None,
                "sup_shift": None, "energy_shift": None, "error": None}
-        try:
-            rec["j_omega0"] = j_omega0_functional(omega0, phi, t_steps=t_steps)
-            rec["j_chi"] = j_chi_functional(chi, omega0, phi, c0)
+        try:  # one omega_phi, Kahler along the ray, serves every value
+            omega_phi = _kahler_ray(omega0, phi, _check_t_steps(t_steps))[1]
+            rec["j_omega0"] = _chi_energy(omega0, omega0, phi, omega_phi, n)
+            rec["j_chi"] = _chi_energy(chi, omega0, phi, omega_phi, c0)
             rec["sup_shift"] = float(np.max(phi.values))
-            rec["energy_shift"] = monge_ampere_energy(omega0, phi)
+            rec["energy_shift"] = (_ladder(phi, [], omega0, omega_phi, n)  # monge_ampere_energy
+                                   / ((n + 1) * integrate(None, [omega0] * n)))
         except (DomainError, UsageError) as exc:
             rec["error"] = str(exc)
         records.append(rec)

@@ -31,7 +31,6 @@ from .errors import DomainError, NotKahlerError, UsageError
 __all__ = [
     "SpectrumRel",
     "ConeSpec",
-    "hermitian_defect",
     "ensure_hermitian",
     "is_positive_definite",
     "relative_spectrum",
@@ -54,19 +53,13 @@ __all__ = [
 POSITIVITY_RTOL = 1e-12
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` (or of a batch of matrices) from its Hermitian part."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
-
-
 def ensure_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate that ``a`` is square and Hermitian to 1e-10 relative; return it as complex."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {a.shape}")
     scale = max(float(np.max(np.abs(a))), 1.0)
-    if hermitian_defect(a) > 1e-10 * scale:
+    if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
         raise UsageError("matrix is not Hermitian to tolerance")
     return a
 

@@ -317,16 +317,16 @@ def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     ``omega_phi + i*chi`` (imaginary/real parts of the top wedge).  The two
     agree identically up to rounding.
     """
-    problem = make_dhym_problem(chi, omega0, f, theta0)
     if form == "angle":
-        return _residual(problem, phi)
+        return _residual(make_dhym_problem(chi, omega0, f, theta0), phi)
+    theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     if form != "wedge":
         raise UsageError("form must be 'angle' or 'wedge'")
     det = np.linalg.det((omega0 + complex_hessian(phi)).values + 1j * chi.values)
     det_chi = np.linalg.det(chi.values).real
     vals = -math.cos(theta0) * (det.imag + f.values * det_chi
                                 - math.tan(theta0) * det.real) / np.abs(det)
-    return ScalarField(problem.geometry, vals)
+    return ScalarField(chi.geometry, vals)
 
 
 def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,

@@ -253,6 +253,44 @@ class TestCoercivityProbe:
         assert rec2["j_omega0"] == pytest.approx(rec["j_omega0"], abs=1e-9)
 
 
+    def test_one_hessian_per_sample(self, setup_n2, monkeypatch):
+        # one omega_phi per sample serves j_omega0, j_chi and the energy shift
+        geom, chi, omega0 = setup_n2
+        rng = np.random.default_rng(6)
+        phis = [random_bandlimited(geom, rng, kmax=1, amplitude=0.003) for _ in range(3)]
+        calls = []
+        for name in ("complex_hessian", "hessian_values"):
+            if hasattr(functionals, name):
+                real = getattr(functionals, name)
+                monkeypatch.setattr(functionals, name,
+                                    lambda *args, real=real: calls.append(1) or real(*args))
+        recs = coercivity_probe(chi, omega0, phis, t_steps=8)
+        assert all(r["error"] is None for r in recs)
+        assert len(calls) == len(phis)
+
+    def test_records_equal_the_public_energies(self, setup_n2):
+        geom, chi, omega0 = setup_n2
+        c0 = compute_c0(chi, omega0)
+        rng = np.random.default_rng(7)
+        phis = [ScalarField.zeros(geom)]
+        phis += [random_bandlimited(geom, rng, kmax=1, amplitude=0.003) + 0.5 for _ in range(3)]
+        for phi, rec in zip(phis, coercivity_probe(chi, omega0, phis, c0=c0, t_steps=8)):
+            assert rec["j_omega0"] == j_omega0_functional(omega0, phi, 8)
+            assert rec["j_chi"] == j_chi_functional(chi, omega0, phi, c0)
+            assert rec["energy_shift"] == monge_ampere_energy(omega0, phi)
+            assert rec["sup_shift"] == float(np.max(phi.values))
+            assert rec["error"] is None
+
+    def test_out_of_cone_sample_carries_the_ray_error(self, setup_n2):
+        geom, chi, omega0 = setup_n2
+        bad = field_from_modes(geom, [((1, 0, 0, 0), 5.0)])
+        with pytest.raises(NotKahlerError) as exc:
+            j_omega0_functional(omega0, bad, t_steps=8)
+        rec = coercivity_probe(chi, omega0, [bad], t_steps=8)[0]
+        assert rec == {"sample": 0, "j_omega0": None, "j_chi": None, "sup_shift": None,
+                       "energy_shift": None, "error": str(exc.value)}
+
+
 class TestMongeAmpereEnergy:
     def test_shift_moves_by_constant(self, setup_n2):
         geom, chi, omega0 = setup_n2

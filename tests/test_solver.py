@@ -397,6 +397,20 @@ class TestDhymResidual:
                           ScalarField.zeros(geom),
                           ScalarField.constant(geom, -0.5), 0.5)
 
+    def test_wedge_form_checks_hypotheses_first_and_builds_no_problem(self, monkeypatch):
+        geom = TorusGeometry(1, 16)
+        chi = constant_form(geom, np.eye(1))
+        omega0 = constant_form(geom, 3.0 * np.eye(1))
+        zero = ScalarField.zeros(geom)
+        for form in ("wedge", "no-such-form"):
+            with pytest.raises(DomainError, match="theta0"):
+                dhym_residual(chi, omega0, zero, zero, math.pi / 4, form=form)
+        with pytest.raises(UsageError, match="form must be"):
+            dhym_residual(chi, omega0, zero, zero, 0.5, form="no-such-form")
+        monkeypatch.setattr(solver, "make_dhym_problem", None)
+        wedge = dhym_residual(chi, omega0, zero, zero, 0.5, form="wedge")
+        assert wedge.values.shape == geom.shape
+
     def test_linearization_matches_fd(self):
         geom = TorusGeometry(2, 8)
         theta0 = math.pi / 5
