@@ -6,8 +6,9 @@
 # solves (the path_history entries) than they take now, the analysis
 # commands must exit 0, the flags a command does not take must be refused,
 # a second solve-dhym must write the same report.json and
-# residual_history.csv, and a second functionals the same functionals.json
-# and coercivity.csv.
+# residual_history.csv, a second functionals the same functionals.json and
+# coercivity.csv, and malformed or oversized configs must exit with their
+# code, without a traceback or any output.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -84,6 +85,12 @@ for mode in slope angle; do
     --out "$out/no-datasets-$mode"
   test ! -e "$out/no-datasets-$mode"
 done
+# datasets that disagree on n
+expect_exit 1 check-stability --config "$(with_value configs/check_stability_angle.json datasets \
+  '[{"p": 1, "n": 2, "a": [3.0776835371752527, 1.0], "label": "V[1]"},
+    {"p": 2, "n": 2, "a": [18.944271909999156, 6.1553670743505054, 2.0], "label": "V=M"},
+    {"p": 1, "n": 3, "a": [3.0776835371752527, 1.0], "label": "W[1]"}]')" --out "$out/mixed-n"
+test ! -e "$out/mixed-n"
 expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 7)" \
   --out "$out/odd-t-steps"
 test ! -e "$out/odd-t-steps"
@@ -94,6 +101,10 @@ test ! -e "$out/samples-not-a-list"
 expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples '[null]')" \
   --out "$out/null-sample"
 test ! -e "$out/null-sample"
+# a grid beyond physical memory is refused before any field is built (exit 2, nothing written)
+expect_exit 2 functionals --config "$(with_value configs/functionals.json geometry '{"n": 2, "N": 1024}')" \
+  --out "$out/huge-grid"
+test ! -e "$out/huge-grid"
 # a chi that is not Kahler on the grid is refused (exit 2, nothing written),
 # also when c is a number and no c0 is computed
 expect_exit 2 solve-j --config "$(with_value "$(with_value configs/solve_j.json c 3)" chi \

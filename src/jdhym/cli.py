@@ -28,8 +28,8 @@ from .hermitian import ensure_hermitian
 from .functionals import _check_t_steps, aubin_i, compute_c0, coercivity_probe
 from .solver import (SolverConfig, continuity_path_dhym, continuity_path_j,
                      estimate_peak_bytes)
-from .stability import (IntersectionData, _check_epsilon, _check_samples, _check_t_max,
-                        dhym_hypothesis_check, max_uniform_epsilon, slope_test)
+from .stability import (IntersectionData, _check_datasets, _check_epsilon, _check_samples,
+                        _check_t_max, dhym_hypothesis_check, max_uniform_epsilon, slope_test)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -136,14 +136,18 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _solve_geometry(doc: dict) -> TorusGeometry:
-    """The grid of a solve, refused before any field exists if its estimated
-    peak memory exceeds the machine's physical memory."""
+# float64 grid arrays at the peak of ``functionals``, a third above the measured peaks
+_FUNCTIONALS_GRID_ARRAYS = {1: 14, 2: 40, 3: 80}
+
+
+def _sized_geometry(doc: dict, peak_bytes, what: str) -> TorusGeometry:
+    """The grid of ``what``, refused before any field exists if its estimated
+    peak memory ``peak_bytes(geom)`` exceeds the machine's physical memory."""
     geom = _parse_geometry(doc)
-    need, have = estimate_peak_bytes(geom), _physical_memory()
+    need, have = peak_bytes(geom), _physical_memory()
     if have is not None and need > have:
         raise PreconditionError(
-            f"a solve at n = {geom.n}, N = {geom.N} needs about {need / 2**30:.1f} GiB, "
+            f"{what} at n = {geom.n}, N = {geom.N} needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory")
     return geom
 
@@ -198,7 +202,7 @@ def _emit_solve(report, out: Path, omega0) -> None:
 def _cmd_solve(cfg: dict, out: Path, args) -> int:
     """``solve-j`` (parameter ``c``, ``"c0"`` by default) and ``solve-dhym``
     (parameter ``theta0``, or ``theta_hat = n pi/2 - theta0``)."""
-    geom = _solve_geometry(cfg)
+    geom = _sized_geometry(cfg, estimate_peak_bytes, "a solve")
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     if args.command == "solve-j":
@@ -240,6 +244,7 @@ def _parse_datasets(cfg: dict) -> list[IntersectionData]:
             a=tuple(_number(v, f"datasets[{i}].a[{k}]", float)
                     for k, v in enumerate(_need(d, f"datasets[{i}]", "a", list))),
             label=str(d.get("label", f"dataset-{i}"))))
+        _checked(f"datasets[{i}].n", _check_datasets, out)
     return out
 
 
@@ -302,7 +307,8 @@ def _write_table(path: Path, verdict: dict) -> None:
 
 
 def _cmd_functionals(cfg: dict, out: Path, args) -> int:
-    geom = _parse_geometry(cfg)
+    geom = _sized_geometry(cfg, lambda g: g.grid_size * 8 * _FUNCTIONALS_GRID_ARRAYS[g.n],
+                           "functionals")
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     phi = _constant_or_modes(cfg, "phi", "phi", geom)

@@ -159,20 +159,6 @@ def _hessian_symbols(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _hermitian_rows(diag, upper) -> np.ndarray:
-    """Real rows of a Hermitian field, paired one to one with :func:`_hessian_symbols`.
-
-    ``diag`` holds the n real diagonal entries and ``upper`` the entries
-    ``M_ij``, ``i < j``, in :func:`_pairs` order.  The rows are the diagonal,
-    then ``2 Re M_ij`` and ``2 Im M_ij``, so that for Hermitian ``H``
-    ``tr(M H) = sum_k row_k * part_k(H)``.
-    """
-    rows = list(diag)
-    for m in upper:
-        rows += [2.0 * m.real, 2.0 * m.imag]
-    return np.stack(rows)
-
-
 def _rfft(values: np.ndarray) -> np.ndarray:
     """Half spectrum (last axis ``0..N/2``) of a real grid array.
 

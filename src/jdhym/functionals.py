@@ -54,15 +54,17 @@ def j_chi_functional(chi: FormField, omega0: FormField, phi: ScalarField,
     property of ``c0``.
     """
     omega_phi = _require_kahler(omega0 + complex_hessian(phi), "omega_phi")
-    return _chi_energy(chi, omega0, phi, omega_phi, c0)
+    return _chi_energy(chi, omega0, phi, omega_phi, c0,
+                       _ladder(phi, [], omega0, omega_phi, chi.geometry.n))
 
 
 def _chi_energy(chi: FormField, omega0: FormField, phi: ScalarField, omega_phi: FormField,
-                c0: float) -> float:
-    """:func:`j_chi_functional` at its Kahler ``omega_phi = omega0 + i d dbar(phi)``."""
+                c0: float, ma: float) -> float:
+    """:func:`j_chi_functional` at its Kahler ``omega_phi = omega0 + i d dbar(phi)``,
+    given the Monge-Ampere ladder ``ma = _ladder(phi, [], omega0, omega_phi, n)``."""
     n = chi.geometry.n
     return (_ladder(phi, [chi], omega0, omega_phi, n - 1) / math.factorial(n)
-            - c0 * _ladder(phi, [], omega0, omega_phi, n) / math.factorial(n + 1))
+            - c0 * ma / math.factorial(n + 1))
 
 
 def j_chi_derivative(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -144,7 +146,8 @@ def j_omega0_functional(omega0: FormField, phi: ScalarField, t_steps: int = 32,
         raise UsageError("form must be 'potential' or 'gradient'")
     hess, omega_phi = _kahler_ray(omega0, phi, t_steps)
     if form == "potential":
-        return _chi_energy(omega0, omega0, phi, omega_phi, n)
+        return _chi_energy(omega0, omega0, phi, omega_phi, n,
+                           _ladder(phi, [], omega0, omega_phi, n))
     gmat = _gradient_form(phi)
     return sum(math.comb(n - 1, k) / (k + 2)
                * integrate(None, [gmat] + [hess] * k + [omega0] * (n - 1 - k))
@@ -172,17 +175,18 @@ def coercivity_probe(chi: FormField, omega0: FormField, phis,
     if c0 is None:
         c0 = compute_c0(chi, omega0)
     n = omega0.geometry.n
+    volume = integrate(None, [omega0] * n)
     records = []
     for idx, phi in enumerate(phis):
         rec = {"sample": idx, "j_omega0": None, "j_chi": None,
                "sup_shift": None, "energy_shift": None, "error": None}
-        try:  # one omega_phi, Kahler along the ray, serves every value
+        try:  # one omega_phi, Kahler along the ray, and one ladder serve every value
             omega_phi = _kahler_ray(omega0, phi, _check_t_steps(t_steps))[1]
-            rec["j_omega0"] = _chi_energy(omega0, omega0, phi, omega_phi, n)
-            rec["j_chi"] = _chi_energy(chi, omega0, phi, omega_phi, c0)
+            ma = _ladder(phi, [], omega0, omega_phi, n)
+            rec["j_omega0"] = _chi_energy(omega0, omega0, phi, omega_phi, n, ma)
+            rec["j_chi"] = _chi_energy(chi, omega0, phi, omega_phi, c0, ma)
             rec["sup_shift"] = float(np.max(phi.values))
-            rec["energy_shift"] = (_ladder(phi, [], omega0, omega_phi, n)  # monge_ampere_energy
-                                   / ((n + 1) * integrate(None, [omega0] * n)))
+            rec["energy_shift"] = ma / ((n + 1) * volume)  # monge_ampere_energy
         except (DomainError, UsageError) as exc:
             rec["error"] = str(exc)
         records.append(rec)

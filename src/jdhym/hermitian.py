@@ -302,8 +302,13 @@ def schur_complement(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise UsageError(f"C must have shape {(a.shape[0], b.shape[0])}, got {c.shape}")
     if not is_positive_definite(b):
         raise DomainError("B must be positive definite")
-    out = a - c @ np.linalg.solve(b, c.conj().T)
-    return 0.5 * (out + out.conj().T)
+    return _schur(a, b, c)
+
+
+def _schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``A - C B^{-1} C^H`` over the leading batch axes."""
+    out = a - c @ np.linalg.solve(b, c.conj().swapaxes(-1, -2))
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

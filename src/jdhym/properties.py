@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitian import (SpectrumRel, _dhym_angle_radius, _dhym_gradient, _dhym_hessian,
-                        _dhym_value, _f_bound_dhym, _f_bound_j, _loo_max)
+                        _dhym_value, _f_bound_dhym, _f_bound_j, _loo_max, _schur)
 
 __all__ = [
     "sample_gamma_point",
@@ -59,8 +59,7 @@ def _fuzz_schur(trials: int, rng: np.random.Generator, max_block: int, term,
             # 0.05*shift more than shift keeps the blocks strictly above shift*I
             block = g @ g.conj().swapaxes(-1, -2) / m + (0.05 + 1.05 * shift) * np.eye(m)
             A, B, C = block[:, :a_dim, :a_dim], block[:, a_dim:, a_dim:], block[:, :a_dim, a_dim:]
-            schur = A - C @ np.linalg.solve(B, C.conj().swapaxes(-1, -2))
-            lhs = _loo_max(term(np.linalg.eigvalsh(0.5 * (schur + schur.conj().swapaxes(-1, -2)))))
+            lhs = _loo_max(term(np.linalg.eigvalsh(_schur(A, B, C))))
             lhs = lhs + np.sum(term(np.linalg.eigvalsh(B)), axis=-1)
             out.append(_loo_max(term(np.linalg.eigvalsh(block))) - lhs)
         return np.concatenate(out)

@@ -32,10 +32,9 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
-from .fields import (FormField, ScalarField, TorusGeometry, _hermitian_rows,
-                     _hessian_symbols, _irfft, _pairs, _rfft, _require_kahler, complex_hessian,
-                     form_field, hessian_values, integrate, intersections, mixed_density,
-                     relative_spectrum_field, resample)
+from .fields import (FormField, ScalarField, TorusGeometry, _hessian_symbols, _irfft, _pairs,
+                     _rfft, _require_kahler, complex_hessian, form_field, hessian_values,
+                     integrate, intersections, mixed_density, relative_spectrum_field, resample)
 from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
                         _cone_margin, _dhym_angle_radius, _dhym_gradient, _dhym_value,
                         _f_bound_dhym, _f_bound_j, _j_value, _reduce_last, _require_positive)
@@ -177,7 +176,7 @@ def _gxg2(g: tuple, x: tuple) -> tuple:
 
 def _rows2(block, chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
            f_vals: np.ndarray) -> np.ndarray:
-    """The rows (see :func:`fields._hermitian_rows`) of an n = 2 coefficient,
+    """The rows (see :func:`_coefficient_rows`) of an n = 2 coefficient,
     written into one array block by block.
 
     ``block(omega, chi, lam, f)`` maps ``hermitian._BLOCK2`` points of each
@@ -199,10 +198,19 @@ def _rows2(block, chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
 
 
 def _coefficient_rows(M: np.ndarray) -> np.ndarray:
-    """The rows (see :func:`fields._hermitian_rows`) of the Hermitian part of ``M``."""
+    """The real rows of the Hermitian part ``H`` of ``M``, paired one to one
+    with :func:`fields._hessian_symbols`.
+
+    The rows are the n diagonal entries ``H_ii``, then for each pair
+    ``i < j`` of :func:`fields._pairs` ``2 Re H_ij`` and ``2 Im H_ij``, so that
+    for Hermitian ``X`` ``tr(H X) = sum_k row_k * part_k(X)``.
+    """
     n = M.shape[-1]
-    return _hermitian_rows([M[..., i, i].real for i in range(n)],
-                           [0.5 * (M[..., i, j] + np.conj(M[..., j, i])) for i, j in _pairs(n)])
+    rows = [M[..., i, i].real for i in range(n)]
+    for i, j in _pairs(n):
+        h = 0.5 * (M[..., i, j] + np.conj(M[..., j, i]))
+        rows += [2.0 * h.real, 2.0 * h.imag]
+    return np.stack(rows)
 
 
 def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
@@ -374,7 +382,7 @@ class _NewtonProblem:
 
     geometry: TorusGeometry
     evaluate: Callable[[ScalarField], _Eval]
-    # (rows of M as in fields._hermitian_rows, sign): d(residual)(u) = sign * tr(M Hess u)
+    # (rows of M as in _coefficient_rows, sign): d(residual)(u) = sign * tr(M Hess u)
     linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
 

@@ -52,6 +52,16 @@ def _check_t_max(t_max: float) -> float:
     return t_max
 
 
+def _check_datasets(datasets) -> list:
+    """At least one dataset, all of one ambient dimension ``n``, as a list."""
+    datasets = list(datasets)
+    if not datasets:
+        raise UsageError("need at least one dataset")
+    if len({d.n for d in datasets}) > 1:
+        raise UsageError(f"datasets disagree on n: {sorted({d.n for d in datasets})}")
+    return datasets
+
+
 def _check_samples(samples: int) -> int:
     """At least 8 samples of an angle branch."""
     if samples < 8:
@@ -103,13 +113,10 @@ def max_uniform_epsilon(datasets, c: float) -> float | None:
 
     Top-dimension datasets act as feasibility constraints only.  Returns
     ``None`` when some dataset already fails at zero slack, ``inf`` when no
-    dataset constrains the slack.
+    dataset constrains the slack.  All datasets share one ``n``.
     """
-    datasets = list(datasets)
-    if not datasets:
-        raise UsageError("need at least one dataset")
     best = math.inf
-    for d in datasets:
+    for d in _check_datasets(datasets):
         margin0 = slope_test(d, c, 0.0)
         if margin0 < 0.0:
             return None
@@ -203,12 +210,10 @@ def dhym_hypothesis_check(datasets, theta_hat: float, epsilon: float,
     For each dataset the branch must be defined on [1, t_max], stay inside
     ``[theta_hat - (n-p)*pi/2 + (n-p)*epsilon, p*pi/2)`` at every sample, and
     head to ``p*pi/2``; full-dimension datasets must additionally start at
-    ``theta_hat``.  This is a sampled check, not a proof over all t; the
-    verdict says so.
+    ``theta_hat``.  All datasets share one ``n``.  This is a sampled check,
+    not a proof over all t; the verdict says so.
     """
-    datasets = list(datasets)
-    if not datasets:
-        raise UsageError("need at least one dataset")
+    datasets = _check_datasets(datasets)
     n = datasets[0].n
     if not (n * math.pi / 2.0 - math.pi / 4.0 < theta_hat < n * math.pi / 2.0):
         raise UsageError("theta_hat must lie in (n*pi/2 - pi/4, n*pi/2)")

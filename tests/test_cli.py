@@ -247,6 +247,21 @@ class TestCheckStability:
         assert "p = n" in capsys.readouterr().err
         assert (out / "stability.json").exists()
 
+    @pytest.mark.parametrize("mode", [{"c": 3.0}, {"theta_hat": math.pi - math.pi / 5}],
+                             ids=["slope", "angle"])
+    def test_datasets_disagreeing_on_n_exit_1_without_output(self, tmp_path, capsys, mode):
+        s = 1.0 / math.tan(math.pi / 10)
+        cfg = write_config(tmp_path, "s.json", {
+            "datasets": [
+                {"p": 1, "n": 2, "a": [s, 1.0], "label": "V1"},
+                {"p": 2, "n": 2, "a": [2 * s * s, 2 * s, 2.0], "label": "V=M"},
+                {"p": 1, "n": 3, "a": [s, 1.0], "label": "W1"},
+            ], **mode})
+        out = tmp_path / "out"
+        assert main(["check-stability", "--config", cfg, "--out", str(out)]) == 1
+        assert "config field 'datasets[2].n'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_neither_mode_exits_1_without_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {"datasets": dataset()})
         out = tmp_path / "out"
@@ -469,7 +484,7 @@ class TestMemoryPreflight:
             assert estimate_peak_bytes(TorusGeometry(n, 16)) == 2 ** (2 * n) * small
         assert estimate_peak_bytes(TorusGeometry(2, 16)) < 64 * 2 ** 20
 
-    @pytest.mark.parametrize("command", ["solve-j", "solve-dhym"])
+    @pytest.mark.parametrize("command", ["solve-j", "solve-dhym", "functionals"])
     def test_oversized_grid_exits_2_before_any_field(self, tmp_path, monkeypatch, capsys,
                                                      command):
         import jdhym.cli as cli

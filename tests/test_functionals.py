@@ -268,6 +268,21 @@ class TestCoercivityProbe:
         assert all(r["error"] is None for r in recs)
         assert len(calls) == len(phis)
 
+    def test_one_ladder_per_sample_and_one_volume(self, setup_n2, monkeypatch):
+        # at n = 2 a sample takes 2 + 2 integrals for the chi-energies' chi
+        # ladders and 3 for the shared Monge-Ampere ladder; the volume is one
+        geom, chi, omega0 = setup_n2
+        rng = np.random.default_rng(8)
+        phis = [random_bandlimited(geom, rng, kmax=1, amplitude=0.003) for _ in range(3)]
+        c0 = compute_c0(chi, omega0)
+        calls = []
+        real = functionals.integrate
+        monkeypatch.setattr(functionals, "integrate",
+                            lambda *args: calls.append(1) or real(*args))
+        recs = coercivity_probe(chi, omega0, phis, c0=c0, t_steps=8)
+        assert all(r["error"] is None for r in recs)
+        assert len(calls) == 7 * len(phis) + 1
+
     def test_records_equal_the_public_energies(self, setup_n2):
         geom, chi, omega0 = setup_n2
         c0 = compute_c0(chi, omega0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,16 @@ class TestSchurComplement:
         with pytest.raises(DomainError):
             schur_complement(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_batched_kernel_matches_each_matrix_bit_for_bit(self):
+        # the lemma fuzz runs the kernel behind schur_complement on whole batches
+        rng = np.random.default_rng(9)
+        for adim, bdim in [(1, 1), (1, 4), (2, 3), (3, 2), (4, 4)]:
+            blocks = np.stack([random_hpd(rng, adim + bdim) for _ in range(6)])
+            a, b, c = blocks[:, :adim, :adim], blocks[:, adim:, adim:], blocks[:, :adim, adim:]
+            batch = hermitian._schur(a, b, c)
+            for k in range(len(blocks)):
+                assert np.array_equal(batch[k], schur_complement(a[k], b[k], c[k]))
+
 
 class TestFOperator:
     def test_zero_on_angle_locus(self):
@@ -345,10 +359,13 @@ class TestSubadditivityLemmas:
         ("suite_boundary_negative", "_dhym_value",
          lambda *a: (hermitian._dhym_value(*a)[0] + 1.0, None)),
         ("suite_nondegeneracy", "_f_bound_j", lambda n, c: hermitian._f_bound_j(n, 1.0 / c)),
+        ("fuzz_schur_trace", "_schur", lambda *a: 0.5 * hermitian._schur(*a)),
+        ("fuzz_schur_arctan", "_schur", lambda *a: 0.5 * hermitian._schur(*a)),
     ]
 
     @pytest.mark.parametrize("suite, kernel, wrong", WRONG_KERNELS,
-                             ids=[w[0] for w in WRONG_KERNELS])
+                             ids=[s + ("-schur" if k == "_schur" else "")
+                                  for s, k, _ in WRONG_KERNELS])
     def test_every_suite_fails_under_a_wrong_kernel(self, monkeypatch, suite, kernel, wrong):
         monkeypatch.setattr(properties, kernel, wrong)
         res = getattr(properties, suite)(200, np.random.default_rng(25))
@@ -377,3 +394,16 @@ class TestShortAxisReduction:
                 want = np.asarray(ref(a, axis=-1), dtype=float)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLayering:
+    def test_hermitian_import_loads_no_other_layer(self):
+        # the package re-exports nothing, so the pointwise algebra loads alone
+        src = str(Path(hermitian.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        heavy = ["scipy.fft", "scipy.sparse.linalg", "jdhym.fields", "jdhym.solver"]
+        code = f"import sys, jdhym.hermitian; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -116,6 +116,17 @@ class TestGridConvergence:
         rep = continuity_path_dhym(*data, THETA0, SolverConfig(path_steps=4, tolerance=1e-11))
         assert rep.success
 
+    @pytest.mark.xfail(raises=ContinuationError, strict=True,
+                       reason="with f's Nyquist content at N = 8, n = 2 the J path stalls "
+                              "above the default tolerance")
+    def test_n2_nyquist_j_data_reach_default_tolerance(self):
+        f = poisson_bump_instance(8, rho=0.5, height=0.004, n=2)[2]
+        chi = constant_form(f.geometry, np.diag([1.0, 2.0]))
+        omega0 = constant_form(f.geometry, np.eye(2))
+        rep = continuity_path_j(chi, omega0, f, compute_c0(chi, omega0),
+                                SolverConfig(path_steps=4))
+        assert rep.success
+
     def test_nested_path_agrees_with_single_level(self):
         cfg = SolverConfig(path_steps=4, tolerance=1e-11)
         data = poisson_bump_instance(128)

@@ -78,6 +78,11 @@ class TestMaxUniformEpsilon:
         d = IntersectionData(p=2, n=2, a=(2.0, 3.0, 4.0))
         assert max_uniform_epsilon([d], 4.0) == math.inf
 
+    def test_datasets_must_share_n(self):
+        ds = coordinate_subtorus_data(np.diag([1.0, 2.0]), np.eye(2))
+        with pytest.raises(UsageError, match="disagree on n"):
+            max_uniform_epsilon(ds + [IntersectionData(p=1, n=3, a=(1.0, 1.0))], 3.0)
+
 
 class TestAngleBranch:
     def test_p1_arctan_formula(self):
@@ -148,6 +153,14 @@ class TestHypothesisCheck:
         assert out["overall"]
         vm = next(r for r in out["datasets"] if r["label"] == "V=M")
         assert vm["theta_start"] == pytest.approx(theta_hat, abs=1e-10)
+
+    def test_datasets_must_share_n(self):
+        # each dataset's interval depends on n; the first dataset's n would judge them all
+        n, theta0 = 2, math.pi / 5
+        ds = coordinate_subtorus_data(np.eye(n), np.eye(n) / math.tan(theta0 / n))
+        odd = IntersectionData(p=1, n=3, a=(1.0 / math.tan(theta0 / n), 1.0))
+        with pytest.raises(UsageError, match="disagree on n"):
+            dhym_hypothesis_check(ds + [odd], n * math.pi / 2 - theta0, epsilon=0.0)
 
     def test_p1_interval_reduces_to_endpoint(self):
         # p = 1: branch increases, so only theta(1) can violate the interval
