@@ -7,8 +7,8 @@
 # commands must exit 0, the flags a command does not take must be refused,
 # a second solve-dhym must write the same report.json and
 # residual_history.csv, a second functionals the same functionals.json and
-# coercivity.csv, and malformed or oversized configs must exit with their
-# code, without a traceback or any output.
+# coercivity.csv, and malformed, oversized or non-integrable configs must
+# exit with their code, without a traceback or any output.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -111,6 +111,15 @@ expect_exit 2 solve-j --config "$(with_value "$(with_value configs/solve_j.json 
   '{"base": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
     "potential": [{"freq": [1, 0, 0, 0], "amp": 0.2}]}')" --out "$out/non-kahler-chi"
 test ! -e "$out/non-kahler-chi"
+# data that break the integrability hypotheses are refused (exit 2, nothing
+# written): the identity with a wrong mean of f, the sign with c below c0
+expect_exit 2 solve-j --config "$(with_value configs/solve_j.json f 0.25)" --out "$out/j-identity"
+test ! -e "$out/j-identity"
+expect_exit 2 solve-j --config "$(with_value configs/solve_j.json c 2.5)" --out "$out/j-sign"
+test ! -e "$out/j-sign"
+expect_exit 2 solve-dhym --config "$(with_value configs/solve_dhym.json f -0.004)" \
+  --out "$out/dhym-identity"
+test ! -e "$out/dhym-identity"
 # without --out, where output_dir would name the directory
 expect_exit 1 solve-j --config "$(with_value configs/solve_j.json output_dir 5)"
 test ! -e 5

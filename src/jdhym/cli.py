@@ -136,7 +136,8 @@ def _physical_memory() -> int | None:
         return None
 
 
-# float64 grid arrays at the peak of ``functionals``, a third above the measured peaks
+# float64 grid arrays at the peak of ``functionals``, a third above the measured
+# peaks, besides one per ``phi_samples`` entry, whose grids the run holds throughout
 _FUNCTIONALS_GRID_ARRAYS = {1: 14, 2: 40, 3: 80}
 
 
@@ -307,15 +308,16 @@ def _write_table(path: Path, verdict: dict) -> None:
 
 
 def _cmd_functionals(cfg: dict, out: Path, args) -> int:
-    geom = _sized_geometry(cfg, lambda g: g.grid_size * 8 * _FUNCTIONALS_GRID_ARRAYS[g.n],
-                           "functionals")
+    entries = _need(cfg, "", "phi_samples", list, [])
+    geom = _sized_geometry(cfg, lambda g: g.grid_size * 8 * (
+        _FUNCTIONALS_GRID_ARRAYS[g.n] + len(entries)), "functionals")
     chi = _parse_form(_need(cfg, "", "chi", dict), "chi", geom)
     omega0 = _parse_form(_need(cfg, "", "omega0", dict), "omega0", geom)
     phi = _constant_or_modes(cfg, "phi", "phi", geom)
     t_steps = _checked("t_steps", _check_t_steps, _need(cfg, "", "t_steps", int, 32))
     c0 = compute_c0(chi, omega0)
     samples = [phi]
-    for i, entry in enumerate(_need(cfg, "", "phi_samples", list, [])):
+    for i, entry in enumerate(entries):
         samples.append(_parse_potential(entry, f"phi_samples[{i}]", geom))
     # refuses a phi outside the cone before any output; sample 0 then has both energies
     aubin = aubin_i(omega0, phi)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -385,12 +386,6 @@ class _NewtonProblem:
     # (rows of M as in _coefficient_rows, sign): d(residual)(u) = sign * tr(M Hess u)
     linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
-
-
-def _chi_mean(f: ScalarField | None, chi: FormField) -> float:
-    """``mean(f det chi) = int(f chi^n)/n!``; ``f = None`` stands for 1."""
-    n = chi.geometry.n
-    return integrate(f, [chi] * n) / math.factorial(n)
 
 
 def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
@@ -763,21 +758,27 @@ def _march(make_problem, phi: ScalarField, config: SolverConfig, t_start: float,
     return phi, report
 
 
+def _f_mean(f: ScalarField, chi: FormField) -> float:
+    """``mean(f det chi)/mean(det chi)``, the mean of ``f`` that the
+    integrability identity fixes."""
+    n = chi.geometry.n
+    return integrate(f, [chi] * n) / integrate(None, [chi] * n)
+
+
 def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: ScalarField,
-              mass: Callable[[FormField, FormField], float]):
+              class_f: Callable[[FormField, FormField], float]):
     """``chi``, ``omega0`` and ``f`` on the ``coarse`` grid.
 
     Each potential is restricted by :func:`fields.resample` (a form stays a
     base plus a potential, so it stays closed).  Truncation moves the
     integrals of the integrability identity, so ``f``'s constant is shifted
-    until ``mean(f det chi)`` equals ``mass(chi, omega0)`` of the coarse data.
+    until :func:`_f_mean` equals ``class_f(chi, omega0)`` of the coarse data.
     """
     chi_c, omega_c = (form_field(coarse, form.base, None if form.potential is None
                                  else resample(form.potential, coarse))
                       for form in (chi, omega0))
     f_c = resample(f, coarse)
-    shift = (mass(chi_c, omega_c) - _chi_mean(f_c, chi_c)) / _chi_mean(None, chi_c)
-    return chi_c, omega_c, f_c + shift
+    return chi_c, omega_c, f_c + (class_f(chi_c, omega_c) - _f_mean(f_c, chi_c))
 
 
 def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: float,
@@ -786,32 +787,33 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
     Comp. 31, 1977).
 
     ``path(chi, omega0, f, param)`` (:func:`_j_path` or :func:`_dhym_path`)
-    checks the hypotheses on the given grid and returns the stages ``(name,
-    t_start, t_end, problem(t))``, the ``mass`` that :func:`_restrict` keeps
-    and a builder of the target problem, which equals the last stage's
-    problem at ``t_end``.  When ``N/2 >= COARSEST_N`` the path runs on the
-    data restricted to ``N/2``, itself nested; its endpoint, prolonged by
-    :func:`fields.resample`, starts one :func:`newton_solve` of the target
-    problem, built only here and recorded as the last target of the last
-    stage with the start ``"prolonged"`` (by mesh independence, Allgower,
-    Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986, that start
-    lies in the fine quadratic basin).  On the coarsest grid, after a coarse
-    ``DomainError``, ``ConeBreachError`` or ``ContinuationError`` and after
-    an unconverged fine solve, each stage is marched from zero on this grid
-    by :func:`_march` (secant predictor, Newton corrector, step doubling)
-    over a grid of ``path_steps`` equal targets, whose spacing is also the
-    first step, following the coarse entries accepted so far.  A spatially
+    checks the hypotheses on the given grid and returns what :func:`_stages`
+    builds: the stages ``(name, t_start, t_end, problem(t))``, the class
+    constant that :func:`_restrict` keeps and a builder of the target
+    problem, which equals the last stage's problem at ``t_end``.  When ``N/2
+    >= COARSEST_N`` the path runs on the data restricted to ``N/2``, itself
+    nested; its endpoint, prolonged by :func:`fields.resample`, starts one
+    :func:`newton_solve` of the target problem, built only here and recorded
+    as the last target of the last stage with the start ``"prolonged"`` (by
+    mesh independence, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
+    Anal. 23, 1986, that start lies in the fine quadratic basin).  On the
+    coarsest grid, after a coarse ``DomainError``, ``ConeBreachError`` or
+    ``ContinuationError`` and after an unconverged fine solve, each stage is
+    marched from zero on this grid by :func:`_march` (secant predictor,
+    Newton corrector, step doubling) over a grid of ``path_steps`` equal
+    targets, whose spacing is also the first step, following the coarse
+    entries accepted so far.  A spatially
     constant ``f`` makes the last stage a single target at its end: its two
     ends then differ by a constant that integrability holds to ``1e-8``, so
     one warm solve covers it (and bisects if it fails).
     """
-    stages, mass, target = path(chi, omega0, f, param)
+    stages, class_f, target = path(chi, omega0, f, param)
     geom = chi.geometry
     history: list[dict] = []
     if geom.N // 2 >= COARSEST_N:
         try:
             coarse = _continuity(path, *_restrict(TorusGeometry(geom.n, geom.N // 2), chi,
-                                                  omega0, f, mass), param, config)
+                                                  omega0, f, class_f), param, config)
             history = coarse.path_history
             report = newton_solve(target(), resample(coarse.phi, geom), config)
             if report.success:
@@ -833,48 +835,65 @@ def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: 
     return report
 
 
-def _check_integrability(required: float, given: float, scale: float, what: str) -> None:
-    """The integrability hypotheses of a path: the class data ask for a
-    non-negative ``required`` (to ``1e-10 * scale``), and ``given``, ``what``
-    computed from ``f``, equals it (to ``1e-8 * scale``)."""
+def _check_integrability(required: float, given: float) -> None:
+    """The integrability hypotheses of a path, in units of ``f``: the class
+    data ask for a non-negative constant ``required`` (to ``1e-10 * scale``),
+    and ``given = mean(f det chi)/mean(det chi)`` equals it (to ``1e-8 *
+    scale``), where ``scale = max(1, |required|)``."""
+    scale = max(1.0, abs(required))
     if required < -1e-10 * scale:
-        raise PreconditionError(
-            f"integrability sign fails: the class data require {what} = {required:.6e} < 0")
+        raise PreconditionError("integrability sign fails: the class data require "
+                                f"mean(f det chi)/mean(det chi) = {required:.6e} < 0")
     if abs(given - required) > 1e-8 * scale:
         raise PreconditionError(
-            f"integrability identity fails: {what} = {given:.10e} but the class data "
-            f"require {required:.10e}")
+            f"integrability identity fails: mean(f det chi)/mean(det chi) = {given:.10e} "
+            f"but the class data require {required:.10e}")
 
 
-def _j_class_rhs(chi: FormField, omega0: FormField, c: float) -> tuple[float, float]:
-    """``c a_0/n! - a_1/(n-1)!`` of the intersection vector ``a_k = int chi^k ^
-    omega0^(n-k)``, the value the integrability identity asks of
-    ``int(f chi^n)/n! = mean(f det chi)``, and the scale of its checks."""
-    n = chi.geometry.n
-    a = intersections(chi, omega0)
-    vol_omega = a[0] / math.factorial(n)
-    return c * vol_omega - a[1] / math.factorial(n - 1), max(1.0, abs(c) * vol_omega)
+def _stages(make: Callable, class_f: Callable[[FormField, FormField], float], chi: FormField,
+            omega0: FormField, f: ScalarField, param: float, form_stages, last: str):
+    """The continuity path of one equation, whose hypotheses other than
+    integrability hold: ``(stages, class_f, target)`` for :func:`_continuity`.
+
+    ``make`` is :func:`make_j_problem` or :func:`make_dhym_problem` and
+    ``class_f(chi, omega)`` the constant ``f`` that the equation's
+    integrability identity fixes for the forms (:func:`_j_class_f`,
+    :func:`_dhym_class_f`).  Integrability is checked here, once.  Each form
+    stage ``(name, t_start, t_end, forms)`` moves the forms ``forms(t) =
+    (chi_t, omega_t)`` with ``f = class_f(chi_t, omega_t)``; the stage
+    ``last`` then carries ``f1 = class_f(chi, omega0)`` to the target by
+    ``(1 - s) f1 + s f``, and ``target()`` builds its problem at ``s = 1``.
+    """
+    geom = chi.geometry
+    f1 = class_f(chi, omega0)
+    _check_integrability(f1, _f_mean(f, chi))
+
+    def problem(forms, t: float):
+        chi_t, omega_t = forms(t)
+        return make(chi_t, omega_t, ScalarField.constant(geom, class_f(chi_t, omega_t)), param)
+
+    stages = [(name, t_start, t_end, partial(problem, forms))
+              for name, t_start, t_end, forms in form_stages]
+    stages.append((last, 0.0, 1.0, lambda s: make(
+        chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), param)))
+    return stages, class_f, lambda: make(chi, omega0, f, param)
+
+
+def _j_class_f(chi: FormField, omega: FormField, c: float) -> float:
+    """``(c a_0 - n a_1)/a_n`` of the intersection vector ``a_k = int chi^k ^
+    omega^(n-k)``: the constant ``f`` that the J integrability identity
+    ``int(f chi^n) = c int omega^n - n int chi ^ omega^(n-1)`` gives."""
+    a = intersections(chi, omega)
+    return (c * a[0] - (len(a) - 1) * a[1]) / a[-1]
 
 
 def _j_path(chi: FormField, omega0: FormField, f: ScalarField, c: float):
     """The stages of :func:`continuity_path_j` on the grid of its data."""
     c = _hypotheses(chi, omega0, f, c, *_J)
-    geom = chi.geometry
-    n = geom.n
-    rhs_int, scale = _j_class_rhs(chi, omega0, c)
-    _check_integrability(rhs_int, _chi_mean(f, chi), scale, "int(f chi^n)/n!")
-
-    def tilt(t: float):
-        chi_t = t * chi + (1.0 - t) * (c / n) * omega0
-        f_t = ScalarField.constant(geom, t * rhs_int / _chi_mean(None, chi_t))
-        return make_j_problem(chi_t, omega0, f_t, c)
-
-    f1 = rhs_int / _chi_mean(None, chi)
-    return ([("j-stage1", 0.0, 1.0, tilt),
-             ("j-stage2", 0.0, 1.0, lambda s: make_j_problem(
-                 chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), c))],
-            lambda ch, om: _j_class_rhs(ch, om, c)[0],
-            lambda: make_j_problem(chi, omega0, f, c))
+    n = chi.geometry.n
+    return _stages(make_j_problem, partial(_j_class_f, c=c), chi, omega0, f, c,
+                   [("j-stage1", 0.0, 1.0,
+                     lambda t: (t * chi + (1.0 - t) * (c / n) * omega0, omega0))], "j-stage2")
 
 
 def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
@@ -882,9 +901,10 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
     """Two-stage predictor-corrector continuity method for the J-type
     equation, nested over grids.
 
-    Stage 1 tilts the reference form from ``(c/n) * omega0`` to ``chi`` with
-    the constant right-hand side recomputed from the integrability identity
-    at each step; stage 2 interpolates that constant to the target ``f``.
+    Stage 1 tilts the reference form from ``(c/n) * omega0``, where the
+    class constant vanishes, to ``chi``, with ``f`` the class constant of the
+    tilted forms at each step (see :func:`_stages`); stage 2 interpolates
+    that constant to the target ``f``.
     Each stage marches by secant predictions and Newton corrections over a
     grid of ``config.path_steps`` targets, whose spacing is the first step
     and which step doubling may skip (see :func:`_march`); a constant
@@ -899,51 +919,32 @@ def continuity_path_j(chi: FormField, omega0: FormField, f_target: ScalarField,
     return _continuity(_j_path, chi, omega0, f_target, c, config)
 
 
-def _dhym_class_const(chi: FormField, theta0: float) -> Callable[[FormField], float]:
-    """``omega ->`` the constant ``f`` that the dHYM integrability identity
-    gives for ``(chi, omega)``: ``(tan(theta0) Re z - Im z) n!/a_n`` with
-    ``a = intersections(chi, omega)`` and ``z = mean det(omega + i chi) =
-    sum_k i^k a_k/(k!(n-k)!)``."""
-    def const(omega_form: FormField) -> float:
-        a = intersections(chi, omega_form)
-        n = len(a) - 1
-        z = sum(1j ** k * a[k] / (math.factorial(k) * math.factorial(n - k))
-                for k in range(n + 1))
-        return (math.tan(theta0) * z.real - z.imag) / (a[n] / math.factorial(n))
-
-    return const
+def _dhym_class_f(chi: FormField, omega: FormField, theta0: float) -> float:
+    """The constant ``f`` that the dHYM integrability identity gives for
+    ``(chi, omega)``: ``(tan(theta0) Re z - Im z) n!/a_n`` with ``a =
+    intersections(chi, omega)`` and ``z = mean det(omega + i chi) = sum_k
+    i^k a_k/(k!(n-k)!)``."""
+    a = intersections(chi, omega)
+    n = len(a) - 1
+    z = sum(1j ** k * a[k] / (math.factorial(k) * math.factorial(n - k)) for k in range(n + 1))
+    return (math.tan(theta0) * z.real - z.imag) / (a[n] / math.factorial(n))
 
 
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
-    geom = chi.geometry
-    n = geom.n
     lam0 = relative_spectrum_field(chi.values, omega0.values)
     gamma_margin = _cone_margin(np.arctan(1.0 / lam0), theta0)
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "
                                 f"(Gamma margin {gamma_margin:.3e})")
-    class_const = _dhym_class_const(chi, theta0)
-    rhs = class_const(omega0)
-    _check_integrability(rhs, _chi_mean(f, chi) / _chi_mean(None, chi),
-                         max(1.0, abs(rhs)), "mean(f det chi)/mean(det chi)")
-    cot_n = 1.0 / math.tan(theta0 / n)
+    cot_n = 1.0 / math.tan(theta0 / chi.geometry.n)
     kappa = cot_n / float(np.min(lam0[..., 0])) + 1.0
-
-    def with_class_f(omega_t: FormField):
-        return make_dhym_problem(chi, omega_t, ScalarField.constant(geom, class_const(omega_t)),
-                                 theta0)
-
-    def mass(ch: FormField, om: FormField) -> float:
-        return _dhym_class_const(ch, theta0)(om) * _chi_mean(None, ch)
-
-    return ([("dhym-stage1", 1.0, 0.0,
-              lambda t: with_class_f(t * cot_n * chi + (1.0 - t) * kappa * omega0)),
-             ("dhym-stage2", kappa, 1.0, lambda t: with_class_f(t * omega0)),
-             ("dhym-stage3", 0.0, 1.0, lambda s: make_dhym_problem(
-                 chi, omega0, ScalarField(geom, (1.0 - s) * rhs + s * f.values), theta0))],
-            mass, lambda: make_dhym_problem(chi, omega0, f, theta0))
+    return _stages(make_dhym_problem, partial(_dhym_class_f, theta0=theta0), chi, omega0, f,
+                   theta0,
+                   [("dhym-stage1", 1.0, 0.0,
+                     lambda t: (chi, t * cot_n * chi + (1.0 - t) * kappa * omega0)),
+                    ("dhym-stage2", kappa, 1.0, lambda t: (chi, t * omega0))], "dhym-stage3")
 
 
 def continuity_path_dhym(chi: FormField, omega0_target: FormField,

@@ -500,6 +500,22 @@ class TestMemoryPreflight:
         assert "physical memory" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_functionals_estimate_counts_the_samples(self, tmp_path, monkeypatch, capsys):
+        # n = 2, N = 16: a grid array is 0.5 MiB, so 40 arrays fit in 30 MiB
+        # and 40 + 60, one per sample held, do not
+        import jdhym.cli as cli
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 30 * 2 ** 20)
+        monkeypatch.setattr(cli, "_parse_form", no_fields)
+        doc = functionals_config(geometry={"n": 2, "N": 16}, phi_samples=[[MODE]] * 60)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["functionals", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def stability_config(**overrides):
     cfg = {"datasets": [{"p": 1, "n": 2, "a": [1.0, 1.0], "label": "V1"}], "c": 3.0}

@@ -170,7 +170,7 @@ class TestRestriction:
         f = f - d / float(np.mean(np.linalg.det(chi.values).real))
         assert abs(defect(chi, omega0, f)[0]) <= 1e-12
         chi_c, omega_c, f_c = solver._restrict(
-            coarse, chi, omega0, f, lambda ch, om: solver._j_class_rhs(ch, om, c)[0])
+            coarse, chi, omega0, f, lambda ch, om: solver._j_class_f(ch, om, c))
         assert chi_c.geometry == omega_c.geometry == f_c.geometry == coarse
         d, scale = defect(chi_c, omega_c, f_c)
         assert abs(d) <= 1e-8 * scale
@@ -188,13 +188,10 @@ class TestRestriction:
             f_int = float(np.mean(f.values * np.linalg.det(chi.values).real)) / vol
             return f_int - rhs, max(1.0, abs(rhs))
 
-        def mass(ch, om):
-            det = np.linalg.det(ch.values).real
-            return solver._dhym_class_const(ch, THETA0)(om) * float(np.mean(det))
-
         f = f - defect(chi, omega0, f)[0]
         assert abs(defect(chi, omega0, f)[0]) <= 1e-12
-        chi_c, omega_c, f_c = solver._restrict(coarse, chi, omega0, f, mass)
+        chi_c, omega_c, f_c = solver._restrict(
+            coarse, chi, omega0, f, lambda ch, om: solver._dhym_class_f(ch, om, THETA0))
         d, scale = defect(chi_c, omega_c, f_c)
         assert abs(d) <= 1e-8 * scale
         d, scale = defect(chi_c, omega_c, resample(f, coarse))
@@ -327,9 +324,9 @@ class TestNestedPath:
             path, (chi, omega0, f, param) = solver._j_path, j_instance(16)
         else:
             path, (chi, omega0, f), param = solver._dhym_path, dhym_instance(16), THETA0
-        mass = path(chi, omega0, f, param)[1]
+        class_f = path(chi, omega0, f, param)[1]
         for data in ((chi, omega0, f),
-                     solver._restrict(TorusGeometry(2, 8), chi, omega0, f, mass)):
+                     solver._restrict(TorusGeometry(2, 8), chi, omega0, f, class_f)):
             stages, _, target = path(*data, param)
             _, _, t_end, problem = stages[-1]
             phi = field_from_modes(data[0].geometry, [((0, 1, 0, 0), 0.01)])
@@ -344,8 +341,8 @@ class TestNestedPath:
         path = solver._j_path
 
         def recording(chi, omega0, f, c):
-            stages, mass, target = path(chi, omega0, f, c)
-            return stages, mass, lambda: built.append(chi.geometry.N) or target()
+            stages, class_f, target = path(chi, omega0, f, c)
+            return stages, class_f, lambda: built.append(chi.geometry.N) or target()
 
         monkeypatch.setattr(solver, "_j_path", recording)
         assert continuity_path_j(*j_instance(16), SolverConfig(path_steps=2)).success

@@ -506,6 +506,15 @@ class TestContinuityPathDhym:
             continuity_path_dhym(chi, omega0, ScalarField.zeros(geom), theta0,
                                  SolverConfig())
 
+    def test_gamma_margin_checked_before_integrability(self):
+        # these data fail both: their class constant is -2.26, far from mean f = 0
+        geom = TorusGeometry(2, 8)
+        chi = constant_form(geom, np.eye(2))
+        omega0 = constant_form(geom, 1.2 * np.eye(2))
+        assert solver._dhym_class_f(chi, omega0, 0.3) == pytest.approx(-2.26, abs=0.01)
+        with pytest.raises(PreconditionError, match="Gamma margin"):
+            continuity_path_dhym(chi, omega0, ScalarField.zeros(geom), 0.3, SolverConfig())
+
     def test_integrability_identity_rejected(self):
         geom = TorusGeometry(2, 8)
         theta0 = math.pi / 5
@@ -535,19 +544,43 @@ class TestKahlerHypotheses:
 
 
 class TestClassData:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_dhym_class_const_matches_the_complex_determinant(self, n):
-        # mean det(omega + i chi) from the intersection vector, against a batched LU
+    @staticmethod
+    def forms(n):
         geom = TorusGeometry(n, 8)
         rng = np.random.default_rng(n)
         chi = form_field(geom, np.diag(np.arange(1.0, n + 1.0)),
                          random_bandlimited(geom, rng, kmax=1, amplitude=0.01))
         omega = form_field(geom, 2.0 * np.eye(n) + 0.1 * np.ones((n, n)),
                            random_bandlimited(geom, rng, kmax=1, amplitude=0.01))
+        return chi, omega
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dhym_class_const_matches_the_complex_determinant(self, n):
+        # mean det(omega + i chi) from the intersection vector, against a batched LU
+        chi, omega = self.forms(n)
         det = np.linalg.det(omega.values + 1j * chi.values)
         want = (np.mean(math.tan(0.5) * det.real - det.imag)
                 / np.mean(np.linalg.det(chi.values).real))
-        assert solver._dhym_class_const(chi, 0.5)(omega) == pytest.approx(want, rel=1e-13)
+        assert solver._dhym_class_f(chi, omega, 0.5) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_j_class_const_matches_the_trace(self, n):
+        # integrating tr_omega(chi) + f det chi/det omega = c against omega^n
+        chi, omega = self.forms(n)
+        c = 3.0
+        trace = np.einsum("...ii->...", np.linalg.solve(omega.values, chi.values)).real
+        want = (np.mean(np.linalg.det(omega.values).real * (c - trace))
+                / np.mean(np.linalg.det(chi.values).real))
+        assert solver._j_class_f(chi, omega, c) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_class_consts_vanish_at_the_exactly_solvable_starts(self, n):
+        # J stage 1 starts at chi = (c/n) omega0, dHYM stage 1 at omega0 = cot(theta0/n) chi
+        # with phi = 0 and f = 0
+        chi, omega = self.forms(n)
+        c, theta0 = 3.0, 0.5
+        assert abs(solver._j_class_f((c / n) * omega, omega, c)) <= 1e-14
+        assert abs(solver._dhym_class_f(chi, chi * (1.0 / math.tan(theta0 / n)), theta0)) <= 1e-14
 
 
 class TestConfigValidation:
