@@ -379,18 +379,27 @@ class _Eval:
 
 @dataclass
 class _NewtonProblem:
-    """Bundle of closures consumed by :func:`newton_solve`."""
+    """Bundle of closures consumed by :func:`newton_solve`.
+
+    ``coarse()`` builds the same problem on the data restricted to ``N/2``
+    (:func:`_restrict`), where :func:`newton_solve` takes a constant start's
+    first steps (nested iteration, Brandt, Math. Comp. 31, 1977; the step
+    count is mesh independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM
+    J. Numer. Anal. 23, 1986).  It is ``None`` for the problems of a
+    continuity path, which nests its own grids (:func:`_continuity`).
+    """
 
     geometry: TorusGeometry
     evaluate: Callable[[ScalarField], _Eval]
     # (rows of M as in _coefficient_rows, sign): d(residual)(u) = sign * tr(M Hess u)
     linear_coefficient: Callable[[_Eval], tuple[np.ndarray, float]]
     gauge_weight: np.ndarray
+    coarse: Callable[[], _NewtonProblem] | None = None
 
 
 def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
                     value: Callable, cone_terms: Callable, rows: Callable,
-                    sign: float) -> _NewtonProblem:
+                    sign: float, make: Callable, class_f: Callable) -> _NewtonProblem:
     """The Newton problem of ``value(lam, f, param) = 0`` for one equation.
 
     ``value`` is ``hermitian._j_value`` (``param = c``) or
@@ -399,6 +408,8 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``;
     the terms' sum is taken once, for the margin and for ``value``.
     ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
+    The coarse builder is ``make`` (the factory calling this) on the data
+    restricted with the class constant ``class_f``.
     """
     geom = chi.geometry
     det_chi = mixed_density([chi.values] * geom.n) / math.factorial(geom.n)
@@ -420,7 +431,11 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     def linear_coefficient(ev: _Eval):
         return rows(ev), sign
 
-    return _NewtonProblem(geom, evaluate, linear_coefficient, gauge)
+    def coarse() -> _NewtonProblem:
+        return make(*_restrict(TorusGeometry(geom.n, geom.N // 2), chi, omega0, f, class_f),
+                    param)
+
+    return _NewtonProblem(geom, evaluate, linear_coefficient, gauge, coarse)
 
 
 def _hypotheses(chi: FormField, omega0: FormField, f: ScalarField, param: float,
@@ -443,7 +458,8 @@ def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
                    c: float) -> _NewtonProblem:
     c = _hypotheses(chi, omega0, f, c, *_J)
     return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
-                           lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0)
+                           lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0,
+                           make_j_problem, partial(_j_class_f, c=c))
 
 
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
@@ -451,7 +467,8 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     return _newton_problem(
         chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
-        lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0)
+        lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0,
+        make_dhym_problem, partial(_dhym_class_f, theta0=theta0))
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +562,8 @@ def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:
 
 ETA_MAX = 1e-2  # Eisenstat-Walker forcing terms: the cap of eta_k
 ETA_GAMMA = 0.9  # and its factor
+# the coarsest grid of a nested solve or continuity path (the smallest TorusGeometry)
+COARSEST_N = 8
 
 
 def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfig, *,
@@ -567,14 +586,40 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     ``tolerance``, and accepting it as it stands would leave the path's
     residual there instead of at rounding level.
 
+    Nested cold start: a constant ``phi0`` carries no information, since
+    both equations are invariant under constants.  So when ``phi0`` is
+    constant, ``problem.coarse`` is set and ``N/2 >= COARSEST_N``, the
+    problem is first solved on the ``N/2`` grid from zero (itself nested the
+    same way), and this solve starts from that solution, prolonged by
+    :func:`fields.resample` and shifted to ``phi0``'s constant in the gauge
+    (Brandt's nested iteration, Math. Comp. 31, 1977: Newton's step count is
+    mesh independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
+    Anal. 23, 1986, so the coarse grids take the steps far from the
+    solution).  It starts from ``phi0`` instead when the coarse build or
+    solve raises :class:`DomainError` or :class:`ConeBreachError`, when the
+    coarse solve does not converge, or when the prolonged start lies outside
+    the cone.  The report of a nested solve lists each coarser level's
+    solve in ``path_history``, coarsest first (:func:`_nested_start`);
+    ``iterations`` counts this grid's steps only.  A non-constant start is
+    solved on its own grid.
+
     Array lifetime: a step holds the iterate's ``omega_phi`` and relative
     spectrum only until its coefficient rows are assembled, then releases
     them (see :class:`_Eval`); the Krylov solve and the line-search candidate
     run beside the rows and the iterate's potential, residual and weight.
     """
     geom = problem.geometry
+    if phi0.geometry != geom:
+        raise UsageError(f"start is on {phi0.geometry}, the problem on {geom}")
+    min_steps = _check_integer(min_steps, "min_steps")
+    if min_steps < 0:
+        raise UsageError("min_steps must be >= 0")
     slack = config.cone_slack
-    ev = problem.evaluate(phi0)
+    ev, levels = None, []
+    if problem.coarse is not None and geom.N // 2 >= COARSEST_N and np.ptp(phi0.values) == 0.0:
+        ev, levels = _nested_start(problem, phi0, config)
+    if ev is None:
+        ev = problem.evaluate(phi0)
     if ev.kahler_margin <= 0.0 or ev.cone_margin <= slack:
         raise ConeBreachError(
             f"initial iterate outside the cone (kahler margin {ev.kahler_margin:.3e}, "
@@ -611,19 +656,48 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
         else:
             raise ConeBreachError("step halving exhausted without re-entering the cone",
                                   report=_build_report(ev, history, margin_min, multiplier,
-                                                       "cone-breach"))
+                                                       "cone-breach", levels))
         ev = cand
-    return _build_report(ev, history, margin_min, multiplier, status)
+    return _build_report(ev, history, margin_min, multiplier, status, levels)
 
 
 def _build_report(ev: _Eval, history: list[float], margin_min, multiplier,
-                  status) -> SolveReport:
-    """The report of the iterate ``ev``; ``history`` holds one residual per iterate."""
+                  status, levels: list[dict]) -> SolveReport:
+    """The report of the iterate ``ev``; ``history`` holds one residual per
+    iterate, ``levels`` the coarse solves of a nested start."""
     return SolveReport(phi=ev.phi, residual_history=history,
                        cone_margin_min=float(margin_min),
                        c2_diagnostic=ev.c2,
                        c0_diagnostic=ev.phi.oscillation(), multiplier=float(multiplier),
-                       status=status, iterations=len(history) - 1)
+                       status=status, iterations=len(history) - 1, path_history=levels)
+
+
+def _nested_start(problem: _NewtonProblem, phi0: ScalarField,
+                  config: SolverConfig) -> tuple[_Eval | None, list[dict]]:
+    """The evaluated start of a nested cold :func:`newton_solve` and its
+    levels, or ``(None, [])`` to start from ``phi0``.
+
+    The start is the solution of ``problem.coarse()`` from zero, prolonged
+    and shifted so that its gauge mean (against ``omega_0^n``) is
+    ``phi0``'s constant, as every Newton update keeps it.  The levels are
+    the coarse solve's own levels plus its ``_path_entry`` (stage
+    ``"newton"``, ``t = 1``, start ``"prolonged"`` above a level and
+    ``"cold"`` on the coarsest).
+    """
+    try:
+        coarse = problem.coarse()
+        report = newton_solve(coarse, ScalarField.zeros(coarse.geometry), config)
+    except (DomainError, ConeBreachError):
+        return None, []
+    if not report.success:
+        return None, []
+    start = resample(report.phi, problem.geometry)
+    ev = problem.evaluate(start + (phi0.values.flat[0]
+                                   - _weighted_mean(start.values, problem.gauge_weight)))
+    if ev.kahler_margin <= 0.0 or ev.cone_margin <= config.cone_slack:
+        return None, []
+    levels = report.path_history
+    return ev, levels + [_path_entry("newton", 1.0, "prolonged" if levels else "cold", report)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +706,12 @@ def _build_report(ev: _Eval, history: list[float], margin_min, multiplier,
 
 # halvings allowed per target gap of a continuity stage
 PATH_HALVINGS = 8
-# the coarsest grid of a nested continuity path (the smallest TorusGeometry)
-COARSEST_N = 8
 
 
 def _path_entry(stage: str, t: float, start: str, report: SolveReport) -> dict:
     """The ``path_history`` entry of an accepted solve at ``t``, with its grid ``N``
-    and its ``start``: ``"warm"``, ``"predicted"`` or ``"prolonged"``."""
+    and its ``start``: ``"warm"``, ``"predicted"``, ``"prolonged"`` or, on
+    the coarsest level of a nested :func:`newton_solve`, ``"cold"``."""
     return {
         "stage": stage, "t": t, "N": report.phi.geometry.N, "start": start,
         "iterations": report.iterations,
@@ -863,20 +936,27 @@ def _stages(make: Callable, class_f: Callable[[FormField, FormField], float], ch
     (chi_t, omega_t)`` with ``f = class_f(chi_t, omega_t)``; the stage
     ``last`` then carries ``f1 = class_f(chi, omega0)`` to the target by
     ``(1 - s) f1 + s f``, and ``target()`` builds its problem at ``s = 1``.
+    Every problem is built without its coarse builder, so each of its
+    solves stays on its grid: the path nests the grids itself.
     """
     geom = chi.geometry
     f1 = class_f(chi, omega0)
     _check_integrability(f1, _f_mean(f, chi))
 
+    def flat(chi_t: FormField, omega_t: FormField, f_t: ScalarField) -> _NewtonProblem:
+        problem = make(chi_t, omega_t, f_t, param)
+        problem.coarse = None
+        return problem
+
     def problem(forms, t: float):
         chi_t, omega_t = forms(t)
-        return make(chi_t, omega_t, ScalarField.constant(geom, class_f(chi_t, omega_t)), param)
+        return flat(chi_t, omega_t, ScalarField.constant(geom, class_f(chi_t, omega_t)))
 
     stages = [(name, t_start, t_end, partial(problem, forms))
               for name, t_start, t_end, forms in form_stages]
-    stages.append((last, 0.0, 1.0, lambda s: make(
-        chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values), param)))
-    return stages, class_f, lambda: make(chi, omega0, f, param)
+    stages.append((last, 0.0, 1.0, lambda s: flat(
+        chi, omega0, ScalarField(geom, (1.0 - s) * f1 + s * f.values))))
+    return stages, class_f, lambda: flat(chi, omega0, f)
 
 
 def _j_class_f(chi: FormField, omega: FormField, c: float) -> float:

@@ -336,6 +336,19 @@ class TestNestedPath:
             assert np.array_equal(a.residual, b.residual)
             assert np.array_equal(a.weight, b.weight)
 
+    @pytest.mark.parametrize("kind", ["j", "dhym"])
+    def test_path_problems_carry_no_coarse_builder(self, kind):
+        # each solve of a path stays on its grid: the path nests the grids itself
+        if kind == "j":
+            path, data = solver._j_path, j_instance(16)
+        else:
+            path, data = solver._dhym_path, (*dhym_instance(16), THETA0)
+        stages, _, target = path(*data)
+        problems = [problem(t) for _, t_start, t_end, problem in stages
+                    for t in (t_start, t_end)] + [target()]
+        assert all(p.coarse is None for p in problems)
+        assert solver.make_j_problem(*j_instance(16)).coarse is not None
+
     def test_target_built_only_where_the_fine_solve_runs(self, monkeypatch):
         built = []
         path = solver._j_path

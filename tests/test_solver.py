@@ -250,6 +250,126 @@ class TestNewtonSolve:
         assert np.max(np.abs(r1.values - r2.values)) < 1e-11
 
 
+class TestNewtonArguments:
+    """``newton_solve`` refuses bad arguments before any work, the coarse solve included."""
+
+    @staticmethod
+    def problem(monkeypatch):
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        touched = []
+        monkeypatch.setattr(solver, "_restrict", lambda *a: touched.append(1))
+        return make_j_problem(chi, omega0, f, c), touched
+
+    def test_start_on_another_grid(self, monkeypatch):
+        problem, touched = self.problem(monkeypatch)
+        with pytest.raises(UsageError):
+            newton_solve(problem, ScalarField.zeros(TorusGeometry(2, 8)), SolverConfig())
+        assert not touched
+
+    @pytest.mark.parametrize("min_steps", [2.5, -1, "1"])
+    def test_min_steps_not_a_count(self, monkeypatch, min_steps):
+        problem, touched = self.problem(monkeypatch)
+        with pytest.raises(UsageError):
+            newton_solve(problem, ScalarField.zeros(problem.geometry), SolverConfig(),
+                         min_steps=min_steps)
+        assert not touched
+
+
+def single_grid_solve(problem, phi0, config):
+    """``newton_solve`` with the nested start switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "COARSEST_N", 10 ** 9)
+        return newton_solve(problem, phi0, config)
+
+
+class TestNestedStart:
+    """A constant start solves criterion 5's instance on the N/2 grids first."""
+
+    CFG = SolverConfig(tolerance=1e-10)
+
+    @staticmethod
+    def instance(n, N):
+        geom = TorusGeometry(n, N)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        return make_j_problem(chi, omega0, f, c), phistar
+
+    @pytest.mark.parametrize("n, N, const", [(2, 16, 0.0), (1, 64, 0.25)])
+    def test_agrees_with_the_single_grid_solve(self, n, N, const):
+        problem, phistar = self.instance(n, N)
+        start = ScalarField.constant(problem.geometry, const)
+        nested = newton_solve(problem, start, self.CFG)
+        single = single_grid_solve(problem, start, self.CFG)
+        assert nested.success and single.success
+        # the nested start keeps the start's constant in the gauge
+        assert np.max(np.abs(nested.phi.values - single.phi.values)) <= 1e-9
+        assert nested.iterations < single.iterations
+        assert nested.iterations == len(nested.residual_history) - 1
+        levels = nested.path_history
+        assert [h["N"] for h in levels] == [N >> k for k in range(len(levels), 0, -1)]
+        assert levels[0]["N"] == solver.COARSEST_N
+        assert [h["start"] for h in levels] == ["cold"] + ["prolonged"] * (len(levels) - 1)
+        assert all(h["residual"] <= self.CFG.tolerance and h["iterations"] >= 1
+                   for h in levels)
+        assert single.path_history == []
+
+    @pytest.mark.parametrize("failure", ["domain-error", "cone-breach", "no-convergence",
+                                         "prolonged-outside-cone"])
+    def test_coarse_failure_falls_back_bit_for_bit(self, monkeypatch, failure):
+        problem, _ = self.instance(2, 16)
+        start = ScalarField.zeros(problem.geometry)
+        single = single_grid_solve(problem, start, self.CFG)
+        if failure == "domain-error":
+            def fail(*args):
+                raise DomainError("forced")
+
+            monkeypatch.setattr(solver, "_restrict", fail)
+        elif failure == "cone-breach":
+            build = problem.coarse
+
+            def refusing():
+                coarse = build()
+                evaluate = coarse.evaluate
+                coarse.evaluate = lambda phi: dataclasses.replace(evaluate(phi),
+                                                                  cone_margin=-math.inf)
+                return coarse
+
+            problem.coarse = refusing
+        elif failure == "prolonged-outside-cone":
+            evaluate, seen = problem.evaluate, []
+
+            def refusing_first(phi):
+                seen.append(phi)
+                ev = evaluate(phi)
+                return ev if len(seen) > 1 else dataclasses.replace(ev, cone_margin=-math.inf)
+
+            problem.evaluate = refusing_first
+        else:
+            newton = solver.newton_solve
+
+            def unconverged(problem, phi0, config, **kwargs):
+                report = newton(problem, phi0, config, **kwargs)
+                if problem.geometry.N == 8:
+                    report.status = "no-convergence"
+                return report
+
+            monkeypatch.setattr(solver, "newton_solve", unconverged)
+        rep = newton_solve(problem, start, self.CFG)
+        assert np.array_equal(rep.phi.values, single.phi.values)
+        assert rep.residual_history == single.residual_history
+        assert rep.path_history == []
+        if failure == "prolonged-outside-cone":
+            assert np.ptp(seen[0].values) > 0.0 and seen[1] is start
+
+    def test_non_constant_start_stays_on_its_grid(self, monkeypatch):
+        problem, phistar = self.instance(2, 16)
+        touched = []
+        monkeypatch.setattr(solver, "_restrict", lambda *a: touched.append(1))
+        rep = newton_solve(problem, 0.5 * phistar, self.CFG)
+        assert rep.success and rep.path_history == []
+        assert not touched
+
+
 class TestStepMemory:
     def test_omega_phi_in_place_equals_the_form_sum(self):
         geom = TorusGeometry(2, 16)
@@ -889,17 +1009,19 @@ class TestKrylovPrecision:
 
 
 class TestForcingTerms:
-    """Eisenstat-Walker forcing terms on criterion 5's instance at n = 2, N = 16."""
+    """Eisenstat-Walker forcing terms on criterion 5's instance at n = 2, N = 16,
+    whose cold solve starts from the N = 8 solve (the nested start)."""
 
     @staticmethod
     def solve(monkeypatch, **overrides):
+        """The report, the Krylov tolerances by grid ``N`` and the recovery error."""
         geom = TorusGeometry(2, 16)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
-        tols = []
+        tols = {}
         solve_linear = solver._solve_linear
 
         def recorded(geom, coef, rhs, config, rtol=None):
-            tols.append(rtol)
+            tols.setdefault(geom.N, []).append(rtol)
             return solve_linear(geom, coef, rhs, config, rtol)
 
         monkeypatch.setattr(solver, "_solve_linear", recorded)
@@ -909,22 +1031,25 @@ class TestForcingTerms:
         return rep, tols, float(np.max(np.abs(d - d.mean())))
 
     def test_forcing_rule(self, monkeypatch):
-        rep, tols, _ = self.solve(monkeypatch)
+        rep, by_grid, _ = self.solve(monkeypatch)
+        tols = by_grid[16]
         r = rep.residual_history
         assert rep.success and len(tols) == rep.iterations
         assert tols[0] == 1e-2
         for k in range(1, len(tols)):
             assert tols[k] == max(1e-10, min(1e-2, 0.9 * (r[k] / r[k - 1]) ** 2))
+        assert by_grid[8][0] == 1e-2
 
     def test_linear_tol_is_the_floor(self, monkeypatch):
-        _, tols, _ = self.solve(monkeypatch, linear_tol=1e-2)
+        _, by_grid, _ = self.solve(monkeypatch, linear_tol=1e-2)
+        tols = [t for grid in by_grid.values() for t in grid]
         assert tols and all(t == 1e-2 for t in tols)
 
     def test_newton_count_matches_exact_solves(self, monkeypatch):
         rep, _, recovery = self.solve(monkeypatch)
         monkeypatch.setattr(solver, "ETA_MAX", 1e-10)
-        rep_exact, tols, recovery_exact = self.solve(monkeypatch)
-        assert all(t == 1e-10 for t in tols)
+        rep_exact, by_grid, recovery_exact = self.solve(monkeypatch)
+        assert all(t == 1e-10 for grid in by_grid.values() for t in grid)
         assert rep.success and rep_exact.success
         assert rep.iterations == rep_exact.iterations
         assert recovery <= 1e-7 and recovery_exact <= 1e-7
