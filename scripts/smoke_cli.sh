@@ -5,9 +5,9 @@
 # Newton steps (the sum of the path_history iterations) and no more Newton
 # solves (the path_history entries) than they take now, the analysis
 # commands must exit 0, the flags a command does not take must be refused,
-# a second solve-dhym must write the same report.json and
-# residual_history.csv, a second functionals the same functionals.json and
-# coercivity.csv, and malformed, oversized or non-integrable configs must
+# a second solve-j and a second solve-dhym must write the same report.json
+# and residual_history.csv, a second functionals the same functionals.json
+# and coercivity.csv, and malformed, oversized or non-integrable configs must
 # exit with their code, without a traceback or any output.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
@@ -32,10 +32,12 @@ for cmd in solve-j solve-dhym; do
   python -c "import json, sys; h = json.load(open(sys.argv[1]))['path_history']; steps = sum(e['iterations'] for e in h); sys.exit(f'{sys.argv[2]}: {steps} Newton steps in {len(h)} solves, more than {sys.argv[3]} in {sys.argv[4]}' if steps > int(sys.argv[3]) or len(h) > int(sys.argv[4]) else 0)" \
     "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}" "${max_solves[$cmd]}"
 done
-# a second solve-dhym writes the same report and CSV, byte for byte
-jdhym solve-dhym --config configs/solve_dhym.json --out "$out/solve-dhym-again"
-for artifact in report.json residual_history.csv; do
-  cmp "$out/solve-dhym/$artifact" "$out/solve-dhym-again/$artifact"
+# a second solve writes the same report and CSV, byte for byte
+for cmd in solve-j solve-dhym; do
+  jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd-again"
+  for artifact in report.json residual_history.csv; do
+    cmp "$out/$cmd/$artifact" "$out/$cmd-again/$artifact"
+  done
 done
 for mode in slope angle; do
   jdhym check-stability --config "configs/check_stability_$mode.json" \

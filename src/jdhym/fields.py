@@ -163,21 +163,18 @@ def _rfft(values: np.ndarray) -> np.ndarray:
     """Half spectrum (last axis ``0..N/2``) of a real grid array.
 
     Every real transform of the package goes through this function and
-    :func:`_irfft`.  Both run serially: the continuation paths march on N = 8
-    and 16 grids (4,096 and 65,536 points at n = 2), where starting scipy's
-    thread pool costs more than the transform (the timed pairs are in
-    CHANGES.md).  Both look ``sfft.<name>`` up at each call, so that a
-    stand-in for the module sees every transform.  Both keep the input's
-    precision: float32 values give a complex64 spectrum and a complex64
-    spectrum gives float32 values, which the float32 Krylov operator of
-    ``solver._solve_linear`` relies on.
+    :func:`_irfft`.  Both run serially (no ``workers``).  Both look
+    ``sfft.<name>`` up at each call, so that a stand-in for the module sees
+    every transform.  Both keep the input's precision: float32 values give a
+    complex64 spectrum and a complex64 spectrum gives float32 values, which
+    the float32 Krylov operator of ``solver._solve_linear`` relies on.
     """
     return sfft.rfftn(values)
 
 
 def _irfft(geom: TorusGeometry, spectrum: np.ndarray) -> np.ndarray:
     """Real grid values of a half spectrum that is Hermitian in the full one
-    (serial, as :func:`_rfft` explains)."""
+    (serial, as :func:`_rfft` states)."""
     return sfft.irfftn(spectrum, s=geom.shape)
 
 

@@ -24,7 +24,7 @@ Krylov basis, the residual and the Newton update stay float64 (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 from typing import Callable
 
@@ -382,11 +382,9 @@ class _NewtonProblem:
     """Bundle of closures consumed by :func:`newton_solve`.
 
     ``coarse()`` builds the same problem on the data restricted to ``N/2``
-    (:func:`_restrict`), where :func:`newton_solve` takes a constant start's
-    first steps (nested iteration, Brandt, Math. Comp. 31, 1977; the step
-    count is mesh independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM
-    J. Numer. Anal. 23, 1986).  It is ``None`` for the problems of a
-    continuity path, which nests its own grids (:func:`_continuity`).
+    (:func:`_restrict`), on which :func:`newton_solve` nests a constant start
+    (:func:`_nested`).  It is ``None`` for the problems of a continuity
+    path, which nests its own grids (:func:`_continuity`).
     """
 
     geometry: TorusGeometry
@@ -586,22 +584,15 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     ``tolerance``, and accepting it as it stands would leave the path's
     residual there instead of at rounding level.
 
-    Nested cold start: a constant ``phi0`` carries no information, since
-    both equations are invariant under constants.  So when ``phi0`` is
-    constant, ``problem.coarse`` is set and ``N/2 >= COARSEST_N``, the
-    problem is first solved on the ``N/2`` grid from zero (itself nested the
-    same way), and this solve starts from that solution, prolonged by
-    :func:`fields.resample` and shifted to ``phi0``'s constant in the gauge
-    (Brandt's nested iteration, Math. Comp. 31, 1977: Newton's step count is
-    mesh independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
-    Anal. 23, 1986, so the coarse grids take the steps far from the
-    solution).  It starts from ``phi0`` instead when the coarse build or
-    solve raises :class:`DomainError` or :class:`ConeBreachError`, when the
-    coarse solve does not converge, or when the prolonged start lies outside
-    the cone.  The report of a nested solve lists each coarser level's
-    solve in ``path_history``, coarsest first (:func:`_nested_start`);
-    ``iterations`` counts this grid's steps only.  A non-constant start is
-    solved on its own grid.
+    A constant ``phi0`` carries no information, since both equations are
+    invariant under constants, so with ``problem.coarse`` set such a solve
+    is nested (:func:`_nested`): ``problem.coarse()`` is solved from zero,
+    and this grid's solve starts from that solution, prolonged and shifted
+    to ``phi0``'s constant in the gauge, with ``path_history`` listing each
+    coarser level's solve, coarsest first; ``iterations`` counts this grid's
+    steps only.  A prolonged start the cone refuses, like any other failure
+    of the nesting, falls back to the solve from ``phi0`` on this grid
+    alone, which is also how a non-constant start is solved.
 
     Array lifetime: a step holds the iterate's ``omega_phi`` and relative
     spectrum only until its coefficient rows are assembled, then releases
@@ -614,12 +605,20 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     min_steps = _check_integer(min_steps, "min_steps")
     if min_steps < 0:
         raise UsageError("min_steps must be >= 0")
+    if problem.coarse is not None and np.ptp(phi0.values) == 0.0:
+        def fine(start: ScalarField) -> SolveReport:
+            shift = phi0.values.flat[0] - _weighted_mean(start.values, problem.gauge_weight)
+            return newton_solve(replace(problem, coarse=None), start + shift, config,
+                                min_steps=min_steps)
+
+        report, _ = _nested(
+            geom, lambda grid: newton_solve(problem.coarse(), ScalarField.zeros(grid), config),
+            fine, lambda low, _: _path_entry("newton", 1.0, "prolonged" if low.path_history
+                                             else "cold", low))
+        if report is not None:
+            return report
     slack = config.cone_slack
-    ev, levels = None, []
-    if problem.coarse is not None and geom.N // 2 >= COARSEST_N and np.ptp(phi0.values) == 0.0:
-        ev, levels = _nested_start(problem, phi0, config)
-    if ev is None:
-        ev = problem.evaluate(phi0)
+    ev = problem.evaluate(phi0)
     if ev.kahler_margin <= 0.0 or ev.cone_margin <= slack:
         raise ConeBreachError(
             f"initial iterate outside the cone (kahler margin {ev.kahler_margin:.3e}, "
@@ -656,48 +655,54 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
         else:
             raise ConeBreachError("step halving exhausted without re-entering the cone",
                                   report=_build_report(ev, history, margin_min, multiplier,
-                                                       "cone-breach", levels))
+                                                       "cone-breach"))
         ev = cand
-    return _build_report(ev, history, margin_min, multiplier, status, levels)
+    return _build_report(ev, history, margin_min, multiplier, status)
 
 
-def _build_report(ev: _Eval, history: list[float], margin_min, multiplier,
-                  status, levels: list[dict]) -> SolveReport:
-    """The report of the iterate ``ev``; ``history`` holds one residual per
-    iterate, ``levels`` the coarse solves of a nested start."""
-    return SolveReport(phi=ev.phi, residual_history=history,
-                       cone_margin_min=float(margin_min),
-                       c2_diagnostic=ev.c2,
-                       c0_diagnostic=ev.phi.oscillation(), multiplier=float(multiplier),
-                       status=status, iterations=len(history) - 1, path_history=levels)
+def _build_report(ev: _Eval, history: list[float], margin_min, multiplier, status) -> SolveReport:
+    """The report of the iterate ``ev``; ``history`` holds one residual per iterate."""
+    return SolveReport(phi=ev.phi, residual_history=history, cone_margin_min=float(margin_min),
+                       c2_diagnostic=ev.c2, c0_diagnostic=ev.phi.oscillation(),
+                       multiplier=float(multiplier), status=status, iterations=len(history) - 1)
 
 
-def _nested_start(problem: _NewtonProblem, phi0: ScalarField,
-                  config: SolverConfig) -> tuple[_Eval | None, list[dict]]:
-    """The evaluated start of a nested cold :func:`newton_solve` and its
-    levels, or ``(None, [])`` to start from ``phi0``.
+def _nested(geom: TorusGeometry, coarse: Callable[[TorusGeometry], SolveReport],
+            fine: Callable[[ScalarField], SolveReport],
+            entry: Callable[[SolveReport, SolveReport], dict]
+            ) -> tuple[SolveReport | None, list[dict]]:
+    """Nested iteration over grids (Brandt, Math. Comp. 31, 1977) on ``geom``:
+    the report of ``fine`` started from the solution of ``coarse``, or
+    ``None`` for the caller's solve on ``geom`` alone, with the coarse
+    ``path_history`` entries accepted so far.
 
-    The start is the solution of ``problem.coarse()`` from zero, prolonged
-    and shifted so that its gauge mean (against ``omega_0^n``) is
-    ``phi0``'s constant, as every Newton update keeps it.  The levels are
-    the coarse solve's own levels plus its ``_path_entry`` (stage
-    ``"newton"``, ``t = 1``, start ``"prolonged"`` above a level and
-    ``"cold"`` on the coarsest).
+    When ``N/2 >= COARSEST_N``, ``coarse(grid)`` solves on the ``N/2`` grid
+    (nesting itself the same way), giving the report ``low``, and, if that
+    converges, ``fine`` solves on ``geom`` from ``low.phi`` prolonged by
+    :func:`fields.resample`.  Newton's step count is mesh independent
+    (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
+    so the prolonged start lies in the fine quadratic basin and the coarse
+    grids take the steps far from the solution.  A converged fine report
+    gets the coarse history plus ``entry(low, report)`` as its
+    ``path_history``.  Anything else (a coarser grid below ``COARSEST_N``,
+    either solve unconverged or raising :class:`DomainError`,
+    :class:`ConeBreachError` or :class:`ContinuationError`) gives ``None``.
     """
+    history: list[dict] = []
+    if geom.N // 2 < COARSEST_N:
+        return None, history
     try:
-        coarse = problem.coarse()
-        report = newton_solve(coarse, ScalarField.zeros(coarse.geometry), config)
-    except (DomainError, ConeBreachError):
-        return None, []
-    if not report.success:
-        return None, []
-    start = resample(report.phi, problem.geometry)
-    ev = problem.evaluate(start + (phi0.values.flat[0]
-                                   - _weighted_mean(start.values, problem.gauge_weight)))
-    if ev.kahler_margin <= 0.0 or ev.cone_margin <= config.cone_slack:
-        return None, []
-    levels = report.path_history
-    return ev, levels + [_path_entry("newton", 1.0, "prolonged" if levels else "cold", report)]
+        low = coarse(TorusGeometry(geom.n, geom.N // 2))
+        history = low.path_history
+        if low.success:
+            report = fine(resample(low.phi, geom))
+            if report.success:
+                report.path_history = history + [entry(low, report)]
+                return report, report.path_history
+    except (DomainError, ConeBreachError, ContinuationError) as exc:
+        if isinstance(exc, ContinuationError) and exc.report is not None:
+            history = exc.report.path_history  # the entries the coarse path accepted
+    return None, history
 
 
 # ---------------------------------------------------------------------------
@@ -856,48 +861,34 @@ def _restrict(coarse: TorusGeometry, chi: FormField, omega0: FormField, f: Scala
 
 def _continuity(path, chi: FormField, omega0: FormField, f: ScalarField, param: float,
                 config: SolverConfig) -> SolveReport:
-    """A predictor-corrector continuity path, nested over grids (Brandt, Math.
-    Comp. 31, 1977).
+    """A predictor-corrector continuity path, nested over grids (:func:`_nested`).
 
     ``path(chi, omega0, f, param)`` (:func:`_j_path` or :func:`_dhym_path`)
     checks the hypotheses on the given grid and returns what :func:`_stages`
     builds: the stages ``(name, t_start, t_end, problem(t))``, the class
     constant that :func:`_restrict` keeps and a builder of the target
-    problem, which equals the last stage's problem at ``t_end``.  When ``N/2
-    >= COARSEST_N`` the path runs on the data restricted to ``N/2``, itself
-    nested; its endpoint, prolonged by :func:`fields.resample`, starts one
-    :func:`newton_solve` of the target problem, built only here and recorded
-    as the last target of the last stage with the start ``"prolonged"`` (by
-    mesh independence, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
-    Anal. 23, 1986, that start lies in the fine quadratic basin).  On the
-    coarsest grid, after a coarse ``DomainError``, ``ConeBreachError`` or
-    ``ContinuationError`` and after an unconverged fine solve, each stage is
-    marched from zero on this grid by :func:`_march` (secant predictor,
-    Newton corrector, step doubling) over a grid of ``path_steps`` equal
-    targets, whose spacing is also the first step, following the coarse
-    entries accepted so far.  A spatially
-    constant ``f`` makes the last stage a single target at its end: its two
-    ends then differ by a constant that integrability holds to ``1e-8``, so
-    one warm solve covers it (and bisects if it fails).
+    problem, which equals the last stage's problem at ``t_end``.  The coarse
+    solve is this path on the data restricted to ``N/2``, and the fine solve
+    one :func:`newton_solve` of the target problem, built only there and
+    recorded as the last target of the last stage with the start
+    ``"prolonged"``.  Without that nesting, each stage is marched from zero
+    on this grid by :func:`_march` (secant predictor, Newton corrector, step
+    doubling) over a grid of ``path_steps`` equal targets, whose spacing is
+    also the first step, following the coarse entries accepted so far.  A
+    spatially constant ``f`` makes the last stage a single target at its
+    end: its two ends then differ by a constant that integrability holds to
+    ``1e-8``, so one warm solve covers it (and bisects if it fails).
     """
     stages, class_f, target = path(chi, omega0, f, param)
     geom = chi.geometry
-    history: list[dict] = []
-    if geom.N // 2 >= COARSEST_N:
-        try:
-            coarse = _continuity(path, *_restrict(TorusGeometry(geom.n, geom.N // 2), chi,
-                                                  omega0, f, class_f), param, config)
-            history = coarse.path_history
-            report = newton_solve(target(), resample(coarse.phi, geom), config)
-            if report.success:
-                name, _, t_end, _ = stages[-1]
-                report.path_history = history + [_path_entry(name, t_end, "prolonged", report)]
-                return report
-        except ContinuationError as exc:
-            if exc.report is not None:
-                history = exc.report.path_history
-        except (DomainError, ConeBreachError):
-            pass
+    name, _, t_end, _ = stages[-1]
+    report, history = _nested(
+        geom, lambda grid: _continuity(path, *_restrict(grid, chi, omega0, f, class_f), param,
+                                       config),
+        lambda start: newton_solve(target(), start, config),
+        lambda low, fine: _path_entry(name, t_end, "prolonged", fine))
+    if report is not None:
+        return report
     phi = ScalarField.zeros(geom)
     last = len(stages) - 1
     for k, (name, t_start, t_end, problem) in enumerate(stages):

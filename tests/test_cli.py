@@ -604,8 +604,18 @@ class TestTypedConfigNumbers:
                                                  [[0.0, 0.0], [2.0, 0.0]]],
                                         "potential": {"freq": [1, 0, 0, 0], "amp": 0.01}}),
          "chi.potential"),
+        ("solve-j", {k: v for k, v in solve_j_config().items() if k != "chi"}, "chi"),
+        ("solve-j", solve_j_config(geometry={"N": 8}), "geometry.n"),
+        # a mode at the N = 8 grid's Nyquist frequency, and one of 3 frequencies at n = 2
+        ("solve-j", solve_j_config(chi={**solve_j_config()["chi"],
+                                        "potential": [{**MODE, "freq": [4, 0, 0, 0]}]}),
+         "chi.potential"),
+        ("solve-j", solve_j_config(chi={**solve_j_config()["chi"],
+                                        "potential": [{**MODE, "freq": [1, 0, 0]}]}),
+         "chi.potential"),
         ("solve-j", solve_j_config(f=[[1, 0, 0, 0]]), "f[0]"),
         ("solve-j", solve_j_config(solver=5), "solver"),
+        ("solve-j", solve_j_config(solver={"max_newton": 0}), "solver"),
         ("solve-dhym", solve_j_config(), "theta0"),
         ("check-stability", stability_config(datasets=[5]), "datasets[0]"),
     ]

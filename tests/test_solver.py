@@ -361,6 +361,31 @@ class TestNestedStart:
         if failure == "prolonged-outside-cone":
             assert np.ptp(seen[0].values) > 0.0 and seen[1] is start
 
+    @pytest.mark.parametrize("failure", ["fine-no-convergence", "fine-cone-breach"])
+    def test_fine_failure_falls_back_bit_for_bit(self, monkeypatch, failure):
+        problem, _ = self.instance(2, 16)
+        start = ScalarField.zeros(problem.geometry)
+        single = single_grid_solve(problem, start, self.CFG)
+        newton, forced = solver.newton_solve, []
+
+        def failing_from_prolonged(problem, phi0, config, **kwargs):
+            report = newton(problem, phi0, config, **kwargs)
+            # the N = 16 solve from the prolonged start: its first residual is not the cold one's
+            if (problem.geometry.N == 16
+                    and report.residual_history[0] != single.residual_history[0]):
+                forced.append(report)
+                if failure == "fine-cone-breach":
+                    raise ConeBreachError("forced", report=report)
+                report.status = "no-convergence"
+            return report
+
+        monkeypatch.setattr(solver, "newton_solve", failing_from_prolonged)
+        rep = solver.newton_solve(problem, start, self.CFG)
+        assert len(forced) == 1
+        assert np.array_equal(rep.phi.values, single.phi.values)
+        assert rep.residual_history == single.residual_history
+        assert rep.success and rep.path_history == []
+
     def test_non_constant_start_stays_on_its_grid(self, monkeypatch):
         problem, phistar = self.instance(2, 16)
         touched = []
