@@ -96,6 +96,18 @@ test ! -e "$out/mixed-n"
 expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 7)" \
   --out "$out/odd-t-steps"
 test ! -e "$out/odd-t-steps"
+# so is a count past what one run can do, before anything is allocated
+expect_exit 1 check-stability --config "$(with_value configs/check_stability_angle.json samples 1e300)" \
+  --out "$out/many-samples"
+test ! -e "$out/many-samples"
+expect_exit 1 solve-j --config "$(with_value configs/solve_j.json solver '{"path_steps": 1099511627776}')" \
+  --out "$out/many-path-steps"
+test ! -e "$out/many-path-steps"
+expect_exit 1 functionals --config "$(with_value configs/functionals.json t_steps 1099511627776)" \
+  --out "$out/many-t-steps"
+test ! -e "$out/many-t-steps"
+expect_exit 1 verify-lemmas --trials 1000000000000 --out "$out/many-trials"
+test ! -e "$out/many-trials/lemmas.json"
 # so is a config value of the wrong type
 expect_exit 1 functionals --config "$(with_value configs/functionals.json phi_samples 5)" \
   --out "$out/samples-not-a-list"

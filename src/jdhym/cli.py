@@ -37,6 +37,9 @@ EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CONE_BREACH = 4
 
+# the most trials per suite of verify-lemmas, whose run time grows linearly in them
+MAX_TRIALS = 10 ** 7
+
 
 class ConfigError(Exception):
     """Carries a dotted field path for the diagnostic."""
@@ -340,9 +343,10 @@ def _cmd_functionals(cfg: dict, out: Path, args) -> int:
 def _cmd_verify_lemmas(cfg: dict, out: Path, args) -> int:
     trials, seed = args.trials, args.seed
     # no trial drawn would report every lemma as verified; numpy refuses a negative seed
-    for flag, value, low in (("--trials", trials, 1), ("--seed", seed, 0)):
-        if value < low:
-            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
+    for flag, value, low, high in (("--trials", trials, 1, MAX_TRIALS),
+                                   ("--seed", seed, 0, math.inf)):
+        if not low <= value <= high:
+            print(f"error: {flag} must lie in [{low}, {high}], got {value}", file=sys.stderr)
             return EXIT_CONFIG
     results = properties.run_property_suites(trials=trials, seed=seed)
     out.mkdir(parents=True, exist_ok=True)

@@ -103,11 +103,16 @@ def _gradient_form(phi: ScalarField) -> np.ndarray:
     return grad[..., :, None] * np.conj(grad[..., None, :])
 
 
+# the most ray intervals: a ray that leaves the cone costs an eigenvalue pass
+# over the grid per node
+MAX_T_STEPS = 2 ** 12
+
+
 def _check_t_steps(t_steps: int) -> int:
-    """An even number of at least 2 ray intervals; a ray that leaves the
-    Kahler cone is scanned at their nodes."""
-    if t_steps < 2 or t_steps % 2:
-        raise UsageError("t_steps must be an even integer >= 2")
+    """An even number of 2 to ``MAX_T_STEPS`` ray intervals; a ray that leaves
+    the Kahler cone is scanned at their nodes."""
+    if not 2 <= t_steps <= MAX_T_STEPS or t_steps % 2:
+        raise UsageError(f"t_steps must be an even integer in [2, {MAX_T_STEPS}]")
     return t_steps
 
 

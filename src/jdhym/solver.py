@@ -14,11 +14,11 @@ the mean-zero projection ``A u = b`` of the linear system: ``lgmres`` solves
 the residual outside the numerical range (its volume-weighted mean) is
 surfaced as ``multiplier`` instead of silently absorbed.
 Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
-term with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
-that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32,
-whose relative error (2.5e-7) stays far below the residual asked for; the
-Krylov basis, the residual and the Newton update stay float64 (see
-:func:`_solve_linear`).
+term, capped near the solution by the term that finishes the solve in one
+step, with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
+that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32
+and the solve still meets the term; the Krylov basis, the residual and the
+Newton update stay float64 (see :func:`_solve_linear`).
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ __all__ = [
     "estimate_peak_bytes",
 ]
 
+# the most targets of a continuity stage, whose march may take twice as many Newton solves
+MAX_PATH_STEPS = 2 ** 12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-10
@@ -71,8 +75,8 @@ class SolverConfig:
             raise UsageError("tolerance must be finite and >= 1e-12")
         if not 0.0 <= self.linear_tol < 1.0:
             raise UsageError("linear_tol must lie in [0, 1)")
-        if self.path_steps < 1:
-            raise UsageError("path_steps must be >= 1")
+        if not 1 <= self.path_steps <= MAX_PATH_STEPS:
+            raise UsageError(f"path_steps must lie in [1, {MAX_PATH_STEPS}]")
         if self.max_newton < 1 or self.linear_max_iter < 1:
             raise UsageError("iteration limits must be positive")
         if not 0.0 <= self.cone_slack < math.inf:
@@ -107,13 +111,10 @@ class SolveReport:
             "c2_diagnostic", "c0_diagnostic", "multiplier", "path_history")}
 
 
-# Peak memory of a solve per grid point, in float64 grid arrays: the peak RSS
-# above the built inputs measured for cold Newton solves of a manufactured J
-# instance (about 32 arrays at n = 1, N = 1024; 46 at n = 2, N = 32; 133 at
-# n = 3, N = 8, where the forms and the eigh-based coefficient hold complex
-# 3 x 3 fields) and for the continuity paths of configs/ at n = 2, N = 32
-# (31, inputs included), rounded up for Krylov bases that fill and for the
-# temporaries of other data.
+# Peak memory of a solve per grid point, in float64 grid arrays, inputs
+# included: an upper bound on the peak resident memory of a cold Newton solve
+# or a continuity path at each n (at n = 3 the forms and the coefficient hold
+# complex 3 x 3 fields), with room for Krylov bases that fill
 PEAK_GRID_ARRAYS = {1: 32, 2: 64, 3: 256}
 
 
@@ -478,8 +479,9 @@ class _KrylovBudget(Exception):
 
 
 # Krylov solves asked for a relative residual of at least this apply their
-# operator in float32 (see _solve_linear)
-FLOAT32_RTOL = 1e-4
+# operator in float32 (see _solve_linear): the lowest rtol that such a solve
+# still meets in the float64 residual
+FLOAT32_RTOL = 3e-6
 
 
 def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
@@ -498,11 +500,10 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     in float32 on float32 copies of the rows and ``inv_sym``; ``y`` is cast
     in and the result back to float64.  ``lgmres`` and its basis, ``b``,
     ``u = P y`` and the caller's residual, gauge and update stay float64,
-    and tighter solves are float64 throughout.  The float32 operator is
-    ``A P`` to a relative 2.5e-7 (white noise at n = 2, N = 32), more than
-    two orders below the tightest residual it serves, so the solve still
-    meets its forcing term, which is all an inexact Newton step needs
-    (Kelley, "Newton's method in mixed precision", SIAM Review 64, 2022).
+    and tighter solves are float64 throughout.  Contract: a solve that
+    returns ``info == 0`` meets ``rtol`` in the float64 residual, float32
+    operator or not, which is all an inexact Newton step needs (Kelley,
+    "Newton's method in mixed precision", SIAM Review 64, 2022).
     """
     G = geom.grid_size
     shape = geom.shape
@@ -560,6 +561,8 @@ def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:
 
 ETA_MAX = 1e-2  # Eisenstat-Walker forcing terms: the cap of eta_k
 ETA_GAMMA = 0.9  # and its factor
+# the terminal forcing term asks for a step residual of REACH * tolerance
+REACH = 1e-3
 # the coarsest grid of a nested solve or continuity path (the smallest TorusGeometry)
 COARSEST_N = 8
 
@@ -571,7 +574,14 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     Step ``k`` solves the linearization to the relative Krylov residual of the
     forcing term ``eta_0 = ETA_MAX``, ``eta_k = min(ETA_MAX, ETA_GAMMA * (r_k /
     r_{k-1})**2)`` from the sup residuals ``r`` (Eisenstat & Walker, SIAM J.
-    Sci. Comput. 17, 1996, choice 2), floored at ``linear_tol``.
+    Sci. Comput. 17, 1996, choice 2), floored at ``linear_tol``.  Near the
+    solution, ``0 < r_k**2 <= ETA_MAX * tolerance`` (the step's quadratic
+    term is then a small part of ``tolerance``), the term is capped at
+    ``max(FLOAT32_RTOL, REACH * tolerance / r_k)``: the step's residual is
+    bounded by ``eta_k r_k`` plus that quadratic term (Dembo, Eisenstat &
+    Steihaug, SIAM J. Numer. Anal. 19, 1982), so one step, with a float32
+    operator, finishes a solve that starts that close.  The cap only
+    tightens the term.
 
     Every accepted iterate stays strictly inside the cone (positivity plus
     the strict subsolution margin, deepened by ``config.cone_slack``);
@@ -640,6 +650,8 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
         ev.omega_vals = ev.lam = None  # the rows replace them
         eta = ETA_MAX if len(history) == 1 else min(
             ETA_MAX, ETA_GAMMA * (history[-1] / history[-2]) ** 2)
+        if 0.0 < history[-1] <= math.sqrt(ETA_MAX * config.tolerance):
+            eta = min(eta, max(FLOAT32_RTOL, REACH * config.tolerance / history[-1]))
         # Newton step: sign * tr(M Hess u) = -residual, to relative residual eta
         u, info = _solve_linear(geom, coef, -sign * ev.residual, config,
                                 max(eta, config.linear_tol))

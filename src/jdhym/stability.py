@@ -62,10 +62,14 @@ def _check_datasets(datasets) -> list:
     return datasets
 
 
+# the most samples of an angle branch, each of whose arrays holds one value per sample
+MAX_SAMPLES = 2 ** 20
+
+
 def _check_samples(samples: int) -> int:
-    """At least 8 samples of an angle branch."""
-    if samples < 8:
-        raise UsageError("need at least 8 samples")
+    """From 8 to ``MAX_SAMPLES`` samples of an angle branch."""
+    if not 8 <= samples <= MAX_SAMPLES:
+        raise UsageError(f"samples must lie in [8, {MAX_SAMPLES}]")
     return samples
 
 

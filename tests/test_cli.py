@@ -287,7 +287,8 @@ class TestVerifyLemmas:
         assert (out1 / "lemmas.json").read_bytes() == (out2 / "lemmas.json").read_bytes()
 
     @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
-                                             ("--seed", "-1")])
+                                             ("--seed", "-1"), ("--trials", "10000001"),
+                                             ("--trials", "1000000000000")])
     def test_out_of_range_flag_is_refused(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["verify-lemmas", "--out", str(out), "--trials", "5", flag, value]) == 1
@@ -619,9 +620,20 @@ class TestTypedConfigNumbers:
         ("solve-dhym", solve_j_config(), "theta0"),
         ("check-stability", stability_config(datasets=[5]), "datasets[0]"),
     ]
+    # counts past what one run can do, refused where they are parsed, before
+    # anything is allocated
+    TOO_MANY = [
+        ("check-stability", {**ANGLE_BASE, "samples": 1e300}, "samples"),
+        ("check-stability", {**ANGLE_BASE, "samples": 2 ** 40}, "samples"),
+        ("solve-j", solve_j_config(solver={"path_steps": 2 ** 40}), "solver"),
+        ("solve-dhym", solve_j_config(theta0=0.6, solver={"path_steps": 1e300}), "solver"),
+        ("functionals", functionals_config(t_steps=2 ** 40), "t_steps"),
+        ("functionals", functionals_config(t_steps=1e300), "t_steps"),
+    ]
 
-    @pytest.mark.parametrize("command, doc, key", OUT_OF_RANGE,
-                             ids=[c[2] for c in OUT_OF_RANGE])
+    @pytest.mark.parametrize("command, doc, key", OUT_OF_RANGE + TOO_MANY,
+                             ids=[c[2] for c in OUT_OF_RANGE]
+                             + [f"{c[2]}-too-many-{i}" for i, c in enumerate(TOO_MANY)])
     def test_out_of_range_value_exits_1_without_output(self, tmp_path, capsys, command,
                                                        doc, key):
         cfg = write_config(tmp_path, "c.json", doc)

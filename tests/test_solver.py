@@ -1025,7 +1025,7 @@ class TestKrylovPrecision:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 4])
     def test_linear_max_iter_is_an_exact_cap_in_float32(self, monkeypatch, max_iter):
-        # this solve needs 5 applications to reach the threshold, so each cap
+        # this solve needs 6 applications to reach the threshold, so each cap
         # below that ends a float32 solve
         _, info, dtypes = self.solve(monkeypatch, solver.FLOAT32_RTOL,
                                      linear_max_iter=max_iter)
@@ -1033,14 +1033,27 @@ class TestKrylovPrecision:
         assert len(dtypes) == max_iter and all(d == np.float32 for d, _ in dtypes)
 
 
+# the edge of the terminal region, r_k**2 <= ETA_MAX * tolerance, at tolerance 1e-10
+TERMINAL_EDGE = math.sqrt(1e-2 * 1e-10)
+
+
+def terminal(eta, r):
+    """``eta`` under the terminal cap of a Newton step from the sup residual
+    ``r``, at tolerance 1e-10."""
+    if 0.0 < r <= TERMINAL_EDGE:
+        return min(eta, max(solver.FLOAT32_RTOL, solver.REACH * 1e-10 / r))
+    return eta
+
+
 class TestForcingTerms:
-    """Eisenstat-Walker forcing terms on criterion 5's instance at n = 2, N = 16,
-    whose cold solve starts from the N = 8 solve (the nested start)."""
+    """Eisenstat-Walker forcing terms, capped by the terminal term, on criterion
+    5's instance at n = 2, N = 16, whose cold solve starts from the N = 8
+    solve (the nested start)."""
 
     @staticmethod
-    def solve(monkeypatch, **overrides):
+    def solve(monkeypatch, N=16, **overrides):
         """The report, the Krylov tolerances by grid ``N`` and the recovery error."""
-        geom = TorusGeometry(2, 16)
+        geom = TorusGeometry(2, N)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         tols = {}
         solve_linear = solver._solve_linear
@@ -1062,8 +1075,43 @@ class TestForcingTerms:
         assert rep.success and len(tols) == rep.iterations
         assert tols[0] == 1e-2
         for k in range(1, len(tols)):
-            assert tols[k] == max(1e-10, min(1e-2, 0.9 * (r[k] / r[k - 1]) ** 2))
+            assert tols[k] == max(1e-10, terminal(min(1e-2, 0.9 * (r[k] / r[k - 1]) ** 2), r[k]))
         assert by_grid[8][0] == 1e-2
+
+    def test_far_from_the_solution_the_term_is_eisenstat_walker(self, monkeypatch):
+        # a one-grid solve from zero: a step from a residual a hundred times the
+        # terminal region's edge gets exactly the Eisenstat-Walker term, which
+        # lies above the float32 floor, so a cap would have lowered it
+        monkeypatch.setattr(solver, "COARSEST_N", 10 ** 9)
+        rep, by_grid, _ = self.solve(monkeypatch)
+        tols, r = by_grid[16], rep.residual_history
+        far = [k for k in range(len(tols)) if r[k] >= 100 * TERMINAL_EDGE]
+        assert rep.success and len(far) >= 2
+        for k in far:
+            eta = 1e-2 if k == 0 else min(1e-2, 0.9 * (r[k] / r[k - 1]) ** 2)
+            assert tols[k] == eta > solver.FLOAT32_RTOL
+
+    @pytest.mark.parametrize("N, steps", [(16, 2), (32, 1)])
+    def test_terminal_step_finishes_in_float32(self, monkeypatch, N, steps):
+        # the nested cold solve: the fine grid's one step from inside the
+        # terminal region is its last, and it runs in float32; at N = 32 the
+        # prolonged start is inside, so that step is the fine grid's only one.
+        # The recovery bound was fixed before measuring.
+        dtypes = set()
+        tr_m_hessian = solver._tr_m_hessian
+
+        def recorded(geom, coef, phat):
+            if geom.N == N:
+                dtypes.add(coef.dtype)
+            return tr_m_hessian(geom, coef, phat)
+
+        monkeypatch.setattr(solver, "_tr_m_hessian", recorded)
+        rep, by_grid, recovery = self.solve(monkeypatch, N=N)
+        r = rep.residual_history
+        inside = [k for k in range(rep.iterations) if r[k] <= TERMINAL_EDGE]
+        assert rep.success and rep.iterations == steps and inside == [steps - 1]
+        assert by_grid[N][-1] >= solver.FLOAT32_RTOL and dtypes == {np.dtype(np.float32)}
+        assert recovery <= 1e-10
 
     def test_linear_tol_is_the_floor(self, monkeypatch):
         _, by_grid, _ = self.solve(monkeypatch, linear_tol=1e-2)
