@@ -2,9 +2,9 @@
 
 Commands: ``solve-j``, ``solve-dhym``, ``check-stability``, ``functionals``,
 ``verify-lemmas``.  Exit codes: 0 success, 1 malformed config, 2 precondition
-failure (unstable/inadmissible input detected), 3 non-convergence, 4 cone
-breach.  Reports contain no timestamps, so identical config and seed produce
-byte-identical output.
+failure (unstable/inadmissible input detected, data out of floating-point
+range, or out of memory), 3 non-convergence, 4 cone breach.  Reports contain
+no timestamps, so identical config and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -401,7 +401,10 @@ def main(argv=None) -> int:
             raise ConfigError("problem",
                               f"declares {declared!r} but command is {args.command!r}")
         out_dir = _need(cfg, "", "output_dir", str, "out")  # checked under --out too
-        return _COMMANDS[args.command](cfg, Path(args.out or out_dir), args)
+        # data out of floating-point range stop the command instead of
+        # carrying inf or nan into its results
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](cfg, Path(args.out or out_dir), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -410,6 +413,14 @@ def main(argv=None) -> int:
         return EXIT_CONE_BREACH if exc.cause == "cone-breach" else EXIT_NO_CONVERGENCE
     except (DomainError, UsageError, DataError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except FloatingPointError as exc:
+        print(f"precondition failure: {exc}: the data are out of floating-point range",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        # past the pre-flight estimate: the machine, not the config, is short
+        print(f"precondition failure: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

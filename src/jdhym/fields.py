@@ -39,8 +39,9 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
-from .hermitian import (_check_geoms, _check_integer, _relative_eigvals, _require_positive,
-                        ensure_hermitian, is_positive_definite)
+from .hermitian import (_as_parts, _check_geoms, _check_integer, _pairs, _parts,
+                        _relative_eigvals, _require_positive, ensure_hermitian,
+                        is_positive_definite)
 
 __all__ = [
     "TorusGeometry",
@@ -129,20 +130,16 @@ def _axis_laplace(geom: TorusGeometry) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Off-diagonal index pairs ``i < j``, in the order the Hessian symbols use."""
-    return tuple(itertools.combinations(range(n), 2))
-
-
 @functools.lru_cache(maxsize=8)
 def _hessian_symbols(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
     """The ``n*n`` real half-spectrum multipliers of the complex Hessian.
 
     First the diagonal symbols ``-|zeta_i|^2``; then, for each pair of
-    :func:`_pairs`, the real and the imaginary part of ``-zeta_i*conj(zeta_j)``
-    (Nyquist zeroed).  Every multiplier is real and even in k, so for real
-    ``u`` with ``uhat = rfftn(u)`` the diagonal entry is
+    ``hermitian._pairs``, the real and the imaginary part of
+    ``-zeta_i*conj(zeta_j)`` (Nyquist zeroed): the order of the real parts
+    of a Hermitian matrix (``hermitian._parts``).  Every multiplier is real
+    and even in k, so for real ``u`` with ``uhat = rfftn(u)`` the diagonal
+    entry is
     ``irfftn(S_ii * uhat)`` and ``H_ij = irfftn(Re * uhat) + i*irfftn(Im * uhat)``.
     Arrays broadcast to the half grid; each depends only on its axes.
     """
@@ -299,20 +296,35 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
     exactly Hermitian: ``H_ji`` is the conjugate of ``H_ij`` and the diagonal
     is real.
     """
+    n = phi.geometry.n
+    out = np.zeros(phi.geometry.shape + (n, n), dtype=complex)
+    _hessian_parts(phi, _parts(out))
+    for i, j in _pairs(n):
+        np.conj(out[..., i, j], out=out[..., j, i])
+    return out
+
+
+def _hessian_parts(phi: ScalarField, out=None, base=None):
+    """The ``n*n`` real parts of the complex Hessian of ``phi``
+    (``hermitian._parts``), each plus its entry of ``base`` (a form's parts,
+    :func:`_form_parts`) when given.
+
+    The one transform loop: one forward transform and one inverse transform
+    per part, written into ``out`` (``n*n`` writable real grids, views
+    allowed) or into a new ``(n*n,) + grid`` float64 array; returns ``out``.
+    """
     if not np.all(np.isfinite(phi.values)):
         raise DataError("potential contains non-finite values")
     geom = phi.geometry
-    n = geom.n
+    if out is None:
+        out = np.empty((geom.n ** 2,) + geom.shape)
     phat = _rfft(phi.values)
-    sym = _hessian_symbols(geom)
-    out = np.empty(geom.shape + (n, n), dtype=complex)
-    for i in range(n):
-        out[..., i, i] = _irfft(geom, sym[i] * phat)
-    for p, (i, j) in enumerate(_pairs(n)):
-        entry = out[..., i, j]
-        entry.real = _irfft(geom, sym[n + 2 * p] * phat)
-        entry.imag = _irfft(geom, sym[n + 2 * p + 1] * phat)
-        np.conj(entry, out=out[..., j, i])
+    for k, sym in enumerate(_hessian_symbols(geom)):
+        entry = _irfft(geom, sym * phat)
+        if base is None:
+            out[k][...] = entry
+        else:
+            np.add(entry, base[k], out=out[k])
     return out
 
 
@@ -398,6 +410,14 @@ def constant_form(geom: TorusGeometry, base: np.ndarray) -> FormField:
     return form_field(geom, base, None)
 
 
+def _form_parts(form: FormField) -> list[np.ndarray]:
+    """The real parts (``hermitian._parts``) of a form's values: contiguous
+    grids, or for a constant form 0-d arrays of its base."""
+    if form.potential is None:
+        return [np.array(p) for p in _parts(form.base)]
+    return [np.ascontiguousarray(p) for p in _parts(form.values)]
+
+
 def complex_hessian(phi: ScalarField) -> FormField:
     """The exact form ``i d dbar(phi)`` (zero base)."""
     zero = np.zeros((phi.geometry.n, phi.geometry.n), dtype=complex)
@@ -459,23 +479,41 @@ def _perm_pairs(n: int):
 def mixed_density(mats) -> np.ndarray:
     """Density ``D(A_1,..,A_n)`` of the wedge of n (1,1)-forms.
 
-    Each entry of ``mats`` is an array broadcastable to grid + (n, n); the
-    result is real with ``D(A,..,A) = n! det(A)``.
+    Each entry of ``mats`` is a Hermitian array broadcastable to grid +
+    (n, n); the result is real with ``D(A,..,A) = n! det(A)``.
     """
     mats = [np.asarray(m) for m in mats]
     n = mats[0].shape[-1]
     if len(mats) != n:
         raise UsageError(f"need exactly n = {n} factor forms, got {len(mats)}")
+    return np.asarray(_density(mats))
+
+
+def _density(factors: list) -> np.ndarray:
+    """``D(A_1,..,A_n)`` of n Hermitian factors, each given as matrices or,
+    at n <= 2, as its real parts (``hermitian._parts``), over their
+    broadcast leading shape.
+
+    n <= 2 is real arithmetic on the parts: ``D(A) = a0`` and ``D(A, B) = a0 b1
+    + a1 b0 - 2 Re(a01 conj(b01))``.  n = 3 is the permutation sum over the
+    matrices.
+    """
+    n = len(factors)
+    if n == 1:
+        return np.array(_as_parts(factors[0])[0], dtype=float)
+    if n == 2:
+        (a0, a1, ar, ai), (b0, b1, br, bi) = (_as_parts(a) for a in factors)
+        return a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi)
     perms, signs = _perm_pairs(n)
     out = None
     for sig, ssig in zip(perms, signs):
         for tau, stau in zip(perms, signs):
-            term = mats[0][..., sig[0], tau[0]]
+            term = factors[0][..., sig[0], tau[0]]
             for k in range(1, n):
-                term = term * mats[k][..., sig[k], tau[k]]
+                term = term * factors[k][..., sig[k], tau[k]]
             contrib = (ssig * stau) * term
             out = contrib if out is None else out + contrib
-    return np.asarray(out.real)
+    return out.real
 
 
 def integrate(field: ScalarField | None, weights) -> float:

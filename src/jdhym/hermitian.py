@@ -5,7 +5,8 @@ function of small dense matrices (n <= 6).  The private kernels (relative
 spectrum, leave-one-out sum, the two equations' values, the dHYM derivatives)
 act on leading batch axes, so they serve one matrix, a whole grid and a batch
 of random trials alike; together with the one check per hypothesis they are
-what the other modules call.
+what the other modules call.  Grid kernels read a Hermitian field as its
+``n*n`` real parts (:func:`_parts`), in blocks of ``_BLOCK2`` points.
 
 Conventions.  ``SpectrumRel`` holds the ascending roots of
 ``det(omega - lam * chi) = 0`` for positive Hermitian ``chi``, ``omega``.
@@ -20,6 +21,8 @@ reciprocals ``1/lam_i``:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -140,67 +143,145 @@ def relative_spectrum(chi: np.ndarray, omega: np.ndarray) -> SpectrumRel:
     return SpectrumRel(tuple(float(v) for v in _relative_eigvals(chi, omega)))
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Off-diagonal index pairs ``i < j``, in the order of :func:`_parts`."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
+def _parts(m: np.ndarray) -> list[np.ndarray]:
+    """The ``n*n`` real parts of Hermitian matrices (last two axes), as views of
+    ``m``: the ``n`` diagonal entries, then the real and the imaginary part of
+    each upper entry ``(i, j)`` of :func:`_pairs`.  This is the order of
+    ``fields._hessian_symbols``; the lower triangle is not read."""
+    n = m.shape[-1]
+    out = [m[..., i, i].real for i in range(n)]
+    for i, j in _pairs(n):
+        out += [m[..., i, j].real, m[..., i, j].imag]
+    return out
+
+
+def _matrix(parts) -> np.ndarray:
+    """The Hermitian matrices whose real parts (:func:`_parts`) are ``parts``,
+    over the broadcast leading shape of the parts."""
+    n = math.isqrt(len(parts))
+    m = np.zeros(np.broadcast_shapes(*(np.shape(p) for p in parts)) + (n, n), dtype=complex)
+    for dst, p in zip(_parts(m), parts):
+        dst[...] = p
+    for i, j in _pairs(n):
+        np.conj(m[..., i, j], out=m[..., j, i])
+    return m
+
+
+def _as_parts(a) -> list:
+    """A Hermitian field given as matrices (an array) or as its real parts (a
+    list), as its real parts."""
+    return a if isinstance(a, list) else _parts(a)
+
+
+def _frame(chi) -> list | np.ndarray:
+    """What the relative spectrum reads of ``chi`` (matrices, or at n <= 2
+    its real parts): its real parts at n <= 2, the inverse of its Cholesky
+    factor above (the relative spectrum is then that of ``L^-1 omega L^-H``)."""
+    if isinstance(chi, list) or chi.shape[-1] <= 2:
+        return _as_parts(chi)
+    return np.linalg.inv(np.linalg.cholesky(chi))
+
+
+def _flatten(a, shape: tuple) -> list | np.ndarray | None:
+    """Parts (a list) or matrices (an array, last two axes) broadcast to the
+    leading ``shape`` and flattened to one point axis; ``None`` stays."""
+    if a is None:
+        return None
+    if isinstance(a, list):
+        return [np.broadcast_to(p, shape).reshape(-1) for p in a]
+    return np.broadcast_to(a, shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
+
+
+def _take(a, part: slice):
+    """The points ``part`` of flattened parts or matrices (:func:`_flatten`)."""
+    if a is None:
+        return None
+    return [p[part] for p in a] if isinstance(a, list) else a[part]
+
+
+# points per block of a blocked pass; the temporaries of a block stay in cache
+_BLOCK2 = 4096
+
+
+def _blocks(size: int):
+    """Slices of ``_BLOCK2`` consecutive points covering ``range(size)``."""
+    return (slice(start, start + _BLOCK2) for start in range(0, size, _BLOCK2))
+
+
 def _relative_eigvals(chi: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
     """Ascending roots of ``det(omega - lam*chi) = 0`` over the leading axes.
 
     ``chi`` is positive definite and broadcasts against ``omega``; ``None``
-    stands for the identity, which gives the ordinary spectrum.  n = 1
-    divides, n = 2 uses the closed form of :func:`_relative_eigvals2`, and
-    larger n reduces by the Cholesky factor of ``chi`` (congruence-invariant)
-    and calls ``eigvalsh``.
+    stands for the identity, which gives the ordinary spectrum.  ``chi`` is
+    read through its frame (:func:`_frame`) by :func:`_spectrum`.
     """
-    n = omega.shape[-1]
+    omega = np.asarray(omega)
+    shape = np.broadcast_shapes(omega.shape[:-2], () if chi is None else np.shape(chi)[:-2])
+    frame = None if chi is None else _flatten(_frame(np.asarray(chi)), shape)
+    lam = _spectrum(frame, _flatten(omega, shape))
+    return lam.reshape(shape + (omega.shape[-1],))
+
+
+def _spectrum(frame, omega) -> np.ndarray:
+    """Ascending relative eigenvalues (points x n) of the flattened ``omega``
+    (matrices or real parts) against the flattened ``frame`` of ``chi``
+    (:func:`_flatten`), by :func:`_eigvals` in blocks."""
+    size, n = ((len(omega[0]), math.isqrt(len(omega))) if isinstance(omega, list)
+               else omega.shape[:2])
+    out = np.empty((size, n))
+    for part in _blocks(size):
+        _eigvals(_take(frame, part), _take(omega, part), out[part])
+    return out
+
+
+def _eigvals(frame, omega, out: np.ndarray) -> None:
+    """Write into ``out`` (points x n) the ascending roots of ``det(omega -
+    lam*chi) = 0``, ``omega`` given as matrices or as its real parts and
+    ``chi`` by its ``frame`` (:func:`_frame`; ``None`` for the identity).
+
+    n = 1 divides and n > 2 calls ``eigvalsh`` in the Cholesky frame of
+    ``chi`` (congruence-invariant).  n = 2 takes the roots ``(tr K -+
+    sqrt(disc)) / (2 det chi)``, ``K = adj(chi) omega``, with the
+    discriminant ``(K00 - K11)^2 + 4 K01 K10`` assembled from small factors,
+    ``a^2 - 4 Im(conj(c) w)^2 + 4 Re(u conj(v))`` with ``a = c1 o0 - c0 o1``,
+    ``u = c1 w - c o1`` and ``v = c0 w - c o0`` (``c``, ``w`` the upper
+    entries of ``chi``, ``omega``), so it keeps its relative accuracy as the
+    two roots merge, where ``tr(K)^2 - 4 det(K)`` cancels to nothing.  The
+    identity drops every term with ``c``.
+    """
+    n = out.shape[-1]
+    if n > 2:
+        m = _matrix(omega) if isinstance(omega, list) else omega
+        if frame is not None:
+            m = frame @ m @ frame.conj().swapaxes(-1, -2)
+        out[...] = np.linalg.eigvalsh(m)
+        return
+    parts = _as_parts(omega)
     if n == 1:
-        lam = omega[..., 0, 0].real
-        return (lam if chi is None else lam / chi[..., 0, 0].real)[..., None]
-    if n == 2:
-        return _relative_eigvals2(chi, omega)
-    if chi is None:
-        return np.linalg.eigvalsh(omega)
-    Linv = np.linalg.inv(np.linalg.cholesky(chi))
-    return np.linalg.eigvalsh(Linv @ omega @ Linv.conj().swapaxes(-1, -2))
-
-
-# matrices per pass of the n = 2 closed form; its temporaries then stay in cache
-_BLOCK2 = 4096
-
-
-def _relative_eigvals2(chi: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
-    """The n = 2 roots ``(tr K -+ sqrt(disc)) / (2 det chi)``, ``K = adj(chi) omega``.
-
-    The discriminant ``(K00 - K11)^2 + 4 K01 K10`` is assembled from small
-    factors, ``a^2 - 4 Im(conj(c) w)^2 + 4 Re(u conj(v))`` with
-    ``a = c1 o0 - c0 o1``, ``u = c1 w - c o1`` and ``v = c0 w - c o0``
-    (``c``, ``w`` the upper entries of ``chi``, ``omega``), so it keeps its
-    relative accuracy as the two roots merge, where ``tr(K)^2 - 4 det(K)``
-    cancels to nothing.  ``chi = None`` (the identity) drops every term with
-    ``c``.  Only the real diagonals and the upper entries are read, in blocks
-    of ``_BLOCK2`` matrices.
-    """
-    shape = omega.shape[:-2]
-    omega = omega.reshape(-1, 2, 2)
-    if chi is not None:
-        chi = np.broadcast_to(chi, shape + (2, 2)).reshape(-1, 2, 2)
-    out = np.empty((len(omega), 2))
-    for start in range(0, len(omega), _BLOCK2):
-        part = slice(start, start + _BLOCK2)
-        o0, o1, w = omega[part, 0, 0].real, omega[part, 1, 1].real, omega[part, 0, 1]
-        if chi is None:
-            a, im, trace, det2 = o0 - o1, 0.0, o0 + o1, 2.0
-            uv = w.real * w.real + w.imag * w.imag
-        else:
-            c0, c1, c = chi[part, 0, 0].real, chi[part, 1, 1].real, chi[part, 0, 1]
-            a = c1 * o0 - c0 * o1
-            u = c1 * w - c * o1
-            v = c0 * w - c * o0
-            im = c.real * w.imag - c.imag * w.real
-            uv = u.real * v.real + u.imag * v.imag
-            trace = c1 * o0 + c0 * o1 - 2.0 * (c.real * w.real + c.imag * w.imag)
-            det2 = 2.0 * (c0 * c1 - (c.real * c.real + c.imag * c.imag))
-        root = np.sqrt(np.maximum(a * a - 4.0 * im * im + 4.0 * uv, 0.0))
-        out[part, 0] = (trace - root) / det2
-        out[part, 1] = (trace + root) / det2
-    return out.reshape(shape + (2,))
+        out[:, 0] = parts[0] if frame is None else parts[0] / frame[0]
+        return
+    o0, o1, wr, wi = parts
+    if frame is None:
+        a, im, trace, det2 = o0 - o1, 0.0, o0 + o1, 2.0
+        uv = wr * wr + wi * wi
+    else:
+        c0, c1, cr, ci = frame
+        a = c1 * o0 - c0 * o1
+        ur, ui = c1 * wr - cr * o1, c1 * wi - ci * o1
+        vr, vi = c0 * wr - cr * o0, c0 * wi - ci * o0
+        im = cr * wi - ci * wr
+        uv = ur * vr + ui * vi
+        trace = c1 * o0 + c0 * o1 - 2.0 * (cr * wr + ci * wi)
+        det2 = 2.0 * (c0 * c1 - (cr * cr + ci * ci))
+    root = np.sqrt(np.maximum(a * a - 4.0 * im * im + 4.0 * uv, 0.0))
+    out[:, 0] = (trace - root) / det2
+    out[:, 1] = (trace + root) / det2
 
 
 def trace_relative(spec: SpectrumRel) -> float:
@@ -368,10 +449,11 @@ def _check_geoms(*objs):
 
 def _require_positive(margins: np.ndarray, what: str) -> None:
     """Raise :class:`NotKahlerError` at the grid point of the smallest margin
-    (a smallest eigenvalue) unless that margin is positive."""
+    (a smallest eigenvalue) unless that margin is positive; a nan margin,
+    where ``argmin`` stops, is not."""
     flat = int(np.argmin(margins))
     margin = float(margins.reshape(-1)[flat])
-    if margin <= 0.0:
+    if not margin > 0.0:
         idx = tuple(int(i) for i in np.unravel_index(flat, margins.shape))
         raise NotKahlerError(f"{what} is not positive at grid index {idx} (margin {margin:.3e})",
                              grid_index=idx, margin=margin)

@@ -33,12 +33,14 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
-from .fields import (FormField, ScalarField, TorusGeometry, _hessian_symbols, _irfft, _pairs,
-                     _rfft, _require_kahler, complex_hessian, form_field, hessian_values,
-                     integrate, intersections, mixed_density, relative_spectrum_field, resample)
-from .hermitian import (_BLOCK2, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
-                        _cone_margin, _dhym_angle_radius, _dhym_gradient, _dhym_value,
-                        _f_bound_dhym, _f_bound_j, _j_value, _reduce_last, _require_positive)
+from .fields import (FormField, ScalarField, TorusGeometry, _density, _form_parts,
+                     _hessian_parts, _hessian_symbols, _irfft, _rfft, _require_kahler,
+                     complex_hessian, form_field, integrate, intersections,
+                     relative_spectrum_field, resample)
+from .hermitian import (_blocks, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
+                        _cone_margin, _dhym_angle_radius, _dhym_gradient, _dhym_value, _eigvals,
+                        _f_bound_dhym, _f_bound_j, _flatten, _frame, _j_value, _matrix, _pairs,
+                        _reduce_last, _require_positive, _spectrum, _take)
 
 __all__ = [
     "SolverConfig",
@@ -127,14 +129,6 @@ def estimate_peak_bytes(geom: TorusGeometry) -> int:
 # pointwise residuals
 
 
-def _lam_field(chi: FormField, omega0: FormField, phi: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """(relative spectrum field, omega_phi values); ``omega_phi`` is summed
-    into the Hessian grid, so a step holds one complex matrix grid."""
-    omega = hessian_values(phi)
-    omega += omega0.values
-    return relative_spectrum_field(chi.values, omega), omega
-
-
 def _residual(problem: _NewtonProblem, phi: ScalarField) -> ScalarField:
     """The residual of ``problem`` at ``phi``, where ``omega_phi`` must be Kahler."""
     ev = problem.evaluate(phi)
@@ -148,54 +142,48 @@ def j_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     return _residual(make_j_problem(chi, omega0, f, c), phi)
 
 
-# Closed-form n = 2 kernels.  A Hermitian 2 x 2 field is held as the triple
-# (real diagonal 0, real diagonal 1, complex upper entry); the fields are
-# Hermitian by construction, so the lower entry is not read.
+# Closed-form n = 2 kernels on Hermitian 2 x 2 fields held as their real
+# parts (hermitian._parts): diagonal 0, diagonal 1, Re and Im of the upper entry.
 
 
-def _herm2(m: np.ndarray) -> tuple:
-    return m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+def _inv2(m: list) -> tuple:
+    m0, m1, mr, mi = m
+    det = m0 * m1 - (mr * mr + mi * mi)
+    return m1 / det, m0 / det, -mr / det, -mi / det
 
 
-def _inv2(m: tuple) -> tuple:
-    m0, m1, m01 = m
-    det = m0 * m1 - (m01.real * m01.real + m01.imag * m01.imag)
-    return m1 / det, m0 / det, -m01 / det
-
-
-def _gxg2(g: tuple, x: tuple) -> tuple:
+def _gxg2(g: tuple, x: list) -> tuple:
     """The product ``G X G`` of Hermitian 2 x 2 fields, written out entrywise."""
-    g0, g1, g01 = g
-    x0, x1, x01 = x
-    gx = g01 * np.conj(x01)
-    c = 2.0 * gx.real
-    gg = g01.real * g01.real + g01.imag * g01.imag
+    g0, g1, gr, gi = g
+    x0, x1, xr, xi = x
+    pr, pi = gr * xr + gi * xi, gi * xr - gr * xi  # g01 conj(x01)
+    c = 2.0 * pr
+    gg = gr * gr + gi * gi
     t0 = g0 * (g0 * x0 + c) + gg * x1
     t1 = g1 * (g1 * x1 + c) + gg * x0
-    t01 = g01 * (g0 * x0 + g1 * x1 + gx) + (g0 * g1) * x01
-    return t0, t1, t01
+    sr = g0 * x0 + g1 * x1 + pr  # t01 = g01 (g0 x0 + g1 x1 + g01 conj(x01)) + g0 g1 x01
+    g01 = g0 * g1
+    return t0, t1, gr * sr - gi * pi + g01 * xr, gr * pi + gi * sr + g01 * xi
 
 
-def _rows2(block, chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+def _rows2(block, frame: list, parts: np.ndarray, lam: np.ndarray,
            f_vals: np.ndarray) -> np.ndarray:
     """The rows (see :func:`_coefficient_rows`) of an n = 2 coefficient,
     written into one array block by block.
 
     ``block(omega, chi, lam, f)`` maps ``hermitian._BLOCK2`` points of each
-    input (the forms as 2 x 2 triples) to the coefficient's triple, so its
-    temporaries stay in cache and no full-grid one is made.
+    input (the forms as their four real parts) to the coefficient's four
+    rows, so its temporaries stay in cache and no full-grid one is made.
     """
     shape = lam.shape[:-1]
-    omega = omega_vals.reshape(-1, 2, 2)
-    chi = chi.values.reshape(-1, 2, 2)
+    omega = list(parts.reshape(4, -1))
     lam = lam.reshape(-1, 2)
     f_vals = f_vals.reshape(-1)
     rows = np.empty((4, len(lam)))
-    for start in range(0, len(lam), _BLOCK2):
-        part = slice(start, start + _BLOCK2)
-        m0, m1, m01 = block(_herm2(omega[part]), _herm2(chi[part]), lam[part], f_vals[part])
-        rows[0, part], rows[1, part] = m0, m1
-        rows[2, part], rows[3, part] = 2.0 * m01.real, 2.0 * m01.imag
+    for part in _blocks(len(lam)):
+        values = block(_take(omega, part), _take(frame, part), lam[part], f_vals[part])
+        for row, value in zip(rows, values):
+            row[part] = value
     return rows.reshape((4,) + shape)
 
 
@@ -204,7 +192,7 @@ def _coefficient_rows(M: np.ndarray) -> np.ndarray:
     with :func:`fields._hessian_symbols`.
 
     The rows are the n diagonal entries ``H_ii``, then for each pair
-    ``i < j`` of :func:`fields._pairs` ``2 Re H_ij`` and ``2 Im H_ij``, so that
+    ``i < j`` of ``hermitian._pairs`` ``2 Re H_ij`` and ``2 Im H_ij``, so that
     for Hermitian ``X`` ``tr(H X) = sum_k row_k * part_k(X)``.
     """
     n = M.shape[-1]
@@ -215,9 +203,11 @@ def _coefficient_rows(M: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+def _j_rows(chi: FormField, frame, parts: np.ndarray, lam: np.ndarray,
             f_vals: np.ndarray) -> np.ndarray:
-    """Rows of the Hermitian W with ``d(j_residual)(u) = -tr(W Hess u)``.
+    """Rows of the Hermitian W with ``d(j_residual)(u) = -tr(W Hess u)`` at
+    the ``omega`` of the real ``parts``, ``frame`` being ``chi``'s flattened
+    frame (``hermitian._frame``, ``_flatten``).
 
     ``W = G chi G + q G`` with ``G = omega^-1`` and ``q = f chi^n/omega^n``;
     written out entrywise at n = 2, block by block (:func:`_rows2`).
@@ -226,17 +216,17 @@ def _j_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
         def block(omega, chi2, lam, f):
             g = _inv2(omega)
             q = f / _reduce_last(np.multiply, lam)
-            t0, t1, t01 = _gxg2(g, chi2)
-            return t0 + q * g[0], t1 + q * g[1], t01 + q * g[2]
+            t0, t1, tr, ti = _gxg2(g, chi2)
+            return t0 + q * g[0], t1 + q * g[1], 2.0 * (tr + q * g[2]), 2.0 * (ti + q * g[3])
 
-        return _rows2(block, chi, omega_vals, lam, f_vals)
+        return _rows2(block, frame, parts, lam, f_vals)
     q = f_vals / _reduce_last(np.multiply, lam)
-    gi = np.linalg.inv(omega_vals)
+    gi = np.linalg.inv(_matrix(list(parts)))
     return _coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
                              + q[..., None, None] * gi)
 
 
-def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
+def _dhym_rows(chi: FormField, frame, parts: np.ndarray, lam: np.ndarray,
                f_vals: np.ndarray, theta0: float) -> np.ndarray:
     """Rows of the projector sum ``M = sum_i w(lam_i) v_i v_i^H`` with
     ``d(dhym_residual)(u) = tr(M Hess u)``, where ``omega v_i = lam_i chi v_i``,
@@ -248,10 +238,11 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
     crossings.  At n = 2 the sum is ``a chi^-1 + b chi^-1 omega chi^-1`` with
     ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``,
     block by block (:func:`_rows2`); otherwise the pairs ``(lam_i, v_i)``
-    come from ``eigh`` in the Cholesky frame of ``chi`` and the weights from
-    ``hermitian._dhym_gradient``.
+    come from ``eigh`` in the Cholesky frame of ``chi`` (at n = 3 the
+    ``frame`` itself) and the weights from ``hermitian._dhym_gradient``.
     """
-    if chi.geometry.n == 2:
+    n = chi.geometry.n
+    if n == 2:
         def block(omega, chi2, lam, f):
             chi_inv = _inv2(chi2)
             l1, l2 = lam[..., 0], lam[..., 1]
@@ -261,13 +252,15 @@ def _dhym_rows(chi: FormField, omega_vals: np.ndarray, lam: np.ndarray,
             g = f * math.cos(theta0) / r
             b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
             a = (C + g * l1) / q1 - b * l1
-            t0, t1, t01 = _gxg2(chi_inv, omega)
-            return a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1, a * chi_inv[2] + b * t01
+            t0, t1, tr, ti = _gxg2(chi_inv, omega)
+            return (a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1,
+                    2.0 * (a * chi_inv[2] + b * tr), 2.0 * (a * chi_inv[3] + b * ti))
 
-        return _rows2(block, chi, omega_vals, lam, f_vals)
-    Linv = np.linalg.inv(np.linalg.cholesky(chi.base if chi.potential is None
-                                            else chi.values))
-    lam, U = np.linalg.eigh(Linv @ omega_vals @ Linv.conj().swapaxes(-1, -2))
+        return _rows2(block, frame, parts, lam, f_vals)
+    omega = _matrix(list(parts))
+    Linv = frame.reshape(omega.shape) if n == 3 else np.linalg.inv(np.linalg.cholesky(
+        chi.base if chi.potential is None else chi.values))
+    lam, U = np.linalg.eigh(Linv @ omega @ Linv.conj().swapaxes(-1, -2))
     V = Linv.conj().swapaxes(-1, -2) @ U
     w = _dhym_gradient(lam, f_vals, theta0)
     return _coefficient_rows(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex),
@@ -290,6 +283,17 @@ def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np
     return out
 
 
+def _omega_phi(chi: FormField, omega0: FormField, phi: ScalarField) -> tuple:
+    """``chi``'s flattened frame (``hermitian._frame``), the real parts of
+    ``omega_phi = omega0 + i d dbar(phi)`` and its relative spectrum: what a
+    linearization's rows are built from."""
+    geom = phi.geometry
+    frame = _flatten(_frame(chi.values if geom.n == 3 else _form_parts(chi)), geom.shape)
+    parts = _hessian_parts(phi, base=_form_parts(omega0))
+    lam = _spectrum(frame, list(parts.reshape(len(parts), -1)))
+    return frame, parts, lam.reshape(geom.shape + (-1,))
+
+
 def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
                 u: ScalarField) -> ScalarField:
     """``sign * tr(M Hess u)`` with M given by its rows."""
@@ -309,13 +313,13 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     guarantees it, and ``c`` enables that explicit cone check when provided.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    lam, omega_vals = _lam_field(chi, omega0, phi)
+    frame, parts, lam = _omega_phi(chi, omega0, phi)
     if c is not None and _cone_margin(1.0 / lam, c) <= 0.0:
         raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / _reduce_last(np.multiply, lam)
     if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
         raise EllipticityLostError("linearized coefficient lost positivity")
-    return _apply_rows(geom, _j_rows(chi, omega_vals, lam, f.values), -1.0, u)
+    return _apply_rows(geom, _j_rows(chi, frame, parts, lam, f.values), -1.0, u)
 
 
 def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -349,8 +353,8 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
     special treatment.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    lam, omega_vals = _lam_field(chi, omega0, phi)
-    return _apply_rows(geom, _dhym_rows(chi, omega_vals, lam, f.values, float(theta0)), 1.0, u)
+    frame, parts, lam = _omega_phi(chi, omega0, phi)
+    return _apply_rows(geom, _dhym_rows(chi, frame, parts, lam, f.values, float(theta0)), 1.0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +364,20 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
 class _Eval:
     """One iterate's evaluation.
 
-    ``omega_vals`` (``omega_phi``, one complex matrix grid) and ``lam`` (its
-    relative spectrum) are what the coefficient rows are built from;
-    :func:`newton_solve` sets both to ``None`` once the rows are assembled,
-    so the Krylov solve and the next line-search candidate do not overlap
-    them.  ``c2`` is ``max sum(lam_i)``, the report's ``c2_diagnostic``, kept
-    as a float for that reason.
+    ``parts`` (the ``n*n`` real parts of ``omega_phi`` in the order of
+    ``hermitian._parts``, one ``(n*n,) + grid`` float64 array) and ``lam``
+    (its relative spectrum, grid + ``(n,)``) are what the coefficient rows
+    are built from; :func:`newton_solve` sets both to ``None`` once the rows
+    are assembled, so the Krylov solve and the next line-search candidate do
+    not overlap them.  ``c2`` is ``max sum(lam_i)``, the report's
+    ``c2_diagnostic``, kept as a float for that reason.  The margins are
+    floats; ``residual`` and ``weight`` (the residual's volume weight, ``det
+    chi`` times the equation's volume ratio) are grids, ``None`` when a
+    relative eigenvalue is not positive (``kahler_margin <= 0``).
     """
 
     phi: ScalarField
-    omega_vals: np.ndarray | None
+    parts: np.ndarray | None
     lam: np.ndarray | None
     c2: float
     kahler_margin: float
@@ -406,29 +414,58 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     returns, times ``det chi``, weights the residual's mean.  The cone margin
     is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``;
     the terms' sum is taken once, for the margin and for ``value``.
-    ``rows(ev)`` are the linearization's coefficient rows, applied with ``sign``.
-    The coarse builder is ``make`` (the factory calling this) on the data
-    restricted with the class constant ``class_f``.
+    ``rows(frame, ev)`` are the linearization's coefficient rows, applied
+    with ``sign``.  The coarse builder is ``make`` (the factory calling this)
+    on the data restricted with the class constant ``class_f``.
+
+    The problem holds the real parts of ``omega0`` and the frame of ``chi``
+    (``hermitian._parts``, ``hermitian._frame``); ``det chi`` and the gauge
+    weight ``omega0^n`` come from the same parts (``fields._density``; at
+    n = 3 both kernels read the forms' matrices).  An
+    evaluation writes the parts of ``omega_phi`` (one transform loop,
+    ``fields._hessian_parts``, with ``omega0``'s added), then makes one pass
+    over the grid in blocks of ``hermitian._BLOCK2`` points that gives the
+    relative spectrum, ``c2``, both margins, the value and the weight.  A
+    block after the first non-positive relative eigenvalue gives only its
+    spectrum and ``c2``.
     """
     geom = chi.geometry
-    det_chi = mixed_density([chi.values] * geom.n) / math.factorial(geom.n)
-    gauge = mixed_density([omega0.values] * geom.n)
+    n, shape = geom.n, geom.shape
+    omega0_parts = _form_parts(omega0)
+    # the n = 3 kernels (hermitian._frame, fields._density) read matrices, the others parts
+    chi_in, omega0_in = ((chi.values, omega0.values) if n == 3
+                         else (_form_parts(chi), omega0_parts))
+    frame = _flatten(_frame(chi_in), shape)
+    det_chi = np.broadcast_to(_density([chi_in] * n) / math.factorial(n), shape).reshape(-1)
+    gauge = np.broadcast_to(_density([omega0_in] * n), shape)
+    f_vals = f.values.reshape(-1)
 
     def evaluate(phi: ScalarField) -> _Eval:
-        lam, omega_vals = _lam_field(chi, omega0, phi)
-        c2 = float(np.max(_reduce_last(np.add, lam)))
-        kahler = float(np.min(lam[..., 0]))
+        parts = _hessian_parts(phi, base=omega0_parts)
+        flat = list(parts.reshape(n * n, -1))
+        lam = np.empty((geom.grid_size, n))
+        res, weight = np.empty(geom.grid_size), np.empty(geom.grid_size)
+        c2, kahler, cone = -math.inf, math.inf, math.inf
+        for part in _blocks(geom.grid_size):
+            block = lam[part]
+            _eigvals(_take(frame, part), _take(flat, part), block)
+            c2 = max(c2, float(np.max(_reduce_last(np.add, block))))
+            kahler = min(kahler, float(np.min(block[:, 0])))
+            if kahler <= 0.0:
+                continue
+            terms = cone_terms(block)
+            total = _reduce_last(np.add, terms)
+            cone = min(cone, _cone_margin(terms, param, total))
+            value_part, ratio = value(block, f_vals[part], param, total)
+            res[part] = value_part
+            np.multiply(det_chi[part], ratio, out=weight[part])
+        lam = lam.reshape(shape + (n,))
         if kahler <= 0.0:
-            return _Eval(phi, omega_vals, lam, c2, kahler, -math.inf, None, None)
-        terms = cone_terms(lam)
-        total = _reduce_last(np.add, terms)
-        cone = _cone_margin(terms, param, total)
-        del terms  # not beside the value's temporaries
-        res, ratio = value(lam, f.values, param, total)
-        return _Eval(phi, omega_vals, lam, c2, kahler, cone, res, det_chi * ratio)
+            return _Eval(phi, parts, lam, c2, kahler, -math.inf, None, None)
+        return _Eval(phi, parts, lam, c2, kahler, cone, res.reshape(shape), weight.reshape(shape))
 
     def linear_coefficient(ev: _Eval):
-        return rows(ev), sign
+        return rows(frame, ev), sign
 
     def coarse() -> _NewtonProblem:
         return make(*_restrict(TorusGeometry(geom.n, geom.N // 2), chi, omega0, f, class_f),
@@ -457,8 +494,8 @@ def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
                    c: float) -> _NewtonProblem:
     c = _hypotheses(chi, omega0, f, c, *_J)
     return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
-                           lambda ev: _j_rows(chi, ev.omega_vals, ev.lam, f.values), -1.0,
-                           make_j_problem, partial(_j_class_f, c=c))
+                           lambda frame, ev: _j_rows(chi, frame, ev.parts, ev.lam, f.values),
+                           -1.0, make_j_problem, partial(_j_class_f, c=c))
 
 
 def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
@@ -466,7 +503,7 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     return _newton_problem(
         chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
-        lambda ev: _dhym_rows(chi, ev.omega_vals, ev.lam, f.values, theta0), 1.0,
+        lambda frame, ev: _dhym_rows(chi, frame, ev.parts, ev.lam, f.values, theta0), 1.0,
         make_dhym_problem, partial(_dhym_class_f, theta0=theta0))
 
 
@@ -604,8 +641,8 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
     of the nesting, falls back to the solve from ``phi0`` on this grid
     alone, which is also how a non-constant start is solved.
 
-    Array lifetime: a step holds the iterate's ``omega_phi`` and relative
-    spectrum only until its coefficient rows are assembled, then releases
+    Array lifetime: a step holds the parts of the iterate's ``omega_phi`` and
+    its relative spectrum only until its coefficient rows are assembled, then releases
     them (see :class:`_Eval`); the Krylov solve and the line-search candidate
     run beside the rows and the iterate's potential, residual and weight.
     """
@@ -647,7 +684,7 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
             status = "no-convergence"
             break
         coef, sign = problem.linear_coefficient(ev)
-        ev.omega_vals = ev.lam = None  # the rows replace them
+        ev.parts = ev.lam = None  # the rows replace them
         eta = ETA_MAX if len(history) == 1 else min(
             ETA_MAX, ETA_GAMMA * (history[-1] / history[-2]) ** 2)
         if 0.0 < history[-1] <= math.sqrt(ETA_MAX * config.tolerance):

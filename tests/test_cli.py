@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdhym.cli import main
 from jdhym.fields import load_scalar_field
@@ -518,6 +523,20 @@ class TestMemoryPreflight:
         assert not (tmp_path / "o").exists()
 
 
+    def test_unexpected_memory_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        import jdhym.solver as solver
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(solver, "_hessian_parts", exhausted)
+        out = tmp_path / "o"
+        assert main(["solve-j", "--config", str(CONFIGS / "solve_j.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "precondition failure: solve-j ran out of memory\n"
+
+
 def stability_config(**overrides):
     cfg = {"datasets": [{"p": 1, "n": 2, "a": [1.0, 1.0], "label": "V1"}], "c": 3.0}
     cfg.update(overrides)
@@ -694,3 +713,78 @@ class TestTypedConfigNumbers:
         assert all(values[f.name] != f.default for f in fields)
         doc = json.loads(json.dumps({"solver": values}))
         assert _parse_solver(doc) == SolverConfig(**values)
+
+
+# The five configs/ documents and their commands, mutated leaf by leaf.
+CONFIG_COMMANDS = {"solve_j.json": "solve-j", "solve_dhym.json": "solve-dhym",
+                   "functionals.json": "functionals",
+                   "check_stability_slope.json": "check-stability",
+                   "check_stability_angle.json": "check-stability"}
+DELETE = object()
+REPLACEMENTS = [DELETE, None, True, "x", [], {}, -1, 0, 1, 2, 3, 8, 16, 0.5, -0.5, 1e300,
+                2 ** 40, -1e300]
+
+
+def leaf_paths(doc, path=()):
+    """The key paths of every non-container value of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for key, value in items for p in leaf_paths(value, path + (key,))]
+
+
+def small_grid(path, value):
+    """Whether a replacement keeps the grid at N <= 16."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return path != ("geometry", "N") or not numeric or value <= 16
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, document): a configs/ document with one to three leaves
+    replaced or deleted, its grid kept at N <= 16."""
+    name = draw(st.sampled_from(sorted(CONFIG_COMMANDS)))
+    doc = json.loads((CONFIGS / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = leaf_paths(doc)
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from([v for v in REPLACEMENTS if small_grid(path, v)]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return CONFIG_COMMANDS[name], doc
+
+
+class TestMutatedConfigContract:
+    @given(mutated_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_mutation_exits_with_a_documented_code(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2, 3, 4)
+        if code == 1:
+            assert "config field" in err.getvalue(), err.getvalue()
+
+    def test_data_out_of_floating_point_range_exit_2(self, tmp_path, capsys):
+        # an amplitude of 1e300 overflows the relative spectrum of the sample
+        doc = json.loads((CONFIGS / "functionals.json").read_text())
+        doc["phi_samples"][1][1]["amp"] = 1e300
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["functionals", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure: overflow") and err.count("\n") == 1
+        assert "out of floating-point range" in err

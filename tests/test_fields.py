@@ -235,6 +235,11 @@ class TestKahlerForm:
             kahler_form(g1, np.eye(1), phi)
         assert all(type(i) is int for i in exc.value.grid_index)
 
+    def test_nan_margin_is_not_positive(self):
+        from jdhym.hermitian import _require_positive
+        with pytest.raises(NotKahlerError, match=r"at grid index \(1, 0\) \(margin nan\)"):
+            _require_positive(np.array([[1.0, 2.0], [math.nan, 3.0]]), "form")
+
     @pytest.mark.parametrize("low", [0.0, 1e-13, -1e-3])
     def test_base_positive_to_the_relative_tolerance(self, g2, low):
         # the base is tested as hermitian.is_positive_definite tests a matrix:

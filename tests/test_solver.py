@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from jdhym import solver
+from jdhym import hermitian, solver
 from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
                           DomainError, EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
@@ -400,7 +400,8 @@ class TestStepMemory:
         geom = TorusGeometry(2, 16)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         for base in (omega0, constant_form(geom, np.eye(2))):
-            _, omega_vals = solver._lam_field(chi, base, phistar)
+            ev = make_j_problem(chi, base, f, c).evaluate(phistar)
+            omega_vals = hermitian._matrix(list(ev.parts))
             assert np.array_equal(omega_vals, (base + complex_hessian(phistar)).values)
 
     def test_cold_solve_peak_in_grid_arrays(self, monkeypatch):
@@ -867,7 +868,7 @@ class TestRealTransformKernels:
         problem = make_j_problem(chi, omega0, f, 4.0 * n)
         ev = problem.evaluate(phi)
         rows, sign = problem.linear_coefficient(ev)
-        ref = reference_j_coefficient(chi, ev.omega_vals, ev.lam, f)
+        ref = reference_j_coefficient(chi, hermitian._matrix(list(ev.parts)), ev.lam, f)
         assert sign == -1.0
         assert relative_error(matrix_from_rows(rows, n), ref) <= KERNEL_RTOL
 
@@ -878,7 +879,7 @@ class TestRealTransformKernels:
         problem = make_dhym_problem(chi, omega0, f, theta0)
         ev = problem.evaluate(phi)
         rows, sign = problem.linear_coefficient(ev)
-        ref = reference_dhym_coefficient(chi, ev.omega_vals, f, theta0)
+        ref = reference_dhym_coefficient(chi, hermitian._matrix(list(ev.parts)), f, theta0)
         assert sign == 1.0
         assert relative_error(matrix_from_rows(rows, n), ref) <= KERNEL_RTOL
 
@@ -907,19 +908,89 @@ class TestRealTransformKernels:
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         if constant_chi:
             chi = constant_form(geom, chi.base)
-        lam, omega_vals = solver._lam_field(chi, omega0, phistar)
+        frame, parts, lam = solver._omega_phi(chi, omega0, phistar)
+        omega_vals = hermitian._matrix(list(parts))
         gi = np.linalg.inv(omega_vals)
         q = f.values / np.prod(lam, axis=-1)
         j_ref = solver._coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
                                          + q[..., None, None] * gi)
-        j_rows = solver._j_rows(chi, omega_vals, lam, f.values)
+        j_rows = solver._j_rows(chi, frame, parts, lam, f.values)
         assert j_rows.shape == j_ref.shape
         assert relative_error(j_rows, j_ref) <= 1e-13
         theta0 = math.pi / 5
         f_d = ScalarField(geom, 0.01 + 0.5 * phistar.values)
         d_ref = reference_dhym_coefficient(chi, omega_vals, f_d, theta0)
-        d_rows = solver._dhym_rows(chi, omega_vals, lam, f_d.values, theta0)
+        d_rows = solver._dhym_rows(chi, frame, parts, lam, f_d.values, theta0)
         assert relative_error(d_rows, solver._coefficient_rows(d_ref)) <= 1e-13
+
+
+def blocked_evaluation_instance(n):
+    """(chi, omega0, phi, f) at n = 1, 2 (N = 16: 16 blocks of hermitian._BLOCK2
+    points) and 3, with ``phi`` halfway to the manufactured J solution."""
+    if n == 3:
+        geom = TorusGeometry(3, 8)
+        chi = form_field(geom, np.diag([1.0, 1.5, 2.0]).astype(complex),
+                         field_from_modes(geom, [((1, 0, 0, 0, 0, 0), 0.01)]))
+        omega0 = form_field(geom, np.eye(3),
+                            field_from_modes(geom, [((0, 0, 0, 1, 0, 0), 0.01)]))
+        phi = field_from_modes(geom, [((0, 1, 0, 0, 0, 0), 0.005), ((1, 0, 0, 0, 1, 0), 0.003)])
+        return chi, omega0, phi, ScalarField(geom, 0.1 + 0.5 * phi.values)
+    geom = TorusGeometry(n, 32 if n == 1 else 16)
+    chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+    return chi, omega0, 0.5 * phistar, f
+
+
+def unfused_evaluation(chi, omega0, phi, f, param, kind):
+    """The reference of one evaluation from the assembled matrix grid of
+    ``omega_phi``: ``relative_spectrum_field``, then the value kernel on the
+    whole grid; (lam, c2, kahler, cone, residual, weight)."""
+    n = chi.geometry.n
+    lam = relative_spectrum_field(chi.values, (omega0 + complex_hessian(phi)).values)
+    terms = 1.0 / lam if kind == "J" else np.arctan(1.0 / lam)
+    total = hermitian._reduce_last(np.add, terms)
+    value = hermitian._j_value if kind == "J" else hermitian._dhym_value
+    res, ratio = value(lam, f.values, param, total)
+    det_chi = mixed_density([chi.values] * n) / math.factorial(n)
+    return (lam, float(np.max(hermitian._reduce_last(np.add, lam))), float(np.min(lam[..., 0])),
+            hermitian._cone_margin(terms, param, total), res, det_chi * ratio)
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("kind", ["J", "dHYM"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_unfused_reference(self, n, kind):
+        chi, omega0, phi, f = blocked_evaluation_instance(n)
+        param = 4.0 * n if kind == "J" else math.pi / 5
+        make = make_j_problem if kind == "J" else make_dhym_problem
+        ev = make(chi, omega0, f, param).evaluate(phi)
+        lam, c2, kahler, cone, res, weight = unfused_evaluation(chi, omega0, phi, f, param, kind)
+        assert kahler > 0.0
+        got = (ev.lam, ev.c2, ev.kahler_margin, ev.cone_margin, ev.residual, ev.weight)
+        if n == 2:
+            assert chi.geometry.grid_size == 16 * hermitian._BLOCK2
+            for a, b in zip(got, (lam, c2, kahler, cone, res, weight)):
+                assert np.array_equal(a, b)
+        else:
+            for a, b in zip(got, (lam, c2, kahler, cone, res, weight)):
+                assert np.max(np.abs(np.asarray(a) - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("kind", ["J", "dHYM"])
+    def test_non_positive_eigenvalue_reports_kahler_margin_only(self, kind):
+        # a steep mode along the first grid axis, whose index is the block's
+        # at N = 16: the first block is positive, later ones are not
+        chi, omega0, phistar, f = blocked_evaluation_instance(2)
+        geom = chi.geometry
+        phi = field_from_modes(geom, [((3, 0, 0, 0), 0.02, math.pi)]) + phistar
+        param = 8.0 if kind == "J" else math.pi / 5
+        make = make_j_problem if kind == "J" else make_dhym_problem
+        ev = make(chi, omega0, f, param).evaluate(phi)
+        lam = relative_spectrum_field(chi.values, (omega0 + complex_hessian(phi)).values)
+        assert float(np.min(lam[..., 0])) <= 0.0 < float(np.min(lam[0, ..., 0]))
+        assert ev.kahler_margin == float(np.min(lam[..., 0]))
+        assert ev.c2 == float(np.max(np.sum(lam, axis=-1)))
+        assert np.array_equal(ev.lam, lam)
+        assert ev.cone_margin == -math.inf
+        assert ev.residual is None and ev.weight is None
 
 
 def j_newton_rows(n, seed):
