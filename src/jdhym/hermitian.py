@@ -173,6 +173,49 @@ def _matrix(parts) -> np.ndarray:
     return m
 
 
+def _entries(parts) -> list:
+    """The entries of Hermitian matrices given by their real parts
+    (:func:`_parts`), as an ``n x n`` nested list of complex arrays."""
+    n = math.isqrt(len(parts))
+    m = [[parts[i].astype(complex) if i == j else None for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate(_pairs(n)):
+        m[i][j] = parts[n + 2 * k].astype(complex)
+        m[i][j].imag = parts[n + 2 * k + 1]
+        m[j][i] = np.conj(m[i][j])
+    return m
+
+
+def _product(a: list, b: list, i: int, j: int):
+    """The entry ``(i, j)`` of the product ``a b`` of nested-list matrices."""
+    out = a[i][0] * b[0][j]
+    for k in range(1, len(b)):
+        out += a[i][k] * b[k][j]
+    return out
+
+
+def _minor(m: list, rows: list, cols: list):
+    """The determinant of the submatrix ``rows x cols`` of the nested-list
+    matrix ``m`` (1 when empty), by Laplace expansion along its first row."""
+    if len(rows) <= 1:
+        return m[rows[0]][cols[0]] if rows else 1.0
+    out = None
+    for k, col in enumerate(cols):
+        term = m[rows[0]][col] * _minor(m, rows[1:], cols[:k] + cols[k + 1:])
+        out = term if out is None else out - term if k % 2 else out + term
+    return out
+
+
+def _det_adj(m: list) -> tuple:
+    """The determinant and the adjugate (``adj(m) m = det(m) I``) of an
+    ``n x n`` matrix given as a nested list of entries (arrays over the same
+    points), by cofactor expansion, which suits the n <= 3 of the grid
+    kernels."""
+    others = [[k for k in range(len(m)) if k != i] for i in range(len(m))]
+    adj = [[(-1.0) ** (i + j) * _minor(m, others[j], others[i]) for j in range(len(m))]
+           for i in range(len(m))]
+    return _product(m, adj, 0, 0), adj
+
+
 def _as_parts(a) -> list:
     """A Hermitian field given as matrices (an array) or as its real parts (a
     list), as its real parts."""

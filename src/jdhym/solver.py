@@ -38,9 +38,9 @@ from .fields import (FormField, ScalarField, TorusGeometry, _density, _form_part
                      complex_hessian, form_field, integrate, intersections,
                      relative_spectrum_field, resample)
 from .hermitian import (_blocks, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
-                        _cone_margin, _dhym_angle_radius, _dhym_gradient, _dhym_value, _eigvals,
-                        _f_bound_dhym, _f_bound_j, _flatten, _frame, _j_value, _matrix, _pairs,
-                        _reduce_last, _require_positive, _spectrum, _take)
+                        _cone_margin, _det_adj, _dhym_value, _eigvals, _entries, _f_bound_dhym,
+                        _f_bound_j, _flatten, _frame, _j_value, _matrix, _pairs, _product,
+                        _reduce_last, _require_positive, _take)
 
 __all__ = [
     "SolverConfig",
@@ -115,9 +115,9 @@ class SolveReport:
 
 # Peak memory of a solve per grid point, in float64 grid arrays, inputs
 # included: an upper bound on the peak resident memory of a cold Newton solve
-# or a continuity path at each n (at n = 3 the forms and the coefficient hold
-# complex 3 x 3 fields), with room for Krylov bases that fill
-PEAK_GRID_ARRAYS = {1: 32, 2: 64, 3: 256}
+# or a continuity path at each n (at n = 3 the forms and chi's frame are
+# complex 3 x 3 fields, 18 grid arrays each), with room for Krylov bases that fill
+PEAK_GRID_ARRAYS = {1: 64, 2: 80, 3: 256}
 
 
 def estimate_peak_bytes(geom: TorusGeometry) -> int:
@@ -142,129 +142,84 @@ def j_residual(chi: FormField, omega0: FormField, phi: ScalarField,
     return _residual(make_j_problem(chi, omega0, f, c), phi)
 
 
-# Closed-form n = 2 kernels on Hermitian 2 x 2 fields held as their real
-# parts (hermitian._parts): diagonal 0, diagonal 1, Re and Im of the upper entry.
+def _coefficient_rows(block, omega: np.ndarray, chi: list, det_chi: np.ndarray,
+                      f_vals: np.ndarray) -> np.ndarray:
+    """The real rows of a linearization's Hermitian coefficient ``M`` at
+    ``omega``, given as its real parts (``hermitian._parts``, one ``(n*n,) +
+    grid`` array), paired one to one with :func:`fields._hessian_symbols`:
+    the n diagonal entries ``M_ii``, then for each pair ``i < j`` of
+    ``hermitian._pairs`` ``2 Re M_ij`` and ``2 Im M_ij``, so that for
+    Hermitian ``X`` ``tr(M X) = sum_k row_k * part_k(X)``.
 
-
-def _inv2(m: list) -> tuple:
-    m0, m1, mr, mi = m
-    det = m0 * m1 - (mr * mr + mi * mi)
-    return m1 / det, m0 / det, -mr / det, -mi / det
-
-
-def _gxg2(g: tuple, x: list) -> tuple:
-    """The product ``G X G`` of Hermitian 2 x 2 fields, written out entrywise."""
-    g0, g1, gr, gi = g
-    x0, x1, xr, xi = x
-    pr, pi = gr * xr + gi * xi, gi * xr - gr * xi  # g01 conj(x01)
-    c = 2.0 * pr
-    gg = gr * gr + gi * gi
-    t0 = g0 * (g0 * x0 + c) + gg * x1
-    t1 = g1 * (g1 * x1 + c) + gg * x0
-    sr = g0 * x0 + g1 * x1 + pr  # t01 = g01 (g0 x0 + g1 x1 + g01 conj(x01)) + g0 g1 x01
-    g01 = g0 * g1
-    return t0, t1, gr * sr - gi * pi + g01 * xr, gr * pi + gi * sr + g01 * xi
-
-
-def _rows2(block, frame: list, parts: np.ndarray, lam: np.ndarray,
-           f_vals: np.ndarray) -> np.ndarray:
-    """The rows (see :func:`_coefficient_rows`) of an n = 2 coefficient,
-    written into one array block by block.
-
-    ``block(omega, chi, lam, f)`` maps ``hermitian._BLOCK2`` points of each
-    input (the forms as their four real parts) to the coefficient's four
-    rows, so its temporaries stay in cache and no full-grid one is made.
+    ``block(omega, chi, f, det_chi)`` maps ``hermitian._BLOCK2`` points of
+    each input (both forms as their real parts; ``chi``'s parts and ``det
+    chi`` come flattened, :func:`_chi_terms`) to ``M``'s diagonal and the
+    upper entries of ``2 M``, so its temporaries stay in cache and no
+    full-grid one is made.
     """
-    shape = lam.shape[:-1]
-    omega = list(parts.reshape(4, -1))
-    lam = lam.reshape(-1, 2)
+    count = len(omega)
+    n = math.isqrt(count)
+    shape = omega.shape[1:]
+    omega = list(omega.reshape(count, -1))
     f_vals = f_vals.reshape(-1)
-    rows = np.empty((4, len(lam)))
-    for part in _blocks(len(lam)):
-        values = block(_take(omega, part), _take(frame, part), lam[part], f_vals[part])
-        for row, value in zip(rows, values):
+    rows = np.empty((count, len(f_vals)))
+    for part in _blocks(len(f_vals)):
+        diag, upper = block(_take(omega, part), _take(chi, part), f_vals[part], det_chi[part])
+        for row, value in zip(rows, diag):
             row[part] = value
-    return rows.reshape((4,) + shape)
+        for k, value in enumerate(upper):
+            rows[n + 2 * k, part] = value.real
+            rows[n + 2 * k + 1, part] = value.imag
+    return rows.reshape((count,) + shape)
 
 
-def _coefficient_rows(M: np.ndarray) -> np.ndarray:
-    """The real rows of the Hermitian part ``H`` of ``M``, paired one to one
-    with :func:`fields._hessian_symbols`.
+def _j_block(omega: list, chi: list, f: np.ndarray, det_chi: np.ndarray) -> tuple:
+    """The J coefficient ``W`` with ``d(j_residual)(u) = -tr(W Hess u)``, in
+    the form of :func:`_coefficient_rows`'s blocks.
 
-    The rows are the n diagonal entries ``H_ii``, then for each pair
-    ``i < j`` of ``hermitian._pairs`` ``2 Re H_ij`` and ``2 Im H_ij``, so that
-    for Hermitian ``X`` ``tr(H X) = sum_k row_k * part_k(X)``.
+    ``W = G (chi + q omega) G`` with ``G = adj(omega)/det(omega)`` and ``q =
+    f det(chi)/det(omega) = f/prod(lam_i)``; as ``omega adj(omega) =
+    det(omega) I``, ``W = adj(omega) (chi adj(omega) + f det(chi) I)
+    adj(omega) / det(omega)^2``.
     """
-    n = M.shape[-1]
-    rows = [M[..., i, i].real for i in range(n)]
-    for i, j in _pairs(n):
-        h = 0.5 * (M[..., i, j] + np.conj(M[..., j, i]))
-        rows += [2.0 * h.real, 2.0 * h.imag]
-    return np.stack(rows)
+    det, adj = _det_adj(_entries(omega))
+    chi = _entries(chi)
+    idx = range(len(adj))
+    t = [[_product(chi, adj, i, j) for j in idx] for i in idx]
+    fd = f * det_chi
+    for i in idx:
+        t[i][i] += fd
+    scale = 1.0 / (det.real * det.real)
+    return ([_product(adj, t, i, i).real * scale for i in idx],
+            [_product(adj, t, i, j) * (2.0 * scale) for i, j in _pairs(len(adj))])
 
 
-def _j_rows(chi: FormField, frame, parts: np.ndarray, lam: np.ndarray,
-            f_vals: np.ndarray) -> np.ndarray:
-    """Rows of the Hermitian W with ``d(j_residual)(u) = -tr(W Hess u)`` at
-    the ``omega`` of the real ``parts``, ``frame`` being ``chi``'s flattened
-    frame (``hermitian._frame``, ``_flatten``).
+def _dhym_block(omega: list, chi: list, f: np.ndarray, det_chi: np.ndarray,
+                theta0: float) -> tuple:
+    """The dHYM coefficient ``M`` with ``d(dhym_residual)(u) = tr(M Hess u)``,
+    in the form of :func:`_coefficient_rows`'s blocks.
 
-    ``W = G chi G + q G`` with ``G = omega^-1`` and ``q = f chi^n/omega^n``;
-    written out entrywise at n = 2, block by block (:func:`_rows2`).
+    ``M = sum_i w(lam_i) v_i v_i^H`` with ``omega v_i = lam_i chi v_i``,
+    ``v_i^H chi v_j = delta_ij`` and ``w(lam) = (C + g lam)/(lam^2 + 1)``
+    (``hermitian._dhym_gradient``), ``C = cos(theta0 - s)`` and ``g = f
+    cos(theta0)/r``.  With ``A = omega + i chi``, ``Z = A^-1 = sum (lam_i -
+    i)/(lam_i^2 + 1) v_i v_i^H`` and ``z = det(A)/det(chi) = prod(lam_i + i)
+    = r e^(i s)``, that is the Hermitian part ``g (Z + Z^H)/2 + C i (Z -
+    Z^H)/2`` of ``(g + i C) adj(A)/det(A)``, where ``r = |z|`` and ``C = (cos
+    theta0 Re z + sin theta0 Im z)/r``: no eigenvalue and no ``arctan``, so
+    ``M`` is continuous through eigenvalue crossings and the 2 pi branch of
+    ``arg z`` cannot matter.
     """
-    if chi.geometry.n == 2:
-        def block(omega, chi2, lam, f):
-            g = _inv2(omega)
-            q = f / _reduce_last(np.multiply, lam)
-            t0, t1, tr, ti = _gxg2(g, chi2)
-            return t0 + q * g[0], t1 + q * g[1], 2.0 * (tr + q * g[2]), 2.0 * (ti + q * g[3])
-
-        return _rows2(block, frame, parts, lam, f_vals)
-    q = f_vals / _reduce_last(np.multiply, lam)
-    gi = np.linalg.inv(_matrix(list(parts)))
-    return _coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
-                             + q[..., None, None] * gi)
-
-
-def _dhym_rows(chi: FormField, frame, parts: np.ndarray, lam: np.ndarray,
-               f_vals: np.ndarray, theta0: float) -> np.ndarray:
-    """Rows of the projector sum ``M = sum_i w(lam_i) v_i v_i^H`` with
-    ``d(dhym_residual)(u) = tr(M Hess u)``, where ``omega v_i = lam_i chi v_i``,
-    ``v_i^H chi v_j = delta_ij`` and ``w(lam) = (C + g*lam)/(lam^2 + 1)``.
-
-    ``C = cos(theta0 - sum arctan(1/lam_i))`` and ``g = f cos(theta0)/prod
-    sqrt(lam_i^2 + 1)`` are symmetric in the eigenvalues, so the weights
-    coincide on clusters and ``M`` is continuous through eigenvalue
-    crossings.  At n = 2 the sum is ``a chi^-1 + b chi^-1 omega chi^-1`` with
-    ``b`` the divided difference of the weights and ``a = w_1 - b*lam_1``,
-    block by block (:func:`_rows2`); otherwise the pairs ``(lam_i, v_i)``
-    come from ``eigh`` in the Cholesky frame of ``chi`` (at n = 3 the
-    ``frame`` itself) and the weights from ``hermitian._dhym_gradient``.
-    """
-    n = chi.geometry.n
-    if n == 2:
-        def block(omega, chi2, lam, f):
-            chi_inv = _inv2(chi2)
-            l1, l2 = lam[..., 0], lam[..., 1]
-            q1, q2 = l1 * l1 + 1.0, l2 * l2 + 1.0
-            s, r = _dhym_angle_radius(lam)
-            C = np.cos(theta0 - s)
-            g = f * math.cos(theta0) / r
-            b = (g * (1.0 - l1 * l2) - C * (l1 + l2)) / (q1 * q2)
-            a = (C + g * l1) / q1 - b * l1
-            t0, t1, tr, ti = _gxg2(chi_inv, omega)
-            return (a * chi_inv[0] + b * t0, a * chi_inv[1] + b * t1,
-                    2.0 * (a * chi_inv[2] + b * tr), 2.0 * (a * chi_inv[3] + b * ti))
-
-        return _rows2(block, frame, parts, lam, f_vals)
-    omega = _matrix(list(parts))
-    Linv = frame.reshape(omega.shape) if n == 3 else np.linalg.inv(np.linalg.cholesky(
-        chi.base if chi.potential is None else chi.values))
-    lam, U = np.linalg.eigh(Linv @ omega @ Linv.conj().swapaxes(-1, -2))
-    V = Linv.conj().swapaxes(-1, -2) @ U
-    w = _dhym_gradient(lam, f_vals, theta0)
-    return _coefficient_rows(np.einsum("...ik,...k,...jk->...ij", V, w.astype(complex),
-                                       np.conj(V)))
+    det, adj = _det_adj([[o + 1j * c for o, c in zip(row_o, row_c)]
+                         for row_o, row_c in zip(_entries(omega), _entries(chi))])
+    cos, sin = math.cos(theta0), math.sin(theta0)
+    mod = np.abs(det)
+    # (g + i C)/det(A) = (g + i C) conj(det(A))/|det(A)|^2, with |det(A)| = r det(chi)
+    w = ((f * det_chi * cos + 1j * (cos * det.real + sin * det.imag)) * np.conj(det)
+         * (1.0 / (mod * mod * mod)))
+    idx = range(len(adj))
+    return ([(w * adj[i][i]).real for i in idx],
+            [w * adj[i][j] + np.conj(w * adj[j][i]) for i, j in _pairs(len(adj))])
 
 
 def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np.ndarray:
@@ -283,15 +238,13 @@ def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np
     return out
 
 
-def _omega_phi(chi: FormField, omega0: FormField, phi: ScalarField) -> tuple:
-    """``chi``'s flattened frame (``hermitian._frame``), the real parts of
-    ``omega_phi = omega0 + i d dbar(phi)`` and its relative spectrum: what a
-    linearization's rows are built from."""
-    geom = phi.geometry
-    frame = _flatten(_frame(chi.values if geom.n == 3 else _form_parts(chi)), geom.shape)
-    parts = _hessian_parts(phi, base=_form_parts(omega0))
-    lam = _spectrum(frame, list(parts.reshape(len(parts), -1)))
-    return frame, parts, lam.reshape(geom.shape + (-1,))
+def _chi_terms(chi: FormField) -> tuple:
+    """``chi``'s real parts and ``det chi``, flattened to one point axis
+    (``hermitian._flatten``): what the coefficient rows read of ``chi``."""
+    n, shape = chi.geometry.n, chi.geometry.shape
+    parts = _form_parts(chi)
+    det = _density([chi.values if n == 3 else parts] * n) / math.factorial(n)
+    return _flatten(parts, shape), np.broadcast_to(det, shape).reshape(-1)
 
 
 def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
@@ -313,13 +266,15 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     guarantees it, and ``c`` enables that explicit cone check when provided.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    frame, parts, lam = _omega_phi(chi, omega0, phi)
+    parts = _hessian_parts(phi, base=_form_parts(omega0))
+    lam = relative_spectrum_field(chi.values, _matrix(list(parts)))
     if c is not None and _cone_margin(1.0 / lam, c) <= 0.0:
         raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / _reduce_last(np.multiply, lam)
     if float(np.min(np.minimum(1.0 + q * lam[..., 0], 1.0 + q * lam[..., -1]))) <= 0.0:
         raise EllipticityLostError("linearized coefficient lost positivity")
-    return _apply_rows(geom, _j_rows(chi, frame, parts, lam, f.values), -1.0, u)
+    return _apply_rows(geom, _coefficient_rows(_j_block, parts, *_chi_terms(chi), f.values),
+                       -1.0, u)
 
 
 def dhym_residual(chi: FormField, omega0: FormField, phi: ScalarField,
@@ -347,14 +302,16 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
                              f: ScalarField, theta0: float, u: ScalarField) -> ScalarField:
     """Directional derivative of :func:`dhym_residual` at ``phi`` along ``u``.
 
-    Applies the spectral-projector coefficient of :func:`_dhym_rows`, the
-    derivative of a symmetric function of the relative spectrum; it is
-    continuous through eigenvalue crossings, so degenerate spectra need no
-    special treatment.
+    Applies the coefficient of :func:`_dhym_block`, the derivative of a
+    symmetric function of the relative spectrum built from ``(omega_phi + i
+    chi)^-1`` without the spectrum; it is continuous through eigenvalue
+    crossings, so degenerate spectra need no special treatment.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    frame, parts, lam = _omega_phi(chi, omega0, phi)
-    return _apply_rows(geom, _dhym_rows(chi, frame, parts, lam, f.values, float(theta0)), 1.0, u)
+    rows = _coefficient_rows(partial(_dhym_block, theta0=float(theta0)),
+                             _hessian_parts(phi, base=_form_parts(omega0)), *_chi_terms(chi),
+                             f.values)
+    return _apply_rows(geom, rows, 1.0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +322,11 @@ class _Eval:
     """One iterate's evaluation.
 
     ``parts`` (the ``n*n`` real parts of ``omega_phi`` in the order of
-    ``hermitian._parts``, one ``(n*n,) + grid`` float64 array) and ``lam``
-    (its relative spectrum, grid + ``(n,)``) are what the coefficient rows
-    are built from; :func:`newton_solve` sets both to ``None`` once the rows
-    are assembled, so the Krylov solve and the next line-search candidate do
-    not overlap them.  ``c2`` is ``max sum(lam_i)``, the report's
+    ``hermitian._parts``, one ``(n*n,) + grid`` float64 array) are what the
+    coefficient rows are built from, and ``lam`` is its relative spectrum
+    (grid + ``(n,)``); :func:`newton_solve` sets both to ``None`` once the
+    rows are assembled, so the Krylov solve and the next line-search
+    candidate do not overlap them.  ``c2`` is ``max sum(lam_i)``, the report's
     ``c2_diagnostic``, kept as a float for that reason.  The margins are
     floats; ``residual`` and ``weight`` (the residual's volume weight, ``det
     chi`` times the equation's volume ratio) are grids, ``None`` when a
@@ -405,7 +362,7 @@ class _NewtonProblem:
 
 
 def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: float,
-                    value: Callable, cone_terms: Callable, rows: Callable,
+                    value: Callable, cone_terms: Callable, block: Callable,
                     sign: float, make: Callable, class_f: Callable) -> _NewtonProblem:
     """The Newton problem of ``value(lam, f, param) = 0`` for one equation.
 
@@ -413,31 +370,30 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     ``hermitian._dhym_value`` (``param = theta0``); the volume ratio it also
     returns, times ``det chi``, weights the residual's mean.  The cone margin
     is ``param`` minus the worst leave-one-out sum of ``cone_terms(lam)``;
-    the terms' sum is taken once, for the margin and for ``value``.
-    ``rows(frame, ev)`` are the linearization's coefficient rows, applied
-    with ``sign``.  The coarse builder is ``make`` (the factory calling this)
-    on the data restricted with the class constant ``class_f``.
+    the terms' sum is taken once, for the margin and for ``value``.  The
+    linearization's coefficient rows are ``block``'s
+    (:func:`_coefficient_rows`), applied with ``sign``.  The coarse builder
+    is ``make`` (the factory calling this) on the data restricted with the
+    class constant ``class_f``.
 
-    The problem holds the real parts of ``omega0`` and the frame of ``chi``
-    (``hermitian._parts``, ``hermitian._frame``); ``det chi`` and the gauge
-    weight ``omega0^n`` come from the same parts (``fields._density``; at
-    n = 3 both kernels read the forms' matrices).  An
-    evaluation writes the parts of ``omega_phi`` (one transform loop,
-    ``fields._hessian_parts``, with ``omega0``'s added), then makes one pass
-    over the grid in blocks of ``hermitian._BLOCK2`` points that gives the
-    relative spectrum, ``c2``, both margins, the value and the weight.  A
-    block after the first non-positive relative eigenvalue gives only its
-    spectrum and ``c2``.
+    The problem holds the real parts (``hermitian._parts``) of ``omega0``
+    and of ``chi``, ``chi``'s frame (``hermitian._frame``, at n <= 2 the
+    parts themselves) and ``det chi``; ``det chi`` and the gauge weight
+    ``omega0^n`` come from ``fields._density`` (at n = 3 from the forms'
+    matrices).  An evaluation writes the parts of ``omega_phi`` (one
+    transform loop, ``fields._hessian_parts``, with ``omega0``'s added),
+    then makes one pass over the grid in blocks of ``hermitian._BLOCK2``
+    points that gives the relative spectrum, ``c2``, both margins, the value
+    and the weight.  A block after the first non-positive relative
+    eigenvalue gives only its spectrum and ``c2``.
     """
     geom = chi.geometry
     n, shape = geom.n, geom.shape
     omega0_parts = _form_parts(omega0)
+    chi_parts, det_chi = _chi_terms(chi)
     # the n = 3 kernels (hermitian._frame, fields._density) read matrices, the others parts
-    chi_in, omega0_in = ((chi.values, omega0.values) if n == 3
-                         else (_form_parts(chi), omega0_parts))
-    frame = _flatten(_frame(chi_in), shape)
-    det_chi = np.broadcast_to(_density([chi_in] * n) / math.factorial(n), shape).reshape(-1)
-    gauge = np.broadcast_to(_density([omega0_in] * n), shape)
+    frame = _flatten(_frame(chi.values), shape) if n == 3 else chi_parts
+    gauge = np.broadcast_to(_density([omega0.values if n == 3 else omega0_parts] * n), shape)
     f_vals = f.values.reshape(-1)
 
     def evaluate(phi: ScalarField) -> _Eval:
@@ -465,7 +421,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
         return _Eval(phi, parts, lam, c2, kahler, cone, res.reshape(shape), weight.reshape(shape))
 
     def linear_coefficient(ev: _Eval):
-        return rows(frame, ev), sign
+        return _coefficient_rows(block, ev.parts, chi_parts, det_chi, f_vals), sign
 
     def coarse() -> _NewtonProblem:
         return make(*_restrict(TorusGeometry(geom.n, geom.N // 2), chi, omega0, f, class_f),
@@ -493,8 +449,7 @@ _DHYM = (_check_theta0, lambda n, theta0: _f_bound_dhym(n))  # dHYM: theta0 in (
 def make_j_problem(chi: FormField, omega0: FormField, f: ScalarField,
                    c: float) -> _NewtonProblem:
     c = _hypotheses(chi, omega0, f, c, *_J)
-    return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam,
-                           lambda frame, ev: _j_rows(chi, frame, ev.parts, ev.lam, f.values),
+    return _newton_problem(chi, omega0, f, c, _j_value, lambda lam: 1.0 / lam, _j_block,
                            -1.0, make_j_problem, partial(_j_class_f, c=c))
 
 
@@ -503,8 +458,8 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
     return _newton_problem(
         chi, omega0, f, theta0, _dhym_value, lambda lam: np.arctan(1.0 / lam),
-        lambda frame, ev: _dhym_rows(chi, frame, ev.parts, ev.lam, f.values, theta0), 1.0,
-        make_dhym_problem, partial(_dhym_class_f, theta0=theta0))
+        partial(_dhym_block, theta0=theta0), 1.0, make_dhym_problem,
+        partial(_dhym_class_f, theta0=theta0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import dataclasses
 import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from jdhym import hermitian, solver
 from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
                           DomainError, EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
-from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, complex_hessian,
+from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, _form_parts,
+                          _hessian_parts, complex_hessian,
                           constant_form, field_from_modes, form_field,
                           mixed_density, random_bandlimited, relative_spectrum_field)
 from jdhym.functionals import compute_c0
@@ -438,6 +440,24 @@ class TestStepMemory:
         assert (peak - start) / (8 * geom.grid_size) <= 36.0
         assert krylov and max(krylov) <= 21.5, krylov
 
+    @pytest.mark.parametrize("kind", ["J", "dHYM"])
+    def test_n3_coefficient_rows_peak_in_grid_arrays(self, kind):
+        # the rows are n^2 = 9 grid arrays; the bound of n^2 + 2 float64 grid
+        # arrays above the coefficient's inputs was fixed before measuring
+        geom, chi, omega0, phi, f = random_kernel_instance(3, 60)
+        problem = (make_j_problem(chi, omega0, f, 12.0) if kind == "J"
+                   else make_dhym_problem(chi, omega0, f, math.pi / 5))
+        ev = problem.evaluate(phi)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows, _ = problem.linear_coefficient(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (9,) + geom.shape
+        assert (peak - start) / (8 * geom.grid_size) <= 11.0
+
 
 class TestContinuityPathJ:
     def test_trivial_scaling_instance(self):
@@ -603,6 +623,26 @@ class TestDhymResidual:
         fd = (dhym_residual(chi, omega0, h * u, f, theta0).values
               - dhym_residual(chi, omega0, (-h) * u, f, theta0).values) / (2 * h)
         assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    def test_linearization_past_the_arctan_branch_n3(self):
+        # omega0 = 0.3 chi puts every relative eigenvalue near 0.3, where
+        # sum arctan(1/lam) > pi, so arg det(omega + i chi) = s - 2 pi; the
+        # wedge form has no branch and is the oracle
+        geom = TorusGeometry(3, 8)
+        theta0 = math.pi / 5
+        chi = form_field(geom, np.diag([1.0, 1.5, 2.0]).astype(complex),
+                         field_from_modes(geom, [((1, 0, 0, 0, 0, 0), 0.002)]))
+        omega0 = 0.3 * chi
+        phi = field_from_modes(geom, [((0, 1, 0, 0, 0, 0), 0.001), ((0, 0, 0, 1, 1, 0), 0.0005)])
+        lam = relative_spectrum_field(chi.values, (omega0 + complex_hessian(phi)).values)
+        assert np.min(np.sum(np.arctan(1.0 / lam), axis=-1)) > math.pi
+        f = ScalarField(geom, 0.05 + phi.values)
+        u = field_from_modes(geom, [((1, 0, 1, 0, 0, 0), 0.2), ((0, 0, 0, 0, 2, 0), 0.1)])
+        L = dhym_linearization_apply(chi, omega0, phi, f, theta0, u)
+        h = 1e-5
+        fd = (dhym_residual(chi, omega0, phi + h * u, f, theta0, form="wedge").values
+              - dhym_residual(chi, omega0, phi - h * u, f, theta0, form="wedge").values) / (2 * h)
+        assert np.max(np.abs(L.values - fd)) / np.max(np.abs(fd)) < 1e-6
 
     def test_linearization_rejects_non_finite_direction(self):
         geom = TorusGeometry(1, 16)
@@ -826,6 +866,13 @@ def matrix_from_rows(rows, n):
     return M
 
 
+def rows_from_matrix(M):
+    """Coefficient rows of the Hermitian part of M, the inverse of matrix_from_rows."""
+    rows = np.stack(hermitian._parts(hermitize(M)))
+    rows[M.shape[-1]:] *= 2.0
+    return rows
+
+
 def relative_error(a, ref):
     return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
 
@@ -859,7 +906,7 @@ class TestRealTransformKernels:
         rng = np.random.default_rng(30 + n)
         M = random_hermitian_field(geom, rng, np.eye(n))
         u = rng.standard_normal(geom.shape)
-        out = solver._tr_m_hessian(geom, solver._coefficient_rows(M), sfft.rfftn(u))
+        out = solver._tr_m_hessian(geom, rows_from_matrix(M), sfft.rfftn(u))
         assert relative_error(out, reference_tr_m_hessian(geom, M, u)) <= KERNEL_RTOL
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -908,20 +955,23 @@ class TestRealTransformKernels:
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         if constant_chi:
             chi = constant_form(geom, chi.base)
-        frame, parts, lam = solver._omega_phi(chi, omega0, phistar)
+        parts = _hessian_parts(phistar, base=_form_parts(omega0))
         omega_vals = hermitian._matrix(list(parts))
+        lam = relative_spectrum_field(chi.values, omega_vals)
         gi = np.linalg.inv(omega_vals)
         q = f.values / np.prod(lam, axis=-1)
-        j_ref = solver._coefficient_rows(gi @ np.ascontiguousarray(chi.values) @ gi
-                                         + q[..., None, None] * gi)
-        j_rows = solver._j_rows(chi, frame, parts, lam, f.values)
+        j_ref = rows_from_matrix(gi @ np.ascontiguousarray(chi.values) @ gi
+                                 + q[..., None, None] * gi)
+        j_rows = solver._coefficient_rows(solver._j_block, parts, *solver._chi_terms(chi),
+                                          f.values)
         assert j_rows.shape == j_ref.shape
         assert relative_error(j_rows, j_ref) <= 1e-13
         theta0 = math.pi / 5
         f_d = ScalarField(geom, 0.01 + 0.5 * phistar.values)
         d_ref = reference_dhym_coefficient(chi, omega_vals, f_d, theta0)
-        d_rows = solver._dhym_rows(chi, frame, parts, lam, f_d.values, theta0)
-        assert relative_error(d_rows, solver._coefficient_rows(d_ref)) <= 1e-13
+        d_rows = solver._coefficient_rows(partial(solver._dhym_block, theta0=theta0), parts,
+                                          *solver._chi_terms(chi), f_d.values)
+        assert relative_error(d_rows, rows_from_matrix(d_ref)) <= 1e-13
 
 
 def blocked_evaluation_instance(n):
