@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Run every CLI command on the configs in configs/ and check the exit codes:
-# both solves must converge to a final residual of at most 1e-13 (a path
-# endpoint left at the tolerance instead of rounding level fails) in no more
-# Newton steps (the sum of the path_history iterations) and no more Newton
-# solves (the path_history entries) than they take now, the analysis
+# both solves, and a solve-j at n = 3 from a config written here, must
+# converge to a final residual of at most 1e-13 (a path endpoint left at the
+# tolerance instead of rounding level fails) in no more Newton steps (the
+# sum of the path_history iterations) and no more Newton solves (the
+# path_history entries) than they take now, the analysis
 # commands must exit 0, the flags a command does not take must be refused,
 # a second solve-j and a second solve-dhym must write the same report.json
 # and residual_history.csv, a second functionals the same functionals.json
-# and coercivity.csv, and malformed, oversized or non-integrable configs must
-# exit with their code, without a traceback or any output.
+# and coercivity.csv, and malformed, oversized or non-integrable configs and
+# unwritable output paths must exit with their code, without a traceback or
+# any output.
 #
 #     bash scripts/smoke_cli.sh [output-dir]
 #
@@ -25,13 +27,31 @@ jdhym() { python -m jdhym.cli "$@"; }
 # over every target, exceeds the solves)
 declare -A max_steps=([solve-j]=18 [solve-dhym]=12)
 declare -A max_solves=([solve-j]=8 [solve-dhym]=10)
+# check_solve REPORT NAME STEPS SOLVES: converged, at rounding level, within the caps
+check_solve() {
+  python -c "import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r['status'] != 'converged' or r['final_residual'] > 1e-13)" \
+    "$1"
+  python -c "import json, sys; h = json.load(open(sys.argv[1]))['path_history']; steps = sum(e['iterations'] for e in h); sys.exit(f'{sys.argv[2]}: {steps} Newton steps in {len(h)} solves, more than {sys.argv[3]} in {sys.argv[4]}' if steps > int(sys.argv[3]) or len(h) > int(sys.argv[4]) else 0)" \
+    "$@"
+}
 for cmd in solve-j solve-dhym; do
   jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd"
-  python -c "import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r['status'] != 'converged' or r['final_residual'] > 1e-13)" \
-    "$out/$cmd/report.json"
-  python -c "import json, sys; h = json.load(open(sys.argv[1]))['path_history']; steps = sum(e['iterations'] for e in h); sys.exit(f'{sys.argv[2]}: {steps} Newton steps in {len(h)} solves, more than {sys.argv[3]} in {sys.argv[4]}' if steps > int(sys.argv[3]) or len(h) > int(sys.argv[4]) else 0)" \
-    "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}" "${max_solves[$cmd]}"
+  check_solve "$out/$cmd/report.json" "$cmd" "${max_steps[$cmd]}" "${max_solves[$cmd]}"
 done
+# n = 3, N = 8: chi = diag(1, 1.5, 2) plus one mode, omega0 = I, c = c0, f = 0
+cat > "$out/solve_j_n3.json" <<'JSON'
+{"geometry": {"n": 3, "N": 8},
+ "chi": {"base": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [1.5, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]],
+         "potential": [{"freq": [1, 0, 0, 0, 0, 0], "amp": 0.01}]},
+ "omega0": {"base": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]},
+ "c": "c0", "f": null, "solver": {"path_steps": 4}}
+JSON
+jdhym solve-j --config "$out/solve_j_n3.json" --out "$out/solve-j-n3"
+check_solve "$out/solve-j-n3/report.json" "solve-j at n = 3" 9 5
 # a second solve writes the same report and CSV, byte for byte
 for cmd in solve-j solve-dhym; do
   jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd-again"
@@ -134,6 +154,11 @@ test ! -e "$out/j-sign"
 expect_exit 2 solve-dhym --config "$(with_value configs/solve_dhym.json f -0.004)" \
   --out "$out/dhym-identity"
 test ! -e "$out/dhym-identity"
+# an output path that is a file or lies below one (exit 1, the file kept)
+echo kept > "$out/a-file"
+expect_exit 1 check-stability --config configs/check_stability_slope.json --out "$out/a-file"
+expect_exit 1 check-stability --config configs/check_stability_slope.json --out "$out/a-file/below"
+test "$(cat "$out/a-file")" = kept
 # without --out, where output_dir would name the directory
 expect_exit 1 solve-j --config "$(with_value configs/solve_j.json output_dir 5)"
 test ! -e 5

@@ -1,10 +1,11 @@
 """Batch front door: config ingestion, dispatch, JSON/CSV report emission.
 
 Commands: ``solve-j``, ``solve-dhym``, ``check-stability``, ``functionals``,
-``verify-lemmas``.  Exit codes: 0 success, 1 malformed config, 2 precondition
-failure (unstable/inadmissible input detected, data out of floating-point
-range, or out of memory), 3 non-convergence, 4 cone breach.  Reports contain
-no timestamps, so identical config and seed produce byte-identical output.
+``verify-lemmas``.  Exit codes: 0 success, 1 malformed config or unwritable
+output path, 2 precondition failure (unstable/inadmissible input detected,
+data out of floating-point range, or out of memory), 3 non-convergence, 4
+cone breach.  Reports contain no timestamps, so identical config and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -418,6 +419,10 @@ def main(argv=None) -> int:
         print(f"precondition failure: {exc}: the data are out of floating-point range",
               file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:
+        # the config was read before; what fails now is writing the artifacts
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError:
         # past the pre-flight estimate: the machine, not the config, is short
         print(f"precondition failure: {args.command} ran out of memory", file=sys.stderr)

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
-from .hermitian import (_as_parts, _check_geoms, _check_integer, _pairs, _parts,
+from .hermitian import (_check_geoms, _check_integer, _pairs, _parts,
                         _relative_eigvals, _require_positive, ensure_hermitian,
                         is_positive_definite)
 
@@ -450,12 +450,15 @@ def _require_kahler(form: FormField, what: str) -> FormField:
 
 def min_eigenvalue_field(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of every matrix of a grid (the relative spectrum against I)."""
-    return _relative_eigvals(None, mats)[..., 0]
+    return _relative_eigvals(None, _parts(np.asarray(mats)))[..., 0]
 
 
-# ascending eigenvalues of omega relative to chi at every grid point; the one
-# spectrum kernel, which the pointwise hermitian.relative_spectrum shares
-relative_spectrum_field = _relative_eigvals
+def relative_spectrum_field(chi: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``omega`` relative to positive definite
+    ``chi`` at every grid point, over the broadcast leading shape of the two
+    Hermitian arrays; the one spectrum kernel, which the pointwise
+    ``hermitian.relative_spectrum`` shares."""
+    return _relative_eigvals(_parts(np.asarray(chi)), _parts(np.asarray(omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,40 +483,29 @@ def mixed_density(mats) -> np.ndarray:
     """Density ``D(A_1,..,A_n)`` of the wedge of n (1,1)-forms.
 
     Each entry of ``mats`` is a Hermitian array broadcastable to grid +
-    (n, n); the result is real with ``D(A,..,A) = n! det(A)``.
+    (n, n), n the number of entries (``UsageError`` otherwise); the result
+    is real with ``D(A,..,A) = n! det(A)``.  n = 2 is real arithmetic on the
+    parts (``hermitian._parts``), ``D(A, B) = a0 b1 + a1 b0 - 2 Re(a01
+    conj(b01))``; n = 1 and 3 are the permutation sum.
     """
     mats = [np.asarray(m) for m in mats]
-    n = mats[0].shape[-1]
-    if len(mats) != n:
-        raise UsageError(f"need exactly n = {n} factor forms, got {len(mats)}")
-    return np.asarray(_density(mats))
-
-
-def _density(factors: list) -> np.ndarray:
-    """``D(A_1,..,A_n)`` of n Hermitian factors, each given as matrices or,
-    at n <= 2, as its real parts (``hermitian._parts``), over their
-    broadcast leading shape.
-
-    n <= 2 is real arithmetic on the parts: ``D(A) = a0`` and ``D(A, B) = a0 b1
-    + a1 b0 - 2 Re(a01 conj(b01))``.  n = 3 is the permutation sum over the
-    matrices.
-    """
-    n = len(factors)
-    if n == 1:
-        return np.array(_as_parts(factors[0])[0], dtype=float)
+    n = len(mats)
+    if n == 0 or any(m.shape[-2:] != (n, n) for m in mats):
+        raise UsageError(f"need n factor forms of n x n matrices, got {n} factors of shapes "
+                         f"{[m.shape for m in mats]}")
     if n == 2:
-        (a0, a1, ar, ai), (b0, b1, br, bi) = (_as_parts(a) for a in factors)
-        return a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi)
+        (a0, a1, ar, ai), (b0, b1, br, bi) = (_parts(m) for m in mats)
+        return np.asarray(a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi))
     perms, signs = _perm_pairs(n)
     out = None
     for sig, ssig in zip(perms, signs):
         for tau, stau in zip(perms, signs):
-            term = factors[0][..., sig[0], tau[0]]
+            term = mats[0][..., sig[0], tau[0]]
             for k in range(1, n):
-                term = term * factors[k][..., sig[k], tau[k]]
+                term = term * mats[k][..., sig[k], tau[k]]
             contrib = (ssig * stau) * term
             out = contrib if out is None else out + contrib
-    return out.real
+    return np.asarray(out.real)
 
 
 def integrate(field: ScalarField | None, weights) -> float:

@@ -140,7 +140,7 @@ def relative_spectrum(chi: np.ndarray, omega: np.ndarray) -> SpectrumRel:
         raise DomainError("chi must be positive definite")
     if not is_positive_definite(omega):
         raise DomainError("omega must be positive definite")
-    return SpectrumRel(tuple(float(v) for v in _relative_eigvals(chi, omega)))
+    return SpectrumRel(tuple(float(v) for v in _relative_eigvals(_parts(chi), _parts(omega))))
 
 
 @functools.lru_cache(maxsize=4)
@@ -216,24 +216,19 @@ def _det_adj(m: list) -> tuple:
     return _product(m, adj, 0, 0), adj
 
 
-def _as_parts(a) -> list:
-    """A Hermitian field given as matrices (an array) or as its real parts (a
-    list), as its real parts."""
-    return a if isinstance(a, list) else _parts(a)
-
-
-def _frame(chi) -> list | np.ndarray:
-    """What the relative spectrum reads of ``chi`` (matrices, or at n <= 2
-    its real parts): its real parts at n <= 2, the inverse of its Cholesky
-    factor above (the relative spectrum is then that of ``L^-1 omega L^-H``)."""
-    if isinstance(chi, list) or chi.shape[-1] <= 2:
-        return _as_parts(chi)
-    return np.linalg.inv(np.linalg.cholesky(chi))
+def _frame(chi: list) -> list | np.ndarray:
+    """What the relative spectrum reads of ``chi``, given by its real parts:
+    the parts themselves at n <= 2, the inverse of its Cholesky factor above
+    (the relative spectrum is then that of ``L^-1 omega L^-H``)."""
+    if len(chi) <= 4:
+        return chi
+    return np.linalg.inv(np.linalg.cholesky(_matrix(chi)))
 
 
 def _flatten(a, shape: tuple) -> list | np.ndarray | None:
-    """Parts (a list) or matrices (an array, last two axes) broadcast to the
-    leading ``shape`` and flattened to one point axis; ``None`` stays."""
+    """Parts (a list) or matrices (an array, last two axes: the frame of
+    :func:`_frame` at n = 3) broadcast to the leading ``shape`` and flattened
+    to one point axis; ``None`` stays."""
     if a is None:
         return None
     if isinstance(a, list):
@@ -257,36 +252,27 @@ def _blocks(size: int):
     return (slice(start, start + _BLOCK2) for start in range(0, size, _BLOCK2))
 
 
-def _relative_eigvals(chi: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
-    """Ascending roots of ``det(omega - lam*chi) = 0`` over the leading axes.
+def _relative_eigvals(chi: list | None, omega: list) -> np.ndarray:
+    """Ascending roots of ``det(omega - lam*chi) = 0`` over the broadcast
+    leading shape of the real parts (:func:`_parts`) ``chi`` and ``omega``.
 
-    ``chi`` is positive definite and broadcasts against ``omega``; ``None``
-    stands for the identity, which gives the ordinary spectrum.  ``chi`` is
-    read through its frame (:func:`_frame`) by :func:`_spectrum`.
+    ``chi`` is positive definite; ``None`` stands for the identity, which
+    gives the ordinary spectrum.  :func:`_eigvals` reads ``chi`` through its
+    frame (:func:`_frame`), in blocks.
     """
-    omega = np.asarray(omega)
-    shape = np.broadcast_shapes(omega.shape[:-2], () if chi is None else np.shape(chi)[:-2])
-    frame = None if chi is None else _flatten(_frame(np.asarray(chi)), shape)
-    lam = _spectrum(frame, _flatten(omega, shape))
-    return lam.reshape(shape + (omega.shape[-1],))
-
-
-def _spectrum(frame, omega) -> np.ndarray:
-    """Ascending relative eigenvalues (points x n) of the flattened ``omega``
-    (matrices or real parts) against the flattened ``frame`` of ``chi``
-    (:func:`_flatten`), by :func:`_eigvals` in blocks."""
-    size, n = ((len(omega[0]), math.isqrt(len(omega))) if isinstance(omega, list)
-               else omega.shape[:2])
-    out = np.empty((size, n))
-    for part in _blocks(size):
+    shape = np.broadcast_shapes(*(np.shape(p) for p in omega + (chi or [])))
+    frame = None if chi is None else _flatten(_frame(chi), shape)
+    omega = _flatten(omega, shape)
+    out = np.empty((math.prod(shape), math.isqrt(len(omega))))
+    for part in _blocks(len(out)):
         _eigvals(_take(frame, part), _take(omega, part), out[part])
-    return out
+    return out.reshape(shape + out.shape[-1:])
 
 
 def _eigvals(frame, omega, out: np.ndarray) -> None:
     """Write into ``out`` (points x n) the ascending roots of ``det(omega -
-    lam*chi) = 0``, ``omega`` given as matrices or as its real parts and
-    ``chi`` by its ``frame`` (:func:`_frame`; ``None`` for the identity).
+    lam*chi) = 0``, ``omega`` given by its real parts and ``chi`` by its
+    ``frame`` (:func:`_frame`; ``None`` for the identity).
 
     n = 1 divides and n > 2 calls ``eigvalsh`` in the Cholesky frame of
     ``chi`` (congruence-invariant).  n = 2 takes the roots ``(tr K -+
@@ -300,16 +286,15 @@ def _eigvals(frame, omega, out: np.ndarray) -> None:
     """
     n = out.shape[-1]
     if n > 2:
-        m = _matrix(omega) if isinstance(omega, list) else omega
+        m = _matrix(omega)
         if frame is not None:
             m = frame @ m @ frame.conj().swapaxes(-1, -2)
         out[...] = np.linalg.eigvalsh(m)
         return
-    parts = _as_parts(omega)
     if n == 1:
-        out[:, 0] = parts[0] if frame is None else parts[0] / frame[0]
+        out[:, 0] = omega[0] if frame is None else omega[0] / frame[0]
         return
-    o0, o1, wr, wi = parts
+    o0, o1, wr, wi = omega
     if frame is None:
         a, im, trace, det2 = o0 - o1, 0.0, o0 + o1, 2.0
         uv = wr * wr + wi * wi

@@ -33,14 +33,13 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
-from .fields import (FormField, ScalarField, TorusGeometry, _density, _form_parts,
-                     _hessian_parts, _hessian_symbols, _irfft, _rfft, _require_kahler,
-                     complex_hessian, form_field, integrate, intersections,
-                     relative_spectrum_field, resample)
+from .fields import (FormField, ScalarField, TorusGeometry, _form_parts, _hessian_parts,
+                     _hessian_symbols, _irfft, _rfft, _require_kahler, complex_hessian,
+                     form_field, integrate, intersections, resample)
 from .hermitian import (_blocks, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
                         _cone_margin, _det_adj, _dhym_value, _eigvals, _entries, _f_bound_dhym,
-                        _f_bound_j, _flatten, _frame, _j_value, _matrix, _pairs, _product,
-                        _reduce_last, _require_positive, _take)
+                        _f_bound_j, _flatten, _frame, _j_value, _minor, _pairs, _product,
+                        _reduce_last, _relative_eigvals, _require_positive, _take)
 
 __all__ = [
     "SolverConfig",
@@ -238,13 +237,25 @@ def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np
     return out
 
 
+def _det(parts: list) -> np.ndarray:
+    """The determinants of the Hermitian matrices whose real parts
+    (``hermitian._parts``) are ``parts``, arrays of one shape, by the
+    cofactor expansion of ``hermitian._det_adj`` (``hermitian._minor``) in
+    blocks of ``hermitian._BLOCK2`` points."""
+    idx = list(range(math.isqrt(len(parts))))
+    flat = [p.reshape(-1) for p in parts]
+    out = np.empty(flat[0].size)
+    for part in _blocks(len(out)):
+        out[part] = _minor(_entries(_take(flat, part)), idx, idx).real
+    return out.reshape(parts[0].shape)
+
+
 def _chi_terms(chi: FormField) -> tuple:
     """``chi``'s real parts and ``det chi``, flattened to one point axis
     (``hermitian._flatten``): what the coefficient rows read of ``chi``."""
-    n, shape = chi.geometry.n, chi.geometry.shape
+    shape = chi.geometry.shape
     parts = _form_parts(chi)
-    det = _density([chi.values if n == 3 else parts] * n) / math.factorial(n)
-    return _flatten(parts, shape), np.broadcast_to(det, shape).reshape(-1)
+    return _flatten(parts, shape), np.broadcast_to(_det(parts), shape).reshape(-1)
 
 
 def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
@@ -267,7 +278,7 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
     parts = _hessian_parts(phi, base=_form_parts(omega0))
-    lam = relative_spectrum_field(chi.values, _matrix(list(parts)))
+    lam = _relative_eigvals(_form_parts(chi), list(parts))
     if c is not None and _cone_margin(1.0 / lam, c) <= 0.0:
         raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / _reduce_last(np.multiply, lam)
@@ -377,23 +388,21 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     class constant ``class_f``.
 
     The problem holds the real parts (``hermitian._parts``) of ``omega0``
-    and of ``chi``, ``chi``'s frame (``hermitian._frame``, at n <= 2 the
-    parts themselves) and ``det chi``; ``det chi`` and the gauge weight
-    ``omega0^n`` come from ``fields._density`` (at n = 3 from the forms'
-    matrices).  An evaluation writes the parts of ``omega_phi`` (one
-    transform loop, ``fields._hessian_parts``, with ``omega0``'s added),
-    then makes one pass over the grid in blocks of ``hermitian._BLOCK2``
-    points that gives the relative spectrum, ``c2``, both margins, the value
-    and the weight.  A block after the first non-positive relative
-    eigenvalue gives only its spectrum and ``c2``.
+    and of ``chi``, ``chi``'s frame (``hermitian._frame``), ``det chi`` and
+    the gauge weight ``det omega0`` (both by :func:`_det`).  An evaluation
+    writes the parts of ``omega_phi`` (one transform loop,
+    ``fields._hessian_parts``, with ``omega0``'s added), then makes one pass
+    over the grid in blocks of ``hermitian._BLOCK2`` points that gives the
+    relative spectrum, ``c2``, both margins, the value and the weight.  A
+    block after the first non-positive relative eigenvalue gives only its
+    spectrum and ``c2``.
     """
     geom = chi.geometry
     n, shape = geom.n, geom.shape
     omega0_parts = _form_parts(omega0)
     chi_parts, det_chi = _chi_terms(chi)
-    # the n = 3 kernels (hermitian._frame, fields._density) read matrices, the others parts
-    frame = _flatten(_frame(chi.values), shape) if n == 3 else chi_parts
-    gauge = np.broadcast_to(_density([omega0.values if n == 3 else omega0_parts] * n), shape)
+    frame = _frame(chi_parts)
+    gauge = np.broadcast_to(_det(omega0_parts), shape)
     f_vals = f.values.reshape(-1)
 
     def evaluate(phi: ScalarField) -> _Eval:
@@ -1008,7 +1017,7 @@ def _dhym_class_f(chi: FormField, omega: FormField, theta0: float) -> float:
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
-    lam0 = relative_spectrum_field(chi.values, omega0.values)
+    lam0 = _relative_eigvals(_form_parts(chi), _form_parts(omega0))
     gamma_margin = _cone_margin(np.arctan(1.0 / lam0), theta0)
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "

@@ -701,6 +701,26 @@ class TestTypedConfigNumbers:
         assert "config field 'output_dir'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
+    @pytest.mark.parametrize("command, doc", [
+        ("solve-j", solve_j_config()),
+        ("check-stability", stability_config()),
+    ], ids=["solve-j", "check-stability"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("via", ["out-flag", "config-dir"])
+    def test_unwritable_output_exits_1_with_one_line(self, tmp_path, capsys, command, doc,
+                                                     below, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = str(blocker / "o" if below else blocker)
+        if via == "out-flag":
+            argv = ["--out", out]
+        else:
+            doc, argv = {**doc, "output_dir": out}, []
+        assert main([command, "--config", write_config(tmp_path, "c.json", doc), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
+
     def test_every_solver_field_round_trips(self):
         import dataclasses
 

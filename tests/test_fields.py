@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,20 @@ class TestIntegration:
         d = float(mixed_density([a, b, b]))
         oracle = 2.0 * np.linalg.det(b).real * np.trace(np.linalg.solve(b, a)).real
         assert d == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("factors, shapes", [
+        ([], "[]"),
+        ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]"),
+        ([np.eye(2)] * 3, "[(2, 2), (2, 2), (2, 2)]"),
+        ([np.ones(2)], "[(2,)]"),
+    ], ids=["none", "mixed-sizes", "too-many", "not-a-matrix"])
+    def test_bad_factor_lists_name_their_shapes(self, factors, shapes):
+        with pytest.raises(UsageError, match=re.escape(f"of shapes {shapes}")):
+            mixed_density(factors)
+
+    def test_integrate_refuses_an_empty_wedge(self):
+        with pytest.raises(UsageError, match="got 0 factors"):
+            integrate(None, [])
 
     def test_cohomology_invariance(self, g2):
         rng = np.random.default_rng(7)

@@ -974,6 +974,30 @@ class TestRealTransformKernels:
         assert relative_error(d_rows, rows_from_matrix(d_ref)) <= 1e-13
 
 
+class TestCofactorDeterminants:
+    """``det chi`` and the gauge weight ``det omega0`` of a Newton problem come
+    from the cofactor kernel on the forms' real parts; ``np.linalg.det`` of
+    the form matrices is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("constant", [False, True], ids=["potential", "constant"])
+    def test_match_linalg_det(self, n, constant):
+        geom = TorusGeometry(n, 8)
+        rng = np.random.default_rng(n)
+        chi_base = np.diag(np.linspace(1.0, 2.0, n)) + 0.1 * hermitize(
+            np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1))
+        potentials = [None, None] if constant else [
+            random_bandlimited(geom, rng, amplitude=0.005) for _ in range(2)]
+        chi = form_field(geom, chi_base, potentials[0])
+        omega0 = form_field(geom, 1.5 * np.eye(n), potentials[1])
+        problem = make_j_problem(chi, omega0, ScalarField.zeros(geom), 2.0)
+        _, det_chi = solver._chi_terms(chi)
+        np.testing.assert_allclose(det_chi, np.linalg.det(chi.values).real.reshape(-1),
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(problem.gauge_weight, np.linalg.det(omega0.values).real,
+                                   rtol=1e-13, atol=0.0)
+
+
 def blocked_evaluation_instance(n):
     """(chi, omega0, phi, f) at n = 1, 2 (N = 16: 16 blocks of hermitian._BLOCK2
     points) and 3, with ``phi`` halfway to the manufactured J solution."""
