@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run every CLI command on the configs in configs/ and check the exit codes:
-# both solves, and a solve-j at n = 3 from a config written here, must
+# both solves, and two solve-j at n = 3 from configs written here, must
 # converge to a final residual of at most 1e-13 (a path endpoint left at the
 # tolerance instead of rounding level fails) in no more Newton steps (the
 # sum of the path_history iterations) and no more Newton solves (the
@@ -52,6 +52,20 @@ cat > "$out/solve_j_n3.json" <<'JSON'
 JSON
 jdhym solve-j --config "$out/solve_j_n3.json" --out "$out/solve-j-n3"
 check_solve "$out/solve-j-n3/report.json" "solve-j at n = 3" 9 5
+# n = 3, N = 8: a constant chi = diag(1, 1.5, 2), omega0 = I plus one mode
+cat > "$out/solve_j_n3_constant_chi.json" <<'JSON'
+{"geometry": {"n": 3, "N": 8},
+ "chi": {"base": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [1.5, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]]},
+ "omega0": {"base": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+            "potential": [{"freq": [0, 1, 0, 0, 0, 0], "amp": 0.01}]},
+ "c": "c0", "f": null, "solver": {"path_steps": 4}}
+JSON
+jdhym solve-j --config "$out/solve_j_n3_constant_chi.json" --out "$out/solve-j-n3-constant-chi"
+check_solve "$out/solve-j-n3-constant-chi/report.json" "solve-j at n = 3, constant chi" 5 4
 # a second solve writes the same report and CSV, byte for byte
 for cmd in solve-j solve-dhym; do
   jdhym "$cmd" --config "configs/$(echo "$cmd" | tr - _).json" --out "$out/$cmd-again"

@@ -39,9 +39,9 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
-from .hermitian import (_check_geoms, _check_integer, _pairs, _parts,
-                        _relative_eigvals, _require_positive, ensure_hermitian,
-                        is_positive_definite)
+from .hermitian import (_blocks, _check_geoms, _check_integer, _flatten, _matrix, _pairs,
+                        _parts, _relative_eigvals, _require_positive, _take,
+                        ensure_hermitian, is_positive_definite)
 
 __all__ = [
     "TorusGeometry",
@@ -296,33 +296,26 @@ def hessian_values(phi: ScalarField) -> np.ndarray:
     exactly Hermitian: ``H_ji`` is the conjugate of ``H_ij`` and the diagonal
     is real.
     """
-    n = phi.geometry.n
-    out = np.zeros(phi.geometry.shape + (n, n), dtype=complex)
-    _hessian_parts(phi, _parts(out))
-    for i, j in _pairs(n):
-        np.conj(out[..., i, j], out=out[..., j, i])
-    return out
+    return _matrix(_hessian_parts(phi))
 
 
-def _hessian_parts(phi: ScalarField, out=None, base=None):
+def _hessian_parts(phi: ScalarField, base=None) -> np.ndarray:
     """The ``n*n`` real parts of the complex Hessian of ``phi``
-    (``hermitian._parts``), each plus its entry of ``base`` (a form's parts,
-    :func:`_form_parts`) when given.
+    (``hermitian._parts``), each plus its entry of ``base`` (a form's
+    parts) when given, as one new ``(n*n,) + grid`` float64 array.
 
     The one transform loop: one forward transform and one inverse transform
-    per part, written into ``out`` (``n*n`` writable real grids, views
-    allowed) or into a new ``(n*n,) + grid`` float64 array; returns ``out``.
+    per part.
     """
     if not np.all(np.isfinite(phi.values)):
         raise DataError("potential contains non-finite values")
     geom = phi.geometry
-    if out is None:
-        out = np.empty((geom.n ** 2,) + geom.shape)
+    out = np.empty((geom.n ** 2,) + geom.shape)
     phat = _rfft(phi.values)
     for k, sym in enumerate(_hessian_symbols(geom)):
         entry = _irfft(geom, sym * phat)
         if base is None:
-            out[k][...] = entry
+            out[k] = entry
         else:
             np.add(entry, base[k], out=out[k])
     return out
@@ -348,47 +341,53 @@ class FormField:
     """Closed (1,1)-form: constant Hermitian base plus a potential's Hessian.
 
     The only constructors are :func:`form_field` and linear combinations, so
-    closedness holds by construction.  ``values`` has shape grid + (n, n);
-    for constant forms it is a broadcast view over the base matrix.
+    closedness holds by construction.  ``parts`` are the form's ``n*n``
+    read-only real parts (``hermitian._parts``): grids, or for a constant
+    form 0-d arrays of its base.
     """
 
     geometry: TorusGeometry
     base: np.ndarray
     potential: ScalarField | None
-    values: np.ndarray
+    parts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=complex)
         if base.shape != (self.geometry.n, self.geometry.n):
             raise UsageError(f"base must be {self.geometry.n} x {self.geometry.n}")
         object.__setattr__(self, "base", _readonly(base))
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.flags.writeable:
-            vals = np.ascontiguousarray(vals)
-            vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        parts = tuple(np.asarray(p) for p in self.parts)
+        for p in parts:
+            p.setflags(write=False)
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only matrices, shape grid + (n, n), built on each access:
+        for a constant form a broadcast view of ``base``."""
+        if self.potential is None:
+            return np.broadcast_to(self.base, self.geometry.shape + self.base.shape)
+        vals = _matrix(self.parts)
+        vals.setflags(write=False)
+        return vals
 
     def __add__(self, other: "FormField") -> "FormField":
         _check_geoms(self, other)
         p, q = self.potential, other.potential
-        base = self.base + other.base
-        if p is None and q is None:
-            return form_field(self.geometry, base)
         pot = q if p is None else p if q is None else p + q
-        return FormField(self.geometry, base, pot, self.values + other.values)
+        return FormField(self.geometry, self.base + other.base, pot,
+                         tuple(a + b for a, b in zip(self.parts, other.parts)))
 
     def __mul__(self, scalar) -> "FormField":
         s = float(scalar)
-        if self.potential is None:
-            return form_field(self.geometry, self.base * s)
-        return FormField(self.geometry, self.base * s, self.potential * s, self.values * s)
+        pot = None if self.potential is None else self.potential * s
+        return FormField(self.geometry, self.base * s, pot, tuple(p * s for p in self.parts))
 
     __rmul__ = __mul__
 
     def min_eigenvalue(self) -> float:
         """Smallest pointwise eigenvalue over the grid (positivity margin)."""
-        return float(np.min(min_eigenvalue_field(self.base if self.potential is None
-                                                 else self.values)))
+        return float(np.min(_relative_eigvals(None, self.parts)[..., 0]))
 
 
 def form_field(geom: TorusGeometry, base: np.ndarray,
@@ -398,30 +397,20 @@ def form_field(geom: TorusGeometry, base: np.ndarray,
     if base.shape != (geom.n, geom.n):
         raise UsageError(f"base must be {geom.n} x {geom.n}")
     if potential is None:
-        vals = np.broadcast_to(base, geom.shape + base.shape)
+        parts = [np.array(p) for p in _parts(base)]
     else:
         _check_geoms(potential, geom)
-        vals = hessian_values(potential)
-        vals += base
-    return FormField(geom, base, potential, vals)
+        parts = _hessian_parts(potential, base=_parts(base))
+    return FormField(geom, base, potential, parts)
 
 
 def constant_form(geom: TorusGeometry, base: np.ndarray) -> FormField:
     return form_field(geom, base, None)
 
 
-def _form_parts(form: FormField) -> list[np.ndarray]:
-    """The real parts (``hermitian._parts``) of a form's values: contiguous
-    grids, or for a constant form 0-d arrays of its base."""
-    if form.potential is None:
-        return [np.array(p) for p in _parts(form.base)]
-    return [np.ascontiguousarray(p) for p in _parts(form.values)]
-
-
 def complex_hessian(phi: ScalarField) -> FormField:
     """The exact form ``i d dbar(phi)`` (zero base)."""
-    zero = np.zeros((phi.geometry.n, phi.geometry.n), dtype=complex)
-    return FormField(phi.geometry, zero, phi, hessian_values(phi))
+    return form_field(phi.geometry, np.zeros((phi.geometry.n,) * 2), phi)
 
 
 def kahler_form(geom: TorusGeometry, base: np.ndarray, phi: ScalarField | None) -> FormField:
@@ -440,7 +429,8 @@ def kahler_form(geom: TorusGeometry, base: np.ndarray, phi: ScalarField | None) 
 def _require_kahler(form: FormField, what: str) -> FormField:
     """``form``, once its smallest eigenvalue is positive at every grid point;
     otherwise :class:`NotKahlerError` names the grid point of the smallest."""
-    _require_positive(min_eigenvalue_field(form.values), what)
+    margin = _relative_eigvals(None, form.parts)[..., 0]
+    _require_positive(np.broadcast_to(margin, form.geometry.shape), what)
     return form
 
 
@@ -482,30 +472,43 @@ def _perm_pairs(n: int):
 def mixed_density(mats) -> np.ndarray:
     """Density ``D(A_1,..,A_n)`` of the wedge of n (1,1)-forms.
 
-    Each entry of ``mats`` is a Hermitian array broadcastable to grid +
-    (n, n), n the number of entries (``UsageError`` otherwise); the result
-    is real with ``D(A,..,A) = n! det(A)``.  n = 2 is real arithmetic on the
-    parts (``hermitian._parts``), ``D(A, B) = a0 b1 + a1 b0 - 2 Re(a01
-    conj(b01))``; n = 1 and 3 are the permutation sum.
+    Each entry of ``mats`` is a :class:`FormField` or a Hermitian array
+    broadcastable to grid + (n, n), n the number of entries, and their real
+    parts (``hermitian._parts``; a constant form's are 0-d) broadcast
+    together (``UsageError`` otherwise); the result is real with ``D(A,..,A)
+    = n! det(A)``.  n = 2 is real arithmetic on the parts, ``D(A, B) = a0 b1
+    + a1 b0 - 2 Re(a01 conj(b01))``; n = 1 and 3 are the permutation sum on
+    the matrices of the parts, in blocks of ``hermitian._BLOCK2`` points.
     """
-    mats = [np.asarray(m) for m in mats]
+    shapes = [m.geometry.shape + m.base.shape if isinstance(m, FormField) else np.shape(m)
+              for m in mats]
     n = len(mats)
-    if n == 0 or any(m.shape[-2:] != (n, n) for m in mats):
+    if n == 0 or any(s[-2:] != (n, n) for s in shapes):
         raise UsageError(f"need n factor forms of n x n matrices, got {n} factors of shapes "
-                         f"{[m.shape for m in mats]}")
+                         f"{shapes}")
+    parts = [m.parts if isinstance(m, FormField) else _parts(np.asarray(m)) for m in mats]
+    try:
+        shape = np.broadcast_shapes(*(np.shape(q) for p in parts for q in p))
+    except ValueError:
+        raise UsageError(f"factor grids of shapes {shapes} do not broadcast") from None
     if n == 2:
-        (a0, a1, ar, ai), (b0, b1, br, bi) = (_parts(m) for m in mats)
+        (a0, a1, ar, ai), (b0, b1, br, bi) = parts
         return np.asarray(a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi))
     perms, signs = _perm_pairs(n)
-    out = None
-    for sig, ssig in zip(perms, signs):
-        for tau, stau in zip(perms, signs):
-            term = mats[0][..., sig[0], tau[0]]
-            for k in range(1, n):
-                term = term * mats[k][..., sig[k], tau[k]]
-            contrib = (ssig * stau) * term
-            out = contrib if out is None else out + contrib
-    return np.asarray(out.real)
+    flat = [_flatten(p, shape) for p in parts]
+    out = np.empty(math.prod(shape))
+    for part in _blocks(out.size):
+        mats = [_matrix(_take(p, part)) for p in flat]
+        total = None
+        for sig, ssig in zip(perms, signs):
+            for tau, stau in zip(perms, signs):
+                term = mats[0][:, sig[0], tau[0]]
+                for k in range(1, n):
+                    term = term * mats[k][:, sig[k], tau[k]]
+                contrib = (ssig * stau) * term
+                total = contrib if total is None else total + contrib
+        out[part] = total.real
+    return out.reshape(shape)
 
 
 def integrate(field: ScalarField | None, weights) -> float:
@@ -517,8 +520,7 @@ def integrate(field: ScalarField | None, weights) -> float:
     otherwise ``UsageError``.
     """
     _check_geoms(field, *(w for w in weights if isinstance(w, FormField)))
-    dens = mixed_density([w.values if isinstance(w, FormField) else np.asarray(w)
-                          for w in weights])
+    dens = mixed_density(weights)
     if field is not None:
         dens = dens * field.values
     return float(np.mean(dens))

@@ -226,12 +226,12 @@ def _frame(chi: list) -> list | np.ndarray:
 
 
 def _flatten(a, shape: tuple) -> list | np.ndarray | None:
-    """Parts (a list) or matrices (an array, last two axes: the frame of
-    :func:`_frame` at n = 3) broadcast to the leading ``shape`` and flattened
-    to one point axis; ``None`` stays."""
+    """Parts (a list or tuple) or matrices (an array, last two axes: the
+    frame of :func:`_frame` at n = 3) broadcast to the leading ``shape`` and
+    flattened to one point axis; ``None`` stays."""
     if a is None:
         return None
-    if isinstance(a, list):
+    if isinstance(a, (list, tuple)):
         return [np.broadcast_to(p, shape).reshape(-1) for p in a]
     return np.broadcast_to(a, shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
 
@@ -260,7 +260,7 @@ def _relative_eigvals(chi: list | None, omega: list) -> np.ndarray:
     gives the ordinary spectrum.  :func:`_eigvals` reads ``chi`` through its
     frame (:func:`_frame`), in blocks.
     """
-    shape = np.broadcast_shapes(*(np.shape(p) for p in omega + (chi or [])))
+    shape = np.broadcast_shapes(*(np.shape(p) for p in [*omega, *(chi or ())]))
     frame = None if chi is None else _flatten(_frame(chi), shape)
     omega = _flatten(omega, shape)
     out = np.empty((math.prod(shape), math.isqrt(len(omega))))

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
-from .fields import (FormField, ScalarField, TorusGeometry, _form_parts, _hessian_parts,
+from .fields import (FormField, ScalarField, TorusGeometry, _hessian_parts,
                      _hessian_symbols, _irfft, _rfft, _require_kahler, complex_hessian,
                      form_field, integrate, intersections, resample)
 from .hermitian import (_blocks, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
@@ -114,8 +114,7 @@ class SolveReport:
 
 # Peak memory of a solve per grid point, in float64 grid arrays, inputs
 # included: an upper bound on the peak resident memory of a cold Newton solve
-# or a continuity path at each n (at n = 3 the forms and chi's frame are
-# complex 3 x 3 fields, 18 grid arrays each), with room for Krylov bases that fill
+# or a continuity path at each n, with room for Krylov bases that fill
 PEAK_GRID_ARRAYS = {1: 64, 2: 80, 3: 256}
 
 
@@ -254,8 +253,7 @@ def _chi_terms(chi: FormField) -> tuple:
     """``chi``'s real parts and ``det chi``, flattened to one point axis
     (``hermitian._flatten``): what the coefficient rows read of ``chi``."""
     shape = chi.geometry.shape
-    parts = _form_parts(chi)
-    return _flatten(parts, shape), np.broadcast_to(_det(parts), shape).reshape(-1)
+    return _flatten(chi.parts, shape), np.broadcast_to(_det(chi.parts), shape).reshape(-1)
 
 
 def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
@@ -277,8 +275,8 @@ def j_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField,
     guarantees it, and ``c`` enables that explicit cone check when provided.
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
-    parts = _hessian_parts(phi, base=_form_parts(omega0))
-    lam = _relative_eigvals(_form_parts(chi), list(parts))
+    parts = _hessian_parts(phi, base=omega0.parts)
+    lam = _relative_eigvals(chi.parts, list(parts))
     if c is not None and _cone_margin(1.0 / lam, c) <= 0.0:
         raise EllipticityLostError("iterate is not a strict c-subsolution")
     q = f.values / _reduce_last(np.multiply, lam)
@@ -320,7 +318,7 @@ def dhym_linearization_apply(chi: FormField, omega0: FormField, phi: ScalarField
     """
     geom = _check_geoms(chi, omega0, phi, f, u)
     rows = _coefficient_rows(partial(_dhym_block, theta0=float(theta0)),
-                             _hessian_parts(phi, base=_form_parts(omega0)), *_chi_terms(chi),
+                             _hessian_parts(phi, base=omega0.parts), *_chi_terms(chi),
                              f.values)
     return _apply_rows(geom, rows, 1.0, u)
 
@@ -387,26 +385,26 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     is ``make`` (the factory calling this) on the data restricted with the
     class constant ``class_f``.
 
-    The problem holds the real parts (``hermitian._parts``) of ``omega0``
-    and of ``chi``, ``chi``'s frame (``hermitian._frame``), ``det chi`` and
-    the gauge weight ``det omega0`` (both by :func:`_det`).  An evaluation
-    writes the parts of ``omega_phi`` (one transform loop,
-    ``fields._hessian_parts``, with ``omega0``'s added), then makes one pass
-    over the grid in blocks of ``hermitian._BLOCK2`` points that gives the
-    relative spectrum, ``c2``, both margins, the value and the weight.  A
-    block after the first non-positive relative eigenvalue gives only its
-    spectrum and ``c2``.
+    The problem reads the real parts (``FormField.parts``) of ``omega0`` and
+    of ``chi`` where the forms hold them, and holds ``chi``'s frame
+    (``hermitian._frame``, of the unflattened parts: one matrix for a
+    constant ``chi``), ``det chi`` and the gauge weight ``det omega0`` (both
+    by :func:`_det`).  An evaluation writes the parts of ``omega_phi`` (one
+    transform loop, ``fields._hessian_parts``, with ``omega0``'s added),
+    then makes one pass over the grid in blocks of ``hermitian._BLOCK2``
+    points that gives the relative spectrum, ``c2``, both margins, the value
+    and the weight.  A block after the first non-positive relative
+    eigenvalue gives only its spectrum and ``c2``.
     """
     geom = chi.geometry
     n, shape = geom.n, geom.shape
-    omega0_parts = _form_parts(omega0)
     chi_parts, det_chi = _chi_terms(chi)
-    frame = _frame(chi_parts)
-    gauge = np.broadcast_to(_det(omega0_parts), shape)
+    frame = _flatten(_frame(chi.parts), shape)
+    gauge = np.broadcast_to(_det(omega0.parts), shape)
     f_vals = f.values.reshape(-1)
 
     def evaluate(phi: ScalarField) -> _Eval:
-        parts = _hessian_parts(phi, base=omega0_parts)
+        parts = _hessian_parts(phi, base=omega0.parts)
         flat = list(parts.reshape(n * n, -1))
         lam = np.empty((geom.grid_size, n))
         res, weight = np.empty(geom.grid_size), np.empty(geom.grid_size)
@@ -1017,7 +1015,7 @@ def _dhym_class_f(chi: FormField, omega: FormField, theta0: float) -> float:
 def _dhym_path(chi: FormField, omega0: FormField, f: ScalarField, theta0: float):
     """The stages of :func:`continuity_path_dhym` on the grid of its data."""
     theta0 = _hypotheses(chi, omega0, f, theta0, *_DHYM)
-    lam0 = _relative_eigvals(_form_parts(chi), _form_parts(omega0))
+    lam0 = _relative_eigvals(chi.parts, omega0.parts)
     gamma_margin = _cone_margin(np.arctan(1.0 / lam0), theta0)
     if gamma_margin <= 0.0:
         raise PreconditionError(f"omega0 target violates the subsolution hypothesis "

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
                           random_bandlimited, regularized_max, resample,
                           relative_spectrum_field, save_scalar_field,
                           smooth_array)
+from jdhym.hermitian import _matrix, _parts
 
 
 @pytest.fixture
@@ -264,6 +266,55 @@ class TestKahlerForm:
                            0.25 * a.potential.values + 0.5 * b.potential.values)
 
 
+class TestFormParts:
+    """A form stores its real parts (``hermitian._parts``); its matrix grid is
+    built when ``values`` is read."""
+
+    def test_a_form_holds_its_parts_only(self):
+        # n^2 = 4 float64 grid arrays (the complex matrix grid would be 8);
+        # the bound was fixed before measuring
+        geom = TorusGeometry(2, 16)
+        phi = random_bandlimited(geom, np.random.default_rng(1))
+        form_field(geom, np.eye(2), phi)  # fills the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            form = form_field(geom, np.eye(2), phi)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(form.parts) == 4
+        assert held / (8 * geom.grid_size) <= 4.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_values_are_the_matrices_of_the_parts(self, n):
+        geom = TorusGeometry(n, 8)
+        rng = np.random.default_rng(n)
+        base = random_hpd(rng, n)
+        form = form_field(geom, base, random_bandlimited(geom, rng, amplitude=0.005))
+        values = form.values
+        assert not values.flags.writeable
+        assert not any(p.flags.writeable for p in form.parts)
+        assert np.array_equal(values, _matrix(form.parts))
+        const = constant_form(geom, base)
+        assert all(p.shape == () for p in const.parts)
+        assert const.values.shape == geom.shape + (n, n)
+        assert np.shares_memory(const.values, const.base)
+        assert const.values.strides[:2 * n] == (0,) * (2 * n)
+
+    def test_linear_combinations_act_part_by_part(self, g2):
+        # equal to the real and imaginary parts of the complex arithmetic
+        rng = np.random.default_rng(5)
+        a, b = (form_field(g2, random_hpd(rng, 2), random_bandlimited(g2, rng, amplitude=0.005))
+                for _ in range(2))
+        c = constant_form(g2, random_hpd(rng, 2))
+        for form, want in [(a + b, a.values + b.values), (a + c, a.values + c.values),
+                           (c + a, c.values + a.values), (c + c, c.values + c.values),
+                           (0.3 * a, 0.3 * a.values), (c * -1.7, c.values * -1.7)]:
+            for got, part in zip(form.parts, _parts(want)):
+                assert np.array_equal(np.broadcast_to(got, part.shape), part)
+
+
 class TestIntegration:
     def test_volume_convention(self, g2):
         omega = constant_form(g2, np.eye(2))
@@ -302,10 +353,18 @@ class TestIntegration:
         ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]"),
         ([np.eye(2)] * 3, "[(2, 2), (2, 2), (2, 2)]"),
         ([np.ones(2)], "[(2,)]"),
-    ], ids=["none", "mixed-sizes", "too-many", "not-a-matrix"])
+        ([np.zeros((4, 2, 2)), np.zeros((3, 2, 2))], "[(4, 2, 2), (3, 2, 2)]"),
+    ], ids=["none", "mixed-sizes", "too-many", "not-a-matrix", "grids-do-not-broadcast"])
     def test_bad_factor_lists_name_their_shapes(self, factors, shapes):
         with pytest.raises(UsageError, match=re.escape(f"of shapes {shapes}")):
             mixed_density(factors)
+
+    def test_integrate_refuses_a_raw_grid_of_another_size(self, g2):
+        form = form_field(g2, np.eye(2), field_from_modes(g2, [((1, 0, 0, 0), 0.01)]))
+        other = np.broadcast_to(np.eye(2), TorusGeometry(2, 16).shape + (2, 2))
+        with pytest.raises(UsageError, match=re.escape(
+                "of shapes [(8, 8, 8, 8, 2, 2), (16, 16, 16, 16, 2, 2)]")):
+            integrate(None, [form, other])
 
     def test_integrate_refuses_an_empty_wedge(self):
         with pytest.raises(UsageError, match="got 0 factors"):

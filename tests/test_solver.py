@@ -13,7 +13,7 @@ from jdhym import hermitian, solver
 from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
                           DomainError, EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
-from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace, _form_parts,
+from jdhym.fields import (ScalarField, TorusGeometry, _axis_laplace,
                           _hessian_parts, complex_hessian,
                           constant_form, field_from_modes, form_field,
                           mixed_density, random_bandlimited, relative_spectrum_field)
@@ -440,6 +440,22 @@ class TestStepMemory:
         assert (peak - start) / (8 * geom.grid_size) <= 36.0
         assert krylov and max(krylov) <= 21.5, krylov
 
+    def test_a_problem_holds_two_grid_arrays_beyond_its_inputs(self):
+        # det chi and the gauge weight det omega0; the problem reads the
+        # forms' parts where they are.  The bound was fixed before measuring.
+        geom = TorusGeometry(2, 16)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        make_j_problem(chi, omega0, f, c)  # fills the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            problem = make_j_problem(chi, omega0, f, c)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert problem.gauge_weight.shape == geom.shape
+        assert held / (8 * geom.grid_size) <= 2.5
+
     @pytest.mark.parametrize("kind", ["J", "dHYM"])
     def test_n3_coefficient_rows_peak_in_grid_arrays(self, kind):
         # the rows are n^2 = 9 grid arrays; the bound of n^2 + 2 float64 grid
@@ -714,16 +730,19 @@ class TestContinuityPathDhym:
 class TestKahlerHypotheses:
     """Both paths check chi and omega0 on the grid before any other hypothesis."""
 
+    @pytest.mark.parametrize("constant", [False, True], ids=["potential", "constant"])
     @pytest.mark.parametrize("which", ["chi", "omega0"])
     @pytest.mark.parametrize("path, param", [(continuity_path_j, 3.0),
                                              (continuity_path_dhym, math.pi / 5)],
                              ids=["j", "dhym"])
-    def test_non_kahler_form_is_named(self, path, param, which):
+    def test_non_kahler_form_is_named(self, path, param, which, constant):
         geom = TorusGeometry(2, 8)
         forms = {"chi": constant_form(geom, np.eye(2)),
                  "omega0": constant_form(geom, 3.0 * np.eye(2))}
-        # smallest eigenvalue 1 - 0.2 pi^2 < 0 where x_1 = 0
-        forms[which] = form_field(geom, np.eye(2), field_from_modes(geom, [((1, 0, 0, 0), 0.2)]))
+        # smallest eigenvalue 1 - 0.2 pi^2 < 0 where x_1 = 0; a constant form's
+        # smallest eigenvalue is named at the first grid point
+        forms[which] = (constant_form(geom, np.diag([-1.0, 1.0])) if constant else
+                        form_field(geom, np.eye(2), field_from_modes(geom, [((1, 0, 0, 0), 0.2)])))
         with pytest.raises(NotKahlerError,
                            match=rf"^{which} is not positive at grid index \(0, 0, 0, 0\)"):
             path(forms["chi"], forms["omega0"], ScalarField.zeros(geom), param, SolverConfig())
@@ -955,7 +974,7 @@ class TestRealTransformKernels:
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         if constant_chi:
             chi = constant_form(geom, chi.base)
-        parts = _hessian_parts(phistar, base=_form_parts(omega0))
+        parts = _hessian_parts(phistar, base=omega0.parts)
         omega_vals = hermitian._matrix(list(parts))
         lam = relative_spectrum_field(chi.values, omega_vals)
         gi = np.linalg.inv(omega_vals)
@@ -972,6 +991,24 @@ class TestRealTransformKernels:
         d_rows = solver._coefficient_rows(partial(solver._dhym_block, theta0=theta0), parts,
                                           *solver._chi_terms(chi), f_d.values)
         assert relative_error(d_rows, rows_from_matrix(d_ref)) <= 1e-13
+
+
+class TestConstantChi:
+    def test_equals_a_zero_potential_n3(self):
+        # a constant chi's frame and det chi are taken at one point and
+        # broadcast; the problem evaluates as if they were taken at every point
+        geom = TorusGeometry(3, 8)
+        base = np.diag([1.0, 1.5, 2.0]) + 0.1 * hermitize(np.triu(np.full((3, 3), 1.0 + 0.5j), 1))
+        omega0 = form_field(geom, np.eye(3), field_from_modes(geom, [((0, 1, 0, 0, 0, 0), 0.01)]))
+        f = ScalarField(geom, 0.05 + field_from_modes(geom, [((1, 0, 0, 0, 0, 0), 0.01)]).values)
+        phi = field_from_modes(geom, [((0, 0, 1, 0, 0, 0), 0.005)])
+        evs = [make_j_problem(chi, omega0, f, 3.0).evaluate(phi)
+               for chi in (constant_form(geom, base),
+                           form_field(geom, base, ScalarField.zeros(geom)))]
+        for name in ("parts", "lam", "residual", "weight"):
+            assert np.array_equal(getattr(evs[0], name), getattr(evs[1], name)), name
+        for name in ("c2", "kahler_margin", "cone_margin"):
+            assert getattr(evs[0], name) == getattr(evs[1], name), name
 
 
 class TestCofactorDeterminants:
