@@ -126,7 +126,7 @@ def _kahler_ray(omega0: FormField, phi: ScalarField, t_steps: int) -> tuple:
     """
     hess = complex_hessian(phi)
     omega_phi = omega0 + hess
-    if min(np.min(min_eigenvalue_field(w.values)) for w in (omega0, omega_phi)) <= 0:
+    if min(w.min_eigenvalue() for w in (omega0, omega_phi)) <= 0:
         start, step = omega0.values, hess.values  # each read builds the matrices
         for t in np.linspace(0.0, 1.0, t_steps + 1):
             _require_positive(min_eigenvalue_field(start + float(t) * step),

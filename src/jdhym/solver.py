@@ -8,17 +8,19 @@ omega_0 + i d dbar(phi)`` and are driven by the relative eigenvalues
 * dHYM:   ``sin(theta0 - sum arctan(1/lam_i)) - f cos(theta0)/prod sqrt(lam_i^2+1) = 0``.
 
 The linearized operators annihilate constants, so each Newton step solves
-the mean-zero projection ``A u = b`` of the linear system: ``lgmres`` solves
-``(A P) y = b`` with ``P`` the inverse constant-coefficient Fourier symbol,
-``u = P y``, and stops on the true residual ``b - A u``; the component of
-the residual outside the numerical range (its volume-weighted mean) is
-surfaced as ``multiplier`` instead of silently absorbed.
+the mean-zero projection ``A u = b`` of the linear system: a restarted GMRES
+of this module (:func:`_gmres`) solves ``(A P) y = b`` with ``P`` the
+inverse constant-coefficient Fourier symbol, ``u = P y``, and every solve
+checks its float64 residual ``b - A u``; the component of the residual
+outside the numerical range (its volume-weighted mean) is surfaced as
+``multiplier`` instead of silently absorbed.
 Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
 term, capped near the solution by the term that finishes the solve in one
 step, with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
-that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32
-and the solve still meets the term; the Krylov basis, the residual and the
-Newton update stay float64 (see :func:`_solve_linear`).
+that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32;
+the basis, the check and the Newton update stay float64, and a solve that
+reports ``"converged"`` meets the term in the float64 residual, with one
+refinement pass if the first misses (see :func:`_solve_linear`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (ConeBreachError, ContinuationError, DataError, DomainError,
                      EllipticityLostError, PreconditionError, UsageError)
@@ -473,38 +474,106 @@ def make_dhym_problem(chi: FormField, omega0: FormField, f: ScalarField,
 # linear solve machinery
 
 
-class _KrylovBudget(Exception):
-    """Raised by the Krylov operator when ``linear_max_iter`` is used up."""
-
-
 # Krylov solves asked for a relative residual of at least this apply their
-# operator in float32 (see _solve_linear): the lowest rtol that such a solve
-# still meets in the float64 residual
+# operator in float32 (see _solve_linear)
 FLOAT32_RTOL = 3e-6
+# the GMRES restart length: the most operator applications of one cycle
+RESTART = 30
+
+
+@dataclass(frozen=True)
+class _KrylovStats:
+    """What one :func:`_solve_linear` did: its ``applications`` of ``tr(M
+    Hess .)`` (``_tr_m_hessian`` calls, the float64 checks included), the
+    operator's ``dtype``, the ``status`` (``"converged"``; ``"budget"`` once
+    ``linear_max_iter`` is used up; ``"unconverged"`` when the refinement
+    pass misses too) and ``rtol_reached``, the float64 ``|b - A u| / |b|``
+    of the returned ``u``."""
+
+    applications: int
+    dtype: np.dtype
+    status: str
+    rtol_reached: float
+
+
+def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, atol: float,
+           budget: int) -> np.ndarray:
+    """``y`` with ``|b - apply(y)| <= atol`` by restarted GMRES(``RESTART``)
+    from ``y = 0`` (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), or
+    the iterate reached in ``budget`` applications.
+
+    A cycle grows its basis of float64 vectors by one per application
+    (modified Gram-Schmidt) and stops on the least-squares residual that its
+    Givens rotations carry; ``y`` is updated in place from the scaled basis.
+    A restart takes its residual from one more application.
+    """
+    y = np.zeros_like(b)
+    r = b
+    while budget > 0:
+        beta = float(np.linalg.norm(r))
+        if beta <= atol:
+            break
+        basis, g, rotations, cols = [r / beta], [beta], [], []
+        for _ in range(min(RESTART, budget)):
+            w = apply(basis[-1])
+            h = []
+            for v in basis:
+                h.append(float(np.dot(w, v)))
+                w -= h[-1] * v
+            norm = float(np.linalg.norm(w))
+            for k, (c, s) in enumerate(rotations):
+                h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+            rho = math.hypot(h[-1], norm)
+            rotations.append((h[-1] / rho, norm / rho))
+            h[-1] = rho
+            g.append(-g[-1] * norm / rho)
+            g[-2] *= rotations[-1][0]
+            cols.append(h)
+            if abs(g[-1]) <= atol:
+                break
+            w /= norm
+            basis.append(w)
+        budget -= len(cols)
+        z = [0.0] * len(cols)
+        for k in reversed(range(len(cols))):
+            z[k] = (g[k] - sum(cols[j][k] * z[j] for j in range(k + 1, len(cols)))) / cols[k][k]
+        for zk, v in zip(z, basis):
+            v *= zk
+            y += v
+        if abs(g[-1]) <= atol or budget == 0:
+            break
+        r = b - apply(y)
+        budget -= 1
+    return y
 
 
 def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
-                  config: SolverConfig, rtol: float | None = None) -> tuple[np.ndarray, int]:
+                  config: SolverConfig, rtol: float | None = None
+                  ) -> tuple[np.ndarray, _KrylovStats]:
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
     With ``A v = tr(M Hess v) - mean`` and ``P`` the inverse Fourier symbol of
-    the mean coefficient, ``lgmres`` solves ``(A P) y = b`` (P folds into the
-    spectrum A computes anyway) and ``u = P y``; it stops on the true residual
-    ``|b - A u| <= rtol |b|`` (default ``linear_tol``).  Asking for more than
-    ``linear_max_iter`` applications of ``A`` ends the solve.  Returns ``u``
-    and the ``lgmres`` info (non-zero, with ``u`` unusable, on failure).
+    the mean coefficient, :func:`_gmres` solves ``(A P) y = b`` (P folds into
+    the spectrum A computes anyway) to ``rtol |b|`` (default ``linear_tol``)
+    and ``u = P y``.  The pass is then checked: ``A u`` is applied in float64
+    from the spectrum of ``u`` that ``P y`` computed, and if ``|b - A u| >
+    rtol |b|`` one refinement pass solves for that residual and adds its
+    correction (mixed-precision iterative refinement: Carson & Higham, SIAM
+    J. Sci. Comput. 40, 2018).  Returns ``u`` and its :class:`_KrylovStats`.
+    The status is ``"converged"`` exactly when the float64 residual meets
+    ``rtol``, float32 operator or not, which is all an inexact Newton step
+    needs (Kelley, "Newton's method in mixed precision", SIAM Review 64,
+    2022).  At most ``linear_max_iter`` applications of ``A`` run, checks
+    included; when they are used up the solve ends at once with status
+    ``"budget"`` and the last checked ``u`` (zero before the first check).
 
     Precision: when ``rtol >= FLOAT32_RTOL`` the operator ``A P`` (the
     transform, ``inv_sym``, the rows and symbols, the mean projection) runs
     in float32 on float32 copies of the rows and ``inv_sym``; ``y`` is cast
-    in and the result back to float64.  ``lgmres`` and its basis, ``b``,
-    ``u = P y`` and the caller's residual, gauge and update stay float64,
-    and tighter solves are float64 throughout.  Contract: a solve that
-    returns ``info == 0`` meets ``rtol`` in the float64 residual, float32
-    operator or not, which is all an inexact Newton step needs (Kelley,
-    "Newton's method in mixed precision", SIAM Review 64, 2022).
+    in and the result back to float64.  The Krylov basis, ``b``, ``u``, the
+    check and the caller's residual, gauge and update stay float64, and
+    tighter solves are float64 throughout.
     """
-    G = geom.grid_size
     shape = geom.shape
     rtol = config.linear_tol if rtol is None else rtol
     # the half-spectrum symbol of u -> tr(Mbar Hess u), Mbar the grid mean of M;
@@ -517,17 +586,15 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     scale = float(np.max(np.abs(sym)))
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
     inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
-    budget = iter(range(config.linear_max_iter))  # one item per application of A
-    dtype = np.float32 if rtol >= FLOAT32_RTOL else np.float64
+    dtype = np.dtype(np.float32 if rtol >= FLOAT32_RTOL else np.float64)
     op_coef, op_inv = coef.astype(dtype, copy=False), inv_sym.astype(dtype, copy=False)
+    spent = 0  # applications of A, checks included
 
     # every Hessian symbol vanishes at k = 0, so A P needs only its output
     # projected; inv_sym is 0 there, so u = P y is mean-zero
-    def matvec(y):
-        if not y.any():  # lgmres applies A to its zero initial guess: free, no budget
-            return np.zeros_like(y)
-        if next(budget, None) is None:
-            raise _KrylovBudget
+    def apply(y):
+        nonlocal spent
+        spent += 1
         vhat = _rfft(y.reshape(shape).astype(dtype, copy=False))
         vhat *= op_inv
         out = _tr_m_hessian(geom, op_coef, vhat)
@@ -537,21 +604,28 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     # drop unresolvable (annihilated-mode) content from the right-hand side;
     # it is quadrature junk and would otherwise stall the Krylov iteration
     bhat = np.where(dead, 0.0, _rfft(rhs))
-    b = _irfft(geom, bhat).reshape(-1)
-    # matvec reads only inv_sym, so the rest need not sit on the Krylov peak
+    r = _irfft(geom, bhat)  # the residual of u, b to begin with
+    # apply reads only inv_sym, so the rest need not sit on the Krylov peak
     del bhat, dead, sym
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return np.zeros(shape), 0
-    # each restart cycle applies A, so the budget ends a solve before maxiter
-    try:
-        y, info = lgmres(LinearOperator((G, G), matvec=matvec, dtype=float), b,
-                         rtol=rtol, atol=0.0,
-                         inner_m=min(30, config.linear_max_iter),
-                         maxiter=config.linear_max_iter)
-    except _KrylovBudget:
-        return np.zeros(shape), config.linear_max_iter
-    return _irfft(geom, inv_sym * _rfft(y.reshape(shape))), int(info)
+        return np.zeros(shape), _KrylovStats(0, dtype, "converged", 0.0)
+    u, status = np.zeros(shape), "unconverged"
+    for _ in range(2):  # the solve, and one refinement pass if its check misses
+        y = _gmres(apply, r.reshape(-1), rtol * bnorm, config.linear_max_iter - spent)
+        if spent >= config.linear_max_iter:
+            status = "budget"
+            break
+        yhat = inv_sym * _rfft(y.reshape(shape))
+        u += _irfft(geom, yhat)
+        spent += 1
+        check = _tr_m_hessian(geom, coef, yhat)
+        check -= check.mean()
+        r -= check
+        if float(np.linalg.norm(r)) <= rtol * bnorm:
+            status = "converged"
+            break
+    return u, _KrylovStats(spent, dtype, status, float(np.linalg.norm(r)) / bnorm)
 
 
 def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:
@@ -652,9 +726,9 @@ def newton_solve(problem: _NewtonProblem, phi0: ScalarField, config: SolverConfi
         if 0.0 < history[-1] <= math.sqrt(ETA_MAX * config.tolerance):
             eta = min(eta, max(FLOAT32_RTOL, REACH * config.tolerance / history[-1]))
         # Newton step: sign * tr(M Hess u) = -residual, to relative residual eta
-        u, info = _solve_linear(geom, coef, -sign * ev.residual, config,
-                                max(eta, config.linear_tol))
-        if info != 0:
+        u, krylov = _solve_linear(geom, coef, -sign * ev.residual, config,
+                                  max(eta, config.linear_tol))
+        if krylov.status != "converged":
             status = "krylov-failure"
             break
         u = u - _weighted_mean(u, problem.gauge_weight)  # mean-zero gauge against omega_0^n

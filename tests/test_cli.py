@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jdhym
 from jdhym.cli import main
 from jdhym.fields import load_scalar_field
 
@@ -370,13 +374,13 @@ class TestExitCodeRouting:
 
     def test_krylov_failure_maps_to_3(self, tmp_path, monkeypatch):
         import jdhym.solver as solver
-        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+        monkeypatch.setattr(solver, "_gmres", lambda apply, b, *args: np.zeros_like(b))
         cfg = write_config(tmp_path, "c.json", solve_j_config())
         assert main(["solve-j", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_failed_solve_writes_artifacts(self, tmp_path, monkeypatch):
         import jdhym.solver as solver
-        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+        monkeypatch.setattr(solver, "_gmres", lambda apply, b, *args: np.zeros_like(b))
         cfg = write_config(tmp_path, "c.json", solve_j_config())
         out = tmp_path / "o"
         assert main(["solve-j", "--config", cfg, "--out", str(out)]) == 3
@@ -388,6 +392,20 @@ class TestExitCodeRouting:
             ("j-stage1", pytest.approx(1 / 3)), ("j-stage1", 1.0)]
         assert (out / "phi.bin").exists()
         assert (out / "residual_history.csv").exists()
+
+
+class TestLayering:
+    def test_cli_import_loads_no_linear_algebra_package(self):
+        # the solver owns its Krylov loop, so no command loads scipy's sparse
+        # or dense linear algebra
+        src = str(Path(jdhym.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, jdhym.cli; print(sorted(m for m in sys.modules"
+                " if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'linalg'])))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestTrivialFixture:

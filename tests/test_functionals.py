@@ -3,7 +3,7 @@ import pytest
 
 from jdhym import functionals
 from jdhym.errors import DomainError, NotKahlerError
-from jdhym.fields import (ScalarField, TorusGeometry, constant_form,
+from jdhym.fields import (FormField, ScalarField, TorusGeometry, constant_form,
                           field_from_modes, form_field, random_bandlimited)
 from jdhym.functionals import (aubin_i, coercivity_probe, compute_c0,
                                j_chi_derivative, j_chi_functional,
@@ -155,12 +155,16 @@ class TestJOmega0:
         geom = TorusGeometry(2, 8)
         omega0 = constant_form(geom, np.eye(2))
         phi = field_from_modes(geom, [((1, 0, 0, 0), 0.01)])
-        calls = []
+        calls, grids = [], []
+        margin = FormField.min_eigenvalue
         spectrum = functionals.min_eigenvalue_field
+        monkeypatch.setattr(FormField, "min_eigenvalue",
+                            lambda form: calls.append(1) or margin(form))
         monkeypatch.setattr(functionals, "min_eigenvalue_field",
-                            lambda mats: calls.append(1) or spectrum(mats))
+                            lambda mats: grids.append(1) or spectrum(mats))
         j_omega0_functional(omega0, phi, t_steps=8)
-        assert len(calls) == 2
+        # a passing ray reads its ends' parts and builds no matrix grid
+        assert len(calls) == 2 and not grids
 
     @pytest.mark.parametrize("form", ["potential", "gradient"])
     def test_a_kahler_ray_makes_one_hessian(self, monkeypatch, form):

@@ -1122,8 +1122,8 @@ class TestLinearSolve:
     def test_residual_contract(self, n):
         geom, rows = j_newton_rows(n, 60 + n)
         rhs = white_noise_rhs(geom, 70 + n)
-        u, info = solver._solve_linear(geom, rows, rhs, SolverConfig())
-        assert info == 0
+        u, stats = solver._solve_linear(geom, rows, rhs, SolverConfig())
+        assert stats.status == "converged"
         assert abs(u.mean()) <= 1e-14 * np.max(np.abs(u))
         out = solver._tr_m_hessian(geom, rows, sfft.rfftn(u))
         # bound fixed before measuring; the stop test is linear_tol = 1e-10
@@ -1136,8 +1136,8 @@ class TestLinearSolve:
         geom, rows = j_newton_rows(n, 60 + n)
         rhs = white_noise_rhs(geom, 70 + n)
         rtol = solver.FLOAT32_RTOL
-        u, info = solver._solve_linear(geom, rows, rhs, SolverConfig(), rtol)
-        assert info == 0
+        u, stats = solver._solve_linear(geom, rows, rhs, SolverConfig(), rtol)
+        assert stats.status == "converged"
         out = solver._tr_m_hessian(geom, rows, sfft.rfftn(u))
         assert np.linalg.norm(out - out.mean() - rhs) <= rtol * np.linalg.norm(rhs)
 
@@ -1153,9 +1153,9 @@ class TestLinearSolve:
 
         monkeypatch.setattr(solver, "_tr_m_hessian", counted)
         config = SolverConfig(linear_tol=0.0, linear_max_iter=max_iter)
-        _, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
+        _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
         cycles = math.ceil(max_iter / min(30, max_iter))
-        assert info != 0
+        assert stats.status == "budget"
         assert len(calls) <= max_iter + cycles + 1
 
     @pytest.mark.parametrize("max_iter", [3, 10, 45, 60])
@@ -1170,9 +1170,73 @@ class TestLinearSolve:
 
         monkeypatch.setattr(solver, "_tr_m_hessian", counted)
         config = SolverConfig(linear_tol=0.0, linear_max_iter=max_iter)
-        _, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
-        assert info != 0
+        _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 71), config)
+        assert stats.status == "budget" and stats.applications == max_iter
         assert len(calls) == max_iter
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("loose", [True, False])
+    def test_stats_report_the_float64_residual(self, n, loose):
+        # rtol_reached is |b - A u| / |b| of the returned u, recomputed here
+        # from rfftn(u); the two agree to 1e-12 of |b|, as two float64
+        # evaluations of A u differ by about 1e-17 |b|
+        geom, rows = j_newton_rows(n, 60 + n)
+        rhs = white_noise_rhs(geom, 70 + n)
+        config = SolverConfig()
+        rtol = solver.FLOAT32_RTOL if loose else config.linear_tol
+        u, stats = solver._solve_linear(geom, rows, rhs, config, rtol)
+        out = solver._tr_m_hessian(geom, rows, sfft.rfftn(u))
+        reached = np.linalg.norm(out - out.mean() - rhs) / np.linalg.norm(rhs)
+        assert stats.status == "converged"
+        assert abs(stats.rtol_reached - reached) <= 1e-12
+        assert stats.rtol_reached <= rtol
+        assert stats.dtype == (np.float32 if loose else np.float64)
+        assert 2 <= stats.applications <= config.linear_max_iter
+
+    @staticmethod
+    def refine(monkeypatch, poor_passes):
+        """Replace ``_gmres`` by one whose first ``poor_passes`` calls return
+        half the GMRES solution; the list of its calls."""
+        calls = []
+        gmres = solver._gmres
+
+        def poor(*args):
+            calls.append(1)
+            y = gmres(*args)
+            return 0.5 * y if len(calls) <= poor_passes else y
+
+        monkeypatch.setattr(solver, "_gmres", poor)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_missed_check_runs_one_refinement_pass(self, monkeypatch, n):
+        calls = self.refine(monkeypatch, 1)
+        geom, rows = j_newton_rows(n, 60 + n)
+        rtol = solver.FLOAT32_RTOL
+        _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 70 + n),
+                                        SolverConfig(), rtol)
+        assert len(calls) == 2
+        assert stats.status == "converged" and stats.rtol_reached <= rtol
+        assert stats.dtype == np.float32
+
+    def test_a_missed_refinement_is_unconverged(self, monkeypatch):
+        calls = self.refine(monkeypatch, 2)
+        geom, rows = j_newton_rows(2, 62)
+        rtol = solver.FLOAT32_RTOL
+        _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 72),
+                                        SolverConfig(), rtol)
+        assert len(calls) == 2
+        assert stats.status == "unconverged" and stats.rtol_reached > rtol
+
+    def test_an_unconverged_solve_is_a_krylov_failure(self, monkeypatch):
+        # N = 8 is the coarsest grid, so the solve is not nested
+        calls = self.refine(monkeypatch, 2)
+        geom = TorusGeometry(1, 8)
+        chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+        rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
+                           SolverConfig())
+        assert len(calls) == 2
+        assert rep.status == "krylov-failure" and rep.iterations == 0
 
 
 class TestKrylovPrecision:
@@ -1191,17 +1255,21 @@ class TestKrylovPrecision:
             return tr_m_hessian(geom, coef, phat)
 
         monkeypatch.setattr(solver, "_tr_m_hessian", recorded)
-        u, info = solver._solve_linear(geom, rows, white_noise_rhs(geom, 72),
-                                       SolverConfig(**config), rtol)
-        return u, info, dtypes
+        u, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 72),
+                                        SolverConfig(**config), rtol)
+        return u, stats, dtypes
 
     @pytest.mark.parametrize("rtol, single", [
         (solver.FLOAT32_RTOL, True), (np.nextafter(solver.FLOAT32_RTOL, 0.0), False)])
     def test_precision_follows_rtol(self, monkeypatch, rtol, single):
-        u, info, dtypes = self.solve(monkeypatch, rtol)
+        u, stats, dtypes = self.solve(monkeypatch, rtol)
         expected = (np.float32, np.complex64) if single else (np.float64, np.complex128)
-        assert info == 0 and dtypes
-        assert all(d == expected for d in dtypes)
+        # the operator's applications, then the float64 check of u
+        *applications, check = dtypes
+        assert stats.status == "converged" and applications
+        assert all(d == expected for d in applications)
+        assert check == (np.float64, np.complex128)
+        assert stats.dtype == expected[0] and stats.applications == len(dtypes)
         assert u.dtype == np.float64
         assert abs(u.mean()) <= 1e-14 * np.max(np.abs(u))
 
@@ -1209,9 +1277,9 @@ class TestKrylovPrecision:
     def test_linear_max_iter_is_an_exact_cap_in_float32(self, monkeypatch, max_iter):
         # this solve needs 6 applications to reach the threshold, so each cap
         # below that ends a float32 solve
-        _, info, dtypes = self.solve(monkeypatch, solver.FLOAT32_RTOL,
-                                     linear_max_iter=max_iter)
-        assert info != 0
+        _, stats, dtypes = self.solve(monkeypatch, solver.FLOAT32_RTOL,
+                                      linear_max_iter=max_iter)
+        assert stats.status == "budget"
         assert len(dtypes) == max_iter and all(d == np.float32 for d, _ in dtypes)
 
 
@@ -1279,12 +1347,12 @@ class TestForcingTerms:
         # terminal region is its last, and it runs in float32; at N = 32 the
         # prolonged start is inside, so that step is the fine grid's only one.
         # The recovery bound was fixed before measuring.
-        dtypes = set()
+        dtypes = []
         tr_m_hessian = solver._tr_m_hessian
 
         def recorded(geom, coef, phat):
             if geom.N == N:
-                dtypes.add(coef.dtype)
+                dtypes.append(coef.dtype)
             return tr_m_hessian(geom, coef, phat)
 
         monkeypatch.setattr(solver, "_tr_m_hessian", recorded)
@@ -1292,7 +1360,12 @@ class TestForcingTerms:
         r = rep.residual_history
         inside = [k for k in range(rep.iterations) if r[k] <= TERMINAL_EDGE]
         assert rep.success and rep.iterations == steps and inside == [steps - 1]
-        assert by_grid[N][-1] >= solver.FLOAT32_RTOL and dtypes == {np.dtype(np.float32)}
+        # each Krylov solve on this grid: float32 applications, then the
+        # float64 check of its u
+        assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
+        solves = "".join("d" if d == np.float64 else "s" for d in dtypes).split("d")
+        assert by_grid[N][-1] >= solver.FLOAT32_RTOL
+        assert solves[-1] == "" and len(solves) == len(by_grid[N]) + 1 and all(solves[:-1])
         assert recovery <= 1e-10
 
     def test_linear_tol_is_the_floor(self, monkeypatch):
@@ -1314,7 +1387,7 @@ class TestFailureBounds:
     def test_krylov_failure_ends_newton_without_step(self, monkeypatch):
         geom = TorusGeometry(1, 32)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
-        monkeypatch.setattr(solver, "lgmres", lambda A, b, **kw: (np.ones_like(b), 1))
+        monkeypatch.setattr(solver, "_gmres", lambda apply, b, *args: np.ones_like(b))
         rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
                            SolverConfig())
         assert rep.status == "krylov-failure" and not rep.success
