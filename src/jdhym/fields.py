@@ -24,12 +24,12 @@ Density convention (fixed once, used everywhere): a wedge of ``n``
 
 so ``omega^n`` has density ``n! * det(g)`` and the grid integral of a field
 ``s`` against a wedge is the plain grid mean of ``s * D``.  Total volume is 1.
+``hermitian._density`` evaluates ``D`` (:func:`mixed_density`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,9 +39,9 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import DataError, DomainError, UsageError
-from .hermitian import (_blocks, _check_geoms, _check_integer, _flatten, _matrix, _pairs,
-                        _parts, _relative_eigvals, _require_positive, _take,
-                        ensure_hermitian, is_positive_definite)
+from .hermitian import (_check_geoms, _check_integer, _density, _matrix, _pairs, _parts,
+                        _relative_eigvals, _require_positive, ensure_hermitian,
+                        is_positive_definite)
 
 __all__ = [
     "TorusGeometry",
@@ -232,14 +232,15 @@ def field_from_modes(geom: TorusGeometry, modes) -> ScalarField:
     """Build ``sum_m amp * cos(2*pi*(freq . u) + phase)`` from mode triples.
 
     ``modes`` is an iterable of ``(freq, amp)`` or ``(freq, amp, phase)``
-    with ``freq`` a vector of 2n integers over ``(x_1..x_n, y_1..y_n)``.
+    with ``freq`` a vector of 2n integers over ``(x_1..x_n, y_1..y_n)``; a
+    non-integral frequency is refused (``UsageError``), not truncated.
     """
     coords = geom.coordinates()
     vals = np.zeros(geom.shape)
     for mode in modes:
         freq, amp, *rest = mode
         phase = float(rest[0]) if rest else 0.0
-        freq = [int(f) for f in freq]
+        freq = [_check_integer(f, "mode frequency") for f in freq]
         if len(freq) != 2 * geom.n:
             raise UsageError(f"frequency vector must have length {2 * geom.n}")
         if max(abs(f) for f in freq) >= geom.N // 2:
@@ -455,20 +456,6 @@ def relative_spectrum_field(chi: np.ndarray, omega: np.ndarray) -> np.ndarray:
 # wedge densities and integration
 
 
-@functools.lru_cache(maxsize=8)
-def _perm_pairs(n: int):
-    perms = list(itertools.permutations(range(n)))
-    signs = []
-    for p in perms:
-        s = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    s = -s
-        signs.append(s)
-    return perms, signs
-
-
 def mixed_density(mats) -> np.ndarray:
     """Density ``D(A_1,..,A_n)`` of the wedge of n (1,1)-forms.
 
@@ -476,9 +463,9 @@ def mixed_density(mats) -> np.ndarray:
     broadcastable to grid + (n, n), n the number of entries, and their real
     parts (``hermitian._parts``; a constant form's are 0-d) broadcast
     together (``UsageError`` otherwise); the result is real with ``D(A,..,A)
-    = n! det(A)``.  n = 2 is real arithmetic on the parts, ``D(A, B) = a0 b1
-    + a1 b0 - 2 Re(a01 conj(b01))``; n = 1 and 3 are the permutation sum on
-    the matrices of the parts, in blocks of ``hermitian._BLOCK2`` points.
+    = n! det(A)``.  ``hermitian._density`` evaluates it, and an entry passed
+    more than once reaches it as one factor: real arithmetic on the parts at
+    n = 2, the cofactor determinants of ``hermitian._det`` otherwise.
     """
     shapes = [m.geometry.shape + m.base.shape if isinstance(m, FormField) else np.shape(m)
               for m in mats]
@@ -486,29 +473,14 @@ def mixed_density(mats) -> np.ndarray:
     if n == 0 or any(s[-2:] != (n, n) for s in shapes):
         raise UsageError(f"need n factor forms of n x n matrices, got {n} factors of shapes "
                          f"{shapes}")
-    parts = [m.parts if isinstance(m, FormField) else _parts(np.asarray(m)) for m in mats]
+    seen = {}
+    parts = [seen.setdefault(id(m), m.parts if isinstance(m, FormField)
+                             else _parts(np.asarray(m))) for m in mats]
     try:
-        shape = np.broadcast_shapes(*(np.shape(q) for p in parts for q in p))
+        np.broadcast_shapes(*(np.shape(q) for p in parts for q in p))
     except ValueError:
         raise UsageError(f"factor grids of shapes {shapes} do not broadcast") from None
-    if n == 2:
-        (a0, a1, ar, ai), (b0, b1, br, bi) = parts
-        return np.asarray(a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi))
-    perms, signs = _perm_pairs(n)
-    flat = [_flatten(p, shape) for p in parts]
-    out = np.empty(math.prod(shape))
-    for part in _blocks(out.size):
-        mats = [_matrix(_take(p, part)) for p in flat]
-        total = None
-        for sig, ssig in zip(perms, signs):
-            for tau, stau in zip(perms, signs):
-                term = mats[0][:, sig[0], tau[0]]
-                for k in range(1, n):
-                    term = term * mats[k][:, sig[k], tau[k]]
-                contrib = (ssig * stau) * term
-                total = contrib if total is None else total + contrib
-        out[part] = total.real
-    return out.reshape(shape)
+    return _density(parts)
 
 
 def integrate(field: ScalarField | None, weights) -> float:
@@ -668,12 +640,11 @@ def load_scalar_field(header_path: str | Path) -> tuple[ScalarField, np.ndarray 
             raise ValueError(f"unknown format {header['format']!r}")
         flat = np.frombuffer(header_path.with_name(header["values_file"]).read_bytes(),
                              dtype="<f8")
-    except (KeyError, ValueError, OSError) as exc:
+        base = header.get("base")
+        base_mat = None if base is None else np.array([[complex(re, im) for re, im in row]
+                                                       for row in base])
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise DataError(f"cannot load field from {header_path}: {exc}") from exc
     if flat.size != geom.grid_size:
         raise DataError(f"payload has {flat.size} values, expected {geom.grid_size}")
-    base = header.get("base")
-    base_mat = None
-    if base is not None:
-        base_mat = np.array([[complex(re, im) for re, im in row] for row in base])
     return ScalarField(geom, flat.reshape(geom.shape).copy()), base_mat

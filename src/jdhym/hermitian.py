@@ -2,11 +2,12 @@
 
 Hermitian matrices are plain complex ndarrays.  Everything here is a pure
 function of small dense matrices (n <= 6).  The private kernels (relative
-spectrum, leave-one-out sum, the two equations' values, the dHYM derivatives)
-act on leading batch axes, so they serve one matrix, a whole grid and a batch
-of random trials alike; together with the one check per hypothesis they are
-what the other modules call.  Grid kernels read a Hermitian field as its
-``n*n`` real parts (:func:`_parts`), in blocks of ``_BLOCK2`` points.
+spectrum, determinant and wedge density, leave-one-out sum, the two
+equations' values, the dHYM derivatives) act on leading batch axes, so they
+serve one matrix, a whole grid and a batch of random trials alike; together
+with the one check per hypothesis they are what the other modules call.
+Grid kernels read a Hermitian field as its ``n*n`` real parts
+(:func:`_parts`), in blocks of ``_BLOCK2`` points.
 
 Conventions.  ``SpectrumRel`` holds the ascending roots of
 ``det(omega - lam * chi) = 0`` for positive Hermitian ``chi``, ``omega``.
@@ -21,6 +22,7 @@ reciprocals ``1/lam_i``:
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotKahlerError, UsageError
+from .errors import DataError, DomainError, NotKahlerError, UsageError
 
 __all__ = [
     "SpectrumRel",
@@ -252,6 +254,47 @@ def _blocks(size: int):
     return (slice(start, start + _BLOCK2) for start in range(0, size, _BLOCK2))
 
 
+def _det(factors) -> np.ndarray:
+    """The sum, over the distinct ways of taking each row ``i`` from one of
+    the ``n`` factors, of the determinant of the rows taken, over the
+    broadcast leading shape of the factors' real parts (:func:`_parts`; a
+    repeated factor is passed as the same object): ``det A`` for one factor
+    passed ``n`` times.  The cofactor expansion of :func:`_minor`, in blocks
+    of ``_BLOCK2`` points."""
+    distinct = list({id(p): p for p in factors}.values())
+    label = {id(p): k for k, p in enumerate(distinct)}
+    choices = sorted(set(itertools.permutations(label[id(p)] for p in factors)))
+    shape = np.broadcast_shapes(*(np.shape(q) for p in distinct for q in p))
+    flat = [_flatten(p, shape) for p in distinct]
+    idx = list(range(len(factors)))
+    out = np.empty(math.prod(shape))
+    for part in _blocks(out.size):
+        rows = [_entries(_take(p, part)) for p in flat]
+        total = None
+        for choice in choices:
+            term = _minor([rows[k][i] for i, k in enumerate(choice)], idx, idx)
+            total = term if total is None else total + term
+        out[part] = total.real
+    return out.reshape(shape)
+
+
+def _density(factors) -> np.ndarray:
+    """The wedge density ``D(A_1,..,A_n)`` (``fields`` states the
+    convention) of factors given as in :func:`_det`.
+
+    ``D = sum_s det(row i of A_s(i))`` over the ``n!`` assignments ``s`` of
+    factors to rows; a factor repeated ``k`` times gives each distinct
+    assignment ``k!`` times, so ``D`` is ``prod k!`` times :func:`_det`.
+    n = 2 is real arithmetic on the parts, ``D(A, B) = a0 b1 + a1 b0 - 2
+    Re(a01 conj(b01))``.
+    """
+    if len(factors) == 2:
+        (a0, a1, ar, ai), (b0, b1, br, bi) = factors
+        return np.asarray(a0 * b1 + a1 * b0 - 2.0 * (ar * br + ai * bi))
+    repeats = collections.Counter(id(p) for p in factors).values()
+    return math.prod(map(math.factorial, repeats)) * _det(factors)
+
+
 def _relative_eigvals(chi: list | None, omega: list) -> np.ndarray:
     """Ascending roots of ``det(omega - lam*chi) = 0`` over the broadcast
     leading shape of the real parts (:func:`_parts`) ``chi`` and ``omega``.
@@ -421,8 +464,8 @@ def _schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis checks: each raises DomainError, the grid checks UsageError and
-# NotKahlerError
+# hypothesis checks: each raises DomainError (a non-finite f DataError), the
+# grid checks UsageError and NotKahlerError
 
 
 def _check_theta0(theta0: float) -> float:
@@ -460,7 +503,10 @@ def _f_bound_dhym(n: int) -> float:
 
 
 def _check_f(f, bound: float):
-    """``f``, a number or an array of values, strictly above ``bound`` everywhere."""
+    """``f``, a number or an array of finite values (``DataError``
+    otherwise), strictly above ``bound`` everywhere."""
+    if not np.all(np.isfinite(f)):
+        raise DataError("f contains non-finite values")
     low = float(np.min(f))
     if low <= bound:
         raise DomainError(f"f must exceed {bound:.6e} pointwise, got {low:.6e}")

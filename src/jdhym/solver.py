@@ -38,9 +38,9 @@ from .fields import (FormField, ScalarField, TorusGeometry, _hessian_parts,
                      _hessian_symbols, _irfft, _rfft, _require_kahler, complex_hessian,
                      form_field, integrate, intersections, resample)
 from .hermitian import (_blocks, _check_c, _check_f, _check_geoms, _check_integer, _check_theta0,
-                        _cone_margin, _det_adj, _dhym_value, _eigvals, _entries, _f_bound_dhym,
-                        _f_bound_j, _flatten, _frame, _j_value, _minor, _pairs, _product,
-                        _reduce_last, _relative_eigvals, _require_positive, _take)
+                        _cone_margin, _det, _det_adj, _dhym_value, _eigvals, _entries,
+                        _f_bound_dhym, _f_bound_j, _flatten, _frame, _j_value, _pairs,
+                        _product, _reduce_last, _relative_eigvals, _require_positive, _take)
 
 __all__ = [
     "SolverConfig",
@@ -237,24 +237,12 @@ def _tr_m_hessian(geom: TorusGeometry, coef: np.ndarray, phat: np.ndarray) -> np
     return out
 
 
-def _det(parts: list) -> np.ndarray:
-    """The determinants of the Hermitian matrices whose real parts
-    (``hermitian._parts``) are ``parts``, arrays of one shape, by the
-    cofactor expansion of ``hermitian._det_adj`` (``hermitian._minor``) in
-    blocks of ``hermitian._BLOCK2`` points."""
-    idx = list(range(math.isqrt(len(parts))))
-    flat = [p.reshape(-1) for p in parts]
-    out = np.empty(flat[0].size)
-    for part in _blocks(len(out)):
-        out[part] = _minor(_entries(_take(flat, part)), idx, idx).real
-    return out.reshape(parts[0].shape)
-
-
 def _chi_terms(chi: FormField) -> tuple:
     """``chi``'s real parts and ``det chi``, flattened to one point axis
     (``hermitian._flatten``): what the coefficient rows read of ``chi``."""
     shape = chi.geometry.shape
-    return _flatten(chi.parts, shape), np.broadcast_to(_det(chi.parts), shape).reshape(-1)
+    det_chi = _det([chi.parts] * chi.geometry.n)
+    return _flatten(chi.parts, shape), np.broadcast_to(det_chi, shape).reshape(-1)
 
 
 def _apply_rows(geom: TorusGeometry, rows: np.ndarray, sign: float,
@@ -390,7 +378,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     of ``chi`` where the forms hold them, and holds ``chi``'s frame
     (``hermitian._frame``, of the unflattened parts: one matrix for a
     constant ``chi``), ``det chi`` and the gauge weight ``det omega0`` (both
-    by :func:`_det`).  An evaluation writes the parts of ``omega_phi`` (one
+    by ``hermitian._det``).  An evaluation writes the parts of ``omega_phi`` (one
     transform loop, ``fields._hessian_parts``, with ``omega0``'s added),
     then makes one pass over the grid in blocks of ``hermitian._BLOCK2``
     points that gives the relative spectrum, ``c2``, both margins, the value
@@ -401,7 +389,7 @@ def _newton_problem(chi: FormField, omega0: FormField, f: ScalarField, param: fl
     n, shape = geom.n, geom.shape
     chi_parts, det_chi = _chi_terms(chi)
     frame = _flatten(_frame(chi.parts), shape)
-    gauge = np.broadcast_to(_det(omega0.parts), shape)
+    gauge = np.broadcast_to(_det([omega0.parts] * n), shape)
     f_vals = f.values.reshape(-1)
 
     def evaluate(phi: ScalarField) -> _Eval:

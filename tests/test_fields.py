@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -65,6 +66,13 @@ class TestScalarField:
     def test_finite_shape_checks(self, g1):
         with pytest.raises(UsageError):
             ScalarField(g1, np.zeros((4, 4)))
+
+    def test_non_integral_mode_frequency_is_refused(self, g1):
+        # refused rather than truncated to mode 1
+        with pytest.raises(UsageError, match="mode frequency must be an integer, got 1.5"):
+            field_from_modes(g1, [((1.5, 0), 0.1)])
+        assert np.array_equal(field_from_modes(g1, [((1.0, np.int64(2)), 0.1)]).values,
+                              field_from_modes(g1, [((1, 2), 0.1)]).values)
 
 
 class TestComplexHessian:
@@ -397,6 +405,73 @@ class TestIntegration:
         assert intersections(grid, om).tolist() == [2.0, 3.0, 4.0]
 
 
+def permutation_density(mats):
+    """The reference density, the convention's definition written out: the
+    double permutation sum ``sum_{s,t} sgn(s) sgn(t) prod_k A_k[s(k), t(k)]``
+    over matrix arrays (last two axes)."""
+    n = len(mats)
+    perms = list(itertools.permutations(range(n)))
+    signs = [(-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+             for p in perms]
+    total = 0.0
+    for s, ss in zip(perms, signs):
+        for t, st in zip(perms, signs):
+            term = ss * st
+            for k in range(n):
+                term = term * mats[k][..., s[k], t[k]]
+            total = total + term
+    return np.real(total)
+
+
+def density_factors(n, pattern):
+    """The factor list of ``pattern``: a lower-case letter is a grid form, an
+    upper-case one a constant form, one object per distinct letter."""
+    geom = TorusGeometry(n, 8)
+    rng = np.random.default_rng(len(pattern) + 7 * sum(map(ord, pattern)))
+    made = {}
+    for letter in pattern:
+        if letter not in made:
+            base = np.eye(n) + 0.3 * (random_hpd(rng, n) - 0.5 * np.eye(n))
+            made[letter] = form_field(geom, base, None if letter.isupper()
+                                      else random_bandlimited(geom, rng, amplitude=0.02))
+    return [made[letter] for letter in pattern]
+
+
+def matrix_factors(forms):
+    """The forms' matrix grids, one array object per distinct form."""
+    values = {id(f): f.values for f in forms}
+    return [values[id(f)] for f in forms]
+
+
+class TestDensityKernel:
+    """``mixed_density`` (``hermitian._density``) against the double
+    permutation sum, to 1e-13 relative."""
+
+    @pytest.mark.parametrize("n, pattern", [
+        (1, "a"), (1, "A"), (2, "ab"), (2, "aa"), (2, "aB"), (2, "AB"),
+        (3, "abc"), (3, "aab"), (3, "aba"), (3, "aaa"), (3, "aBB"), (3, "abC"), (3, "ABC")])
+    def test_matches_the_permutation_sum(self, n, pattern):
+        factors = density_factors(n, pattern)
+        got = mixed_density(factors)
+        mats = matrix_factors(factors)
+        ref = permutation_density(mats)
+        assert got.shape == (() if pattern.isupper() else factors[0].geometry.shape)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # a raw matrix grid passed twice is one factor, like a form
+        assert np.max(np.abs(mixed_density(mats) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, pattern", [(2, "aa"), (3, "aab"), (3, "aaa")])
+    def test_equal_distinct_objects_are_one_factor_passed_twice(self, n, pattern):
+        factors = density_factors(n, pattern)
+        same = mixed_density(factors)
+        twin = [factors[0] * 1.0 if k == 1 else f for k, f in enumerate(factors)]
+        assert twin[1] is not twin[0] and np.array_equal(twin[1].values, twin[0].values)
+        assert np.max(np.abs(mixed_density(twin) - same)) <= 1e-13 * np.max(np.abs(same))
+        mats = matrix_factors(factors)
+        raw = [m.copy() if k == 1 else m for k, m in enumerate(mats)]
+        assert np.max(np.abs(mixed_density(raw) - same)) <= 1e-13 * np.max(np.abs(same))
+
+
 def random_hpd3(rng):
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     return g @ g.conj().T / 3 + 0.1 * np.eye(3)
@@ -579,6 +654,17 @@ class TestSerialization:
         header = save_scalar_field(tmp_path / "f", ScalarField.zeros(g1))
         header.write_text(json.dumps({**json.loads(header.read_text()), "N": 32.5}))
         with pytest.raises(DataError, match="N must be an integer, got 32.5"):
+            load_scalar_field(header)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "values_file": 5},
+        lambda doc: {**doc, "base": [[1]]},
+    ], ids=["list-header", "values-file-not-a-string", "malformed-base"])
+    def test_malformed_header_is_a_data_error(self, tmp_path, g1, edit):
+        header = save_scalar_field(tmp_path / "f", ScalarField.zeros(g1), base=np.eye(1))
+        header.write_text(json.dumps(edit(json.loads(header.read_text()))))
+        with pytest.raises(DataError, match="cannot load field"):
             load_scalar_field(header)
 
     def test_corrupt_payload(self, tmp_path, g1):

@@ -1608,6 +1608,28 @@ class TestValidatorContract:
         assert type(exc.value) is DomainError
 
 
+class TestNonFiniteF:
+    """A non-finite ``f`` is corrupt data, refused before any work."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["make_j_problem", "make_dhym_problem", "f_value"])
+    def test_raises_data_error(self, entry, value):
+        from jdhym.hermitian import SpectrumRel, f_value
+        geom = TorusGeometry(2, 8)
+        chi = constant_form(geom, np.eye(2))
+        omega0 = constant_form(geom, 3.0 * np.eye(2))
+        vals = np.full(geom.shape, 0.1)
+        vals[1, 2, 3, 4] = value
+        f = ScalarField(geom, vals)
+        calls = {
+            "make_j_problem": lambda: make_j_problem(chi, omega0, f, 4.0),
+            "make_dhym_problem": lambda: make_dhym_problem(chi, omega0, f, 0.5),
+            "f_value": lambda: f_value(value, SpectrumRel((3.0, 3.0)), 0.5),
+        }
+        with pytest.raises(DataError, match="f contains non-finite values"):
+            calls[entry]()
+
+
 class TestZeroVectorOperator:
     def test_no_operator_application_to_zero(self, monkeypatch):
         geom = TorusGeometry(2, 8)
