@@ -605,6 +605,10 @@ def regularized_max(f1: ScalarField, f2: ScalarField, eta: float) -> ScalarField
 # serialization: JSON header + raw little-endian float64 (C order)
 
 
+# the payload layout that save_scalar_field writes and load_scalar_field reads
+_PAYLOAD = {"dtype": "float64", "byte_order": "little-endian", "order": "C", "format": "binary"}
+
+
 def save_scalar_field(path: str | Path, phi: ScalarField,
                       base: np.ndarray | None = None) -> Path:
     """Write ``<path>.json`` header plus ``<path>.bin`` payload, little-endian
@@ -617,10 +621,7 @@ def save_scalar_field(path: str | Path, phi: ScalarField,
         "N": geom.N,
         "base": None if base is None else
             [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(base, dtype=complex)],
-        "dtype": "float64",
-        "byte_order": "little-endian",
-        "order": "C",
-        "format": "binary",
+        **_PAYLOAD,
         "values_file": data_name,
     }
     header_path = path.with_name(path.name + ".json")
@@ -636,13 +637,16 @@ def load_scalar_field(header_path: str | Path) -> tuple[ScalarField, np.ndarray 
     try:
         header = json.loads(header_path.read_text())
         geom = TorusGeometry(header["n"], header["N"])
-        if header.get("format", "binary") != "binary":
-            raise ValueError(f"unknown format {header['format']!r}")
+        for key, value in _PAYLOAD.items():
+            if header.get(key, value) != value:
+                raise ValueError(f"unknown {key} {header[key]!r}")
         flat = np.frombuffer(header_path.with_name(header["values_file"]).read_bytes(),
                              dtype="<f8")
         base = header.get("base")
         base_mat = None if base is None else np.array([[complex(re, im) for re, im in row]
                                                        for row in base])
+        if base_mat is not None and base_mat.shape != (geom.n, geom.n):
+            raise ValueError(f"base is {base_mat.shape}, expected {geom.n} x {geom.n}")
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise DataError(f"cannot load field from {header_path}: {exc}") from exc
     if flat.size != geom.grid_size:

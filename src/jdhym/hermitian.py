@@ -485,9 +485,10 @@ def _check_c(c: float) -> float:
 
 
 def _check_integer(value, what: str) -> int:
-    """``value``, an integer (numpy's too) or an integral float, as an int; a
-    size or count is refused rather than truncated."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+    """``value``, an integer (numpy's too, not a bool) or an integral float,
+    as an int; a size or count is refused rather than truncated."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise UsageError(f"{what} must be an integer, got {value!r}")
 

@@ -9,18 +9,18 @@ omega_0 + i d dbar(phi)`` and are driven by the relative eigenvalues
 
 The linearized operators annihilate constants, so each Newton step solves
 the mean-zero projection ``A u = b`` of the linear system: a restarted GMRES
-of this module (:func:`_gmres`) solves ``(A P) y = b`` with ``P`` the
-inverse constant-coefficient Fourier symbol, ``u = P y``, and every solve
-checks its float64 residual ``b - A u``; the component of the residual
+of this module (:func:`_solve_linear`) solves ``(A P) y = b`` with ``P`` the
+inverse constant-coefficient Fourier symbol and ``u = P y``, and each restart
+runs on the float64 residual ``b - A u``; the component of the residual
 outside the numerical range (its volume-weighted mean) is surfaced as
 ``multiplier`` instead of silently absorbed.
 Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
 term, capped near the solution by the term that finishes the solve in one
 step, with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
 that term is at least ``FLOAT32_RTOL`` the Krylov operator runs in float32;
-the basis, the check and the Newton update stay float64, and a solve that
-reports ``"converged"`` meets the term in the float64 residual, with one
-refinement pass if the first misses (see :func:`_solve_linear`).
+the basis, the residual and the Newton update stay float64, and a solve that
+reports ``"converged"`` meets the term in the float64 residual (see
+:func:`_solve_linear`).
 """
 
 from __future__ import annotations
@@ -474,9 +474,9 @@ class _KrylovStats:
     """What one :func:`_solve_linear` did: its ``applications`` of ``tr(M
     Hess .)`` (``_tr_m_hessian`` calls, the float64 checks included), the
     operator's ``dtype``, the ``status`` (``"converged"``; ``"budget"`` once
-    ``linear_max_iter`` is used up; ``"unconverged"`` when the refinement
-    pass misses too) and ``rtol_reached``, the float64 ``|b - A u| / |b|``
-    of the returned ``u``."""
+    ``linear_max_iter`` is used up; ``"unconverged"`` when a cycle does not
+    lower the float64 residual) and ``rtol_reached``, the float64 ``|b - A
+    u| / |b|`` of the returned ``u``."""
 
     applications: int
     dtype: np.dtype
@@ -486,52 +486,43 @@ class _KrylovStats:
 
 def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray, atol: float,
            budget: int) -> np.ndarray:
-    """``y`` with ``|b - apply(y)| <= atol`` by restarted GMRES(``RESTART``)
-    from ``y = 0`` (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), or
-    the iterate reached in ``budget`` applications.
+    """``y`` from one GMRES cycle for ``apply(y) = b`` from ``y = 0`` (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) of at most ``budget``
+    applications, fewer once its least-squares residual is at most ``atol``;
+    ``b`` is not zero.
 
-    A cycle grows its basis of float64 vectors by one per application
+    The cycle grows its basis of float64 vectors by one per application
     (modified Gram-Schmidt) and stops on the least-squares residual that its
-    Givens rotations carry; ``y`` is updated in place from the scaled basis.
-    A restart takes its residual from one more application.
+    Givens rotations carry; ``y`` is summed from the scaled basis.
     """
+    beta = float(np.linalg.norm(b))
+    basis, g, rotations, cols = [b / beta], [beta], [], []
+    for _ in range(budget):
+        w = apply(basis[-1])
+        h = []
+        for v in basis:
+            h.append(float(np.dot(w, v)))
+            w -= h[-1] * v
+        norm = float(np.linalg.norm(w))
+        for k, (c, s) in enumerate(rotations):
+            h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+        rho = math.hypot(h[-1], norm)
+        rotations.append((h[-1] / rho, norm / rho))
+        h[-1] = rho
+        g.append(-g[-1] * norm / rho)
+        g[-2] *= rotations[-1][0]
+        cols.append(h)
+        if abs(g[-1]) <= atol:
+            break
+        w /= norm
+        basis.append(w)
+    z = [0.0] * len(cols)
+    for k in reversed(range(len(cols))):
+        z[k] = (g[k] - sum(cols[j][k] * z[j] for j in range(k + 1, len(cols)))) / cols[k][k]
     y = np.zeros_like(b)
-    r = b
-    while budget > 0:
-        beta = float(np.linalg.norm(r))
-        if beta <= atol:
-            break
-        basis, g, rotations, cols = [r / beta], [beta], [], []
-        for _ in range(min(RESTART, budget)):
-            w = apply(basis[-1])
-            h = []
-            for v in basis:
-                h.append(float(np.dot(w, v)))
-                w -= h[-1] * v
-            norm = float(np.linalg.norm(w))
-            for k, (c, s) in enumerate(rotations):
-                h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
-            rho = math.hypot(h[-1], norm)
-            rotations.append((h[-1] / rho, norm / rho))
-            h[-1] = rho
-            g.append(-g[-1] * norm / rho)
-            g[-2] *= rotations[-1][0]
-            cols.append(h)
-            if abs(g[-1]) <= atol:
-                break
-            w /= norm
-            basis.append(w)
-        budget -= len(cols)
-        z = [0.0] * len(cols)
-        for k in reversed(range(len(cols))):
-            z[k] = (g[k] - sum(cols[j][k] * z[j] for j in range(k + 1, len(cols)))) / cols[k][k]
-        for zk, v in zip(z, basis):
-            v *= zk
-            y += v
-        if abs(g[-1]) <= atol or budget == 0:
-            break
-        r = b - apply(y)
-        budget -= 1
+    for zk, v in zip(z, basis):
+        v *= zk
+        y += v
     return y
 
 
@@ -541,19 +532,22 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
     With ``A v = tr(M Hess v) - mean`` and ``P`` the inverse Fourier symbol of
-    the mean coefficient, :func:`_gmres` solves ``(A P) y = b`` (P folds into
-    the spectrum A computes anyway) to ``rtol |b|`` (default ``linear_tol``)
-    and ``u = P y``.  The pass is then checked: ``A u`` is applied in float64
-    from the spectrum of ``u`` that ``P y`` computed, and if ``|b - A u| >
-    rtol |b|`` one refinement pass solves for that residual and adds its
-    correction (mixed-precision iterative refinement: Carson & Higham, SIAM
-    J. Sci. Comput. 40, 2018).  Returns ``u`` and its :class:`_KrylovStats`.
-    The status is ``"converged"`` exactly when the float64 residual meets
-    ``rtol``, float32 operator or not, which is all an inexact Newton step
-    needs (Kelley, "Newton's method in mixed precision", SIAM Review 64,
-    2022).  At most ``linear_max_iter`` applications of ``A`` run, checks
-    included; when they are used up the solve ends at once with status
-    ``"budget"`` and the last checked ``u`` (zero before the first check).
+    the mean coefficient, restarted GMRES(``RESTART``) solves ``(A P) y = b``
+    (P folds into the spectrum A computes anyway) to ``rtol |b|`` (default
+    ``linear_tol``) and ``u = P y``.  Each restart is a float64 refinement
+    step (GMRES-based iterative refinement: Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018): a :func:`_gmres` cycle of at most ``RESTART``
+    applications runs on the current float64 residual ``r`` (``b`` to begin
+    with), its ``P y`` is added to ``u``, and ``r -= A P y`` is applied in
+    float64 from the spectrum of ``P y``.  Returns ``u`` and its
+    :class:`_KrylovStats`.  The status is ``"converged"`` exactly when the
+    float64 residual meets ``rtol``, float32 operator or not, which is all an
+    inexact Newton step needs (Kelley, "Newton's method in mixed precision",
+    SIAM Review 64, 2022), and ``"unconverged"`` as soon as a cycle does not
+    lower ``|r|``.  At most ``linear_max_iter`` applications of ``A`` run,
+    checks included; when they are used up the solve ends at once with
+    status ``"budget"`` and the last checked ``u`` (zero before the first
+    check).
 
     Precision: when ``rtol >= FLOAT32_RTOL`` the operator ``A P`` (the
     transform, ``inv_sym``, the rows and symbols, the mean projection) runs
@@ -598,11 +592,13 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
         return np.zeros(shape), _KrylovStats(0, dtype, "converged", 0.0)
-    u, status = np.zeros(shape), "unconverged"
-    for _ in range(2):  # the solve, and one refinement pass if its check misses
-        y = _gmres(apply, r.reshape(-1), rtol * bnorm, config.linear_max_iter - spent)
-        if spent >= config.linear_max_iter:
-            status = "budget"
+    # one cycle per pass on the float64 residual r, until r meets rtol, a
+    # cycle does not lower |r| or the budget is spent (a cycle that spends it
+    # goes unchecked, and u stays the last checked one)
+    u, norm, last, atol = np.zeros(shape), bnorm, math.inf, rtol * bnorm
+    while atol < norm < last and spent < config.linear_max_iter:
+        y = _gmres(apply, r.reshape(-1), atol, min(RESTART, config.linear_max_iter - spent))
+        if spent == config.linear_max_iter:
             break
         yhat = inv_sym * _rfft(y.reshape(shape))
         u += _irfft(geom, yhat)
@@ -610,10 +606,9 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
         check = _tr_m_hessian(geom, coef, yhat)
         check -= check.mean()
         r -= check
-        if float(np.linalg.norm(r)) <= rtol * bnorm:
-            status = "converged"
-            break
-    return u, _KrylovStats(spent, dtype, status, float(np.linalg.norm(r)) / bnorm)
+        last, norm = norm, float(np.linalg.norm(r))
+    status = "converged" if norm <= atol else "unconverged" if norm >= last else "budget"
+    return u, _KrylovStats(spent, dtype, status, norm / bnorm)
 
 
 def _weighted_mean(values: np.ndarray, weight: np.ndarray) -> float:

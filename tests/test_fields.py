@@ -45,7 +45,7 @@ class TestGeometry:
             TorusGeometry(1, 4)
 
     @pytest.mark.parametrize("n, N", [(2, 16.5), (2.7, 8), (2, "16"), (2, math.nan),
-                                      (2, math.inf)])
+                                      (2, math.inf), (True, 8), (1, True)])
     def test_non_integral_size_is_refused(self, n, N):
         # refused rather than truncated (16.5 to 16, 2.7 to 2)
         with pytest.raises(UsageError, match="must be an integer"):
@@ -660,11 +660,20 @@ class TestSerialization:
         lambda doc: [doc],
         lambda doc: {**doc, "values_file": 5},
         lambda doc: {**doc, "base": [[1]]},
-    ], ids=["list-header", "values-file-not-a-string", "malformed-base"])
+        lambda doc: {**doc, "n": 2, "N": 8, "values_file": "f8.bin", "base": [[[1, 0]]]},
+        lambda doc: {**doc, "base": [[[1, 0], [0, 0]]]},
+        lambda doc: {**doc, "dtype": "float32"},
+        lambda doc: {**doc, "byte_order": "big-endian"},
+        lambda doc: {**doc, "order": "F"},
+    ], ids=["list-header", "values-file-not-a-string", "malformed-base", "base-not-n-by-n",
+            "base-row-too-long", "float32-payload", "big-endian-payload",
+            "fortran-order-payload"])
     def test_malformed_header_is_a_data_error(self, tmp_path, g1, edit):
         header = save_scalar_field(tmp_path / "f", ScalarField.zeros(g1), base=np.eye(1))
+        # a payload that fits n = 2, N = 8, so only the header can be at fault
+        save_scalar_field(tmp_path / "f8", ScalarField.zeros(TorusGeometry(2, 8)))
         header.write_text(json.dumps(edit(json.loads(header.read_text()))))
-        with pytest.raises(DataError, match="cannot load field"):
+        with pytest.raises(DataError, match=f"^cannot load field from {re.escape(str(header))}: "):
             load_scalar_field(header)
 
     def test_corrupt_payload(self, tmp_path, g1):

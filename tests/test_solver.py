@@ -809,9 +809,9 @@ class TestConfigValidation:
         assert SolverConfig(cone_slack=0.5).cone_slack == 0.5
 
     @pytest.mark.parametrize("name", ["max_newton", "path_steps", "linear_max_iter"])
-    @pytest.mark.parametrize("value", [2.5, math.nan, "8"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, "8", True])
     def test_non_integral_count_is_refused(self, name, value):
-        with pytest.raises(UsageError, match=f"^{name} must be an integer"):
+        with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}"):
             SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["max_newton", "path_steps", "linear_max_iter"])
@@ -1193,24 +1193,39 @@ class TestLinearSolve:
         assert stats.dtype == (np.float32 if loose else np.float64)
         assert 2 <= stats.applications <= config.linear_max_iter
 
+    @pytest.mark.parametrize("a, rtol, dtype", [
+        (0.9, 1e-12, np.float64), (0.99, solver.FLOAT32_RTOL, np.float32)])
+    def test_a_restart_converges(self, a, rtol, dtype):
+        # rows scaled by 1 + a cos(2 pi x_1) along the first axis: the mean
+        # coefficient's preconditioner is poor, so one cycle does not reach rtol
+        geom, rows = j_newton_rows(1, 61)
+        x = np.arange(geom.N) / geom.N
+        scale = (1.0 + a * np.cos(2.0 * np.pi * x)).reshape((-1,) + (1,) * (rows.ndim - 2))
+        config = SolverConfig(linear_tol=1e-12)
+        _, stats = solver._solve_linear(geom, rows * scale, white_noise_rhs(geom, 71),
+                                        config, rtol)
+        assert stats.status == "converged" and stats.rtol_reached <= rtol
+        assert stats.dtype == dtype and stats.applications > solver.RESTART + 1
+
     @staticmethod
-    def refine(monkeypatch, poor_passes):
-        """Replace ``_gmres`` by one whose first ``poor_passes`` calls return
-        half the GMRES solution; the list of its calls."""
+    def refine(monkeypatch, scales, rest=1.0):
+        """Replace ``_gmres`` by one whose k-th call returns ``scales[k]`` times
+        the GMRES cycle's ``y`` (``rest`` times it after the list ends); the
+        list of its calls."""
         calls = []
         gmres = solver._gmres
 
         def poor(*args):
             calls.append(1)
             y = gmres(*args)
-            return 0.5 * y if len(calls) <= poor_passes else y
+            return (scales[len(calls) - 1] if len(calls) <= len(scales) else rest) * y
 
         monkeypatch.setattr(solver, "_gmres", poor)
         return calls
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_missed_check_runs_one_refinement_pass(self, monkeypatch, n):
-        calls = self.refine(monkeypatch, 1)
+        calls = self.refine(monkeypatch, [0.5])
         geom, rows = j_newton_rows(n, 60 + n)
         rtol = solver.FLOAT32_RTOL
         _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 70 + n),
@@ -1219,18 +1234,23 @@ class TestLinearSolve:
         assert stats.status == "converged" and stats.rtol_reached <= rtol
         assert stats.dtype == np.float32
 
-    def test_a_missed_refinement_is_unconverged(self, monkeypatch):
-        calls = self.refine(monkeypatch, 2)
+    @pytest.mark.parametrize("scales, rest, status", [
+        ([0.5], 0.0, "unconverged"), ([0.5, 0.5], 1.0, "converged")])
+    def test_a_cycle_without_progress_is_unconverged(self, monkeypatch, scales, rest, status):
+        # a cycle that does not lower the float64 residual ends the solve;
+        # halved cycles lower it, so the solve goes on
+        calls = self.refine(monkeypatch, scales, rest)
         geom, rows = j_newton_rows(2, 62)
         rtol = solver.FLOAT32_RTOL
         _, stats = solver._solve_linear(geom, rows, white_noise_rhs(geom, 72),
                                         SolverConfig(), rtol)
-        assert len(calls) == 2
-        assert stats.status == "unconverged" and stats.rtol_reached > rtol
+        assert len(calls) == len(scales) + 1
+        assert stats.status == status
+        assert (stats.rtol_reached <= rtol) == (status == "converged")
 
     def test_an_unconverged_solve_is_a_krylov_failure(self, monkeypatch):
         # N = 8 is the coarsest grid, so the solve is not nested
-        calls = self.refine(monkeypatch, 2)
+        calls = self.refine(monkeypatch, [0.5], rest=0.0)
         geom = TorusGeometry(1, 8)
         chi, omega0, phistar, f, c = manufactured_j_instance(geom)
         rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
