@@ -8,12 +8,13 @@ omega_0 + i d dbar(phi)`` and are driven by the relative eigenvalues
 * dHYM:   ``sin(theta0 - sum arctan(1/lam_i)) - f cos(theta0)/prod sqrt(lam_i^2+1) = 0``.
 
 The linearized operators annihilate constants, so each Newton step solves
-the mean-zero projection ``A u = b`` of the linear system: a restarted GMRES
-of this module (:func:`_solve_linear`) solves ``(A P) y = b`` with ``P`` the
-inverse constant-coefficient Fourier symbol and ``u = P y``, and each restart
-runs on the float64 residual ``b - A u``; the component of the residual
-outside the numerical range (its volume-weighted mean) is surfaced as
-``multiplier`` instead of silently absorbed.
+``A u = b`` on the modes they reach: a restarted GMRES of this module
+(:func:`_solve_linear`) solves ``(A P) y = b`` on weighted half spectra, one
+mask dropping the mean and the other unreachable modes, with ``P`` the
+inverse constant-coefficient Fourier symbol; each restart runs on the float64
+residual, and ``u = P y`` takes one inverse transform.  The component of the
+residual outside the numerical range (its volume-weighted mean) is surfaced
+as ``multiplier`` instead of silently absorbed.
 Newton is inexact: a step's Krylov tolerance is an Eisenstat-Walker forcing
 term, capped near the solution by the term that finishes the solve in one
 step, with ``linear_tol`` as its floor (see :func:`newton_solve`).  While
@@ -531,83 +532,82 @@ def _solve_linear(geom: TorusGeometry, coef: np.ndarray, rhs: np.ndarray,
                   ) -> tuple[np.ndarray, _KrylovStats]:
     """Solve ``tr(M Hess u) = rhs`` on mean-zero functions; M given by its rows.
 
-    With ``A v = tr(M Hess v) - mean`` and ``P`` the inverse Fourier symbol of
-    the mean coefficient, restarted GMRES(``RESTART``) solves ``(A P) y = b``
-    (P folds into the spectrum A computes anyway) to ``rtol |b|`` (default
-    ``linear_tol``) and ``u = P y``.  Each restart is a float64 refinement
-    step (GMRES-based iterative refinement: Carson & Higham, SIAM J. Sci.
-    Comput. 40, 2018): a :func:`_gmres` cycle of at most ``RESTART``
-    applications runs on the current float64 residual ``r`` (``b`` to begin
-    with), its ``P y`` is added to ``u``, and ``r -= A P y`` is applied in
-    float64 from the spectrum of ``P y``.  Returns ``u`` and its
-    :class:`_KrylovStats`.  The status is ``"converged"`` exactly when the
-    float64 residual meets ``rtol``, float32 operator or not, which is all an
-    inexact Newton step needs (Kelley, "Newton's method in mixed precision",
-    SIAM Review 64, 2022), and ``"unconverged"`` as soon as a cycle does not
-    lower ``|r|``.  At most ``linear_max_iter`` applications of ``A`` run,
-    checks included; when they are used up the solve ends at once with
-    status ``"budget"`` and the last checked ``u`` (zero before the first
-    check).
+    The Krylov vectors are float64 views of half spectra times ``weight``:
+    ``sqrt(2)`` on the last axis's modes ``1..N/2-1``, 1 on its modes 0 and
+    ``N/2`` (so the Euclidean norm is a constant times the grid 2-norm), and 0
+    on the modes the mean coefficient's symbol annihilates, the mean among
+    them.  That one mask drops them from ``b = weight * rfft(rhs)`` and from
+    the output of ``A P: v -> weight * rfft(tr(M Hess P v))``, ``P`` the
+    inverse of the weighted symbol.  Restarted GMRES(``RESTART``) solves
+    ``(A P) y = b`` to ``rtol |b|`` (default ``linear_tol``), each restart a
+    float64 refinement step (GMRES-based iterative refinement: Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018): a :func:`_gmres` cycle of at most
+    ``RESTART`` applications runs on the float64 residual ``r`` (``b`` to
+    begin with), its ``y`` is summed, and the same operator in float64 gives
+    ``r -= A P y``; ``u = P y`` of the sum takes one inverse transform.
+    Returns ``u`` and its :class:`_KrylovStats`.  The status is
+    ``"converged"`` exactly when the float64 residual meets ``rtol``, float32
+    operator or not, which is all an inexact Newton step needs (Kelley,
+    "Newton's method in mixed precision", SIAM Review 64, 2022), and
+    ``"unconverged"`` as soon as a cycle does not lower ``|r|``.  At most
+    ``linear_max_iter`` applications of ``A`` run, checks included; when they
+    are used up the solve ends at once with status ``"budget"`` and the last
+    checked ``u`` (zero before the first check).
 
-    Precision: when ``rtol >= FLOAT32_RTOL`` the operator ``A P`` (the
-    transform, ``inv_sym``, the rows and symbols, the mean projection) runs
-    in float32 on float32 copies of the rows and ``inv_sym``; ``y`` is cast
-    in and the result back to float64.  The Krylov basis, ``b``, ``u``, the
-    check and the caller's residual, gauge and update stay float64, and
+    Precision: when ``rtol >= FLOAT32_RTOL`` the GMRES operator runs in
+    float32 on float32 copies of the rows and ``P``, from ``v`` cast to
+    complex64 to the transformed output.  The Krylov basis, ``b``, ``u``,
+    the check and the caller's residual, gauge and update stay float64, and
     tighter solves are float64 throughout.
     """
-    shape = geom.shape
     rtol = config.linear_tol if rtol is None else rtol
     # the half-spectrum symbol of u -> tr(Mbar Hess u), Mbar the grid mean of M;
     # negative away from the mean
     sym = np.zeros(geom.shape[:-1] + (geom.N // 2 + 1,))
     for c, part in zip(coef.reshape(len(coef), -1).mean(axis=1), _hessian_symbols(geom)):
         sym += c * part
-    # zero symbol = modes the discrete operator annihilates (mean, Nyquist);
-    # P suppresses them and the projection handles the mean
+    # zero symbol = modes the discrete operator annihilates (mean, Nyquist),
+    # which the weight masks; the last axis's inner modes stand for their
+    # conjugates too
     scale = float(np.max(np.abs(sym)))
     dead = np.abs(sym) <= 1e-14 * max(scale, 1.0)
-    inv_sym = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, sym))
+    weight = np.where(dead, 0.0, math.sqrt(2.0))
+    weight[..., [0, -1]] /= math.sqrt(2.0)
+    inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, weight * sym))
+    del dead, sym  # off the Krylov peak
     dtype = np.dtype(np.float32 if rtol >= FLOAT32_RTOL else np.float64)
-    op_coef, op_inv = coef.astype(dtype, copy=False), inv_sym.astype(dtype, copy=False)
     spent = 0  # applications of A, checks included
 
-    # every Hessian symbol vanishes at k = 0, so A P needs only its output
-    # projected; inv_sym is 0 there, so u = P y is mean-zero
-    def apply(y):
-        nonlocal spent
-        spent += 1
-        vhat = _rfft(y.reshape(shape).astype(dtype, copy=False))
-        vhat *= op_inv
-        out = _tr_m_hessian(geom, op_coef, vhat)
-        out -= out.mean()
-        return out.reshape(-1).astype(np.float64, copy=False)
+    # A P in the precision of rows and p (P = inv), on float64 views of spectra
+    def operator(rows, p):
+        spectral = np.result_type(p.dtype, np.complex64)
 
-    # drop unresolvable (annihilated-mode) content from the right-hand side;
-    # it is quadrature junk and would otherwise stall the Krylov iteration
-    bhat = np.where(dead, 0.0, _rfft(rhs))
-    r = _irfft(geom, bhat)  # the residual of u, b to begin with
-    # apply reads only inv_sym, so the rest need not sit on the Krylov peak
-    del bhat, dead, sym
+        def apply(v):
+            nonlocal spent
+            spent += 1
+            vhat = np.multiply(p, v.view(np.complex128).reshape(p.shape), dtype=spectral)
+            return (weight * _rfft(_tr_m_hessian(geom, rows, vhat))).view(np.float64).reshape(-1)
+        return apply
+
+    apply = operator(coef.astype(dtype, copy=False), inv.astype(dtype, copy=False))
+    check = operator(coef, inv)
+    r = (weight * _rfft(rhs)).view(np.float64).reshape(-1)  # the residual of u, b to begin with
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return np.zeros(shape), _KrylovStats(0, dtype, "converged", 0.0)
+        return np.zeros(geom.shape), _KrylovStats(0, dtype, "converged", 0.0)
     # one cycle per pass on the float64 residual r, until r meets rtol, a
     # cycle does not lower |r| or the budget is spent (a cycle that spends it
     # goes unchecked, and u stays the last checked one)
-    u, norm, last, atol = np.zeros(shape), bnorm, math.inf, rtol * bnorm
+    y, norm, last, atol = np.zeros_like(r), bnorm, math.inf, rtol * bnorm
     while atol < norm < last and spent < config.linear_max_iter:
-        y = _gmres(apply, r.reshape(-1), atol, min(RESTART, config.linear_max_iter - spent))
+        step = _gmres(apply, r, atol, min(RESTART, config.linear_max_iter - spent))
         if spent == config.linear_max_iter:
             break
-        yhat = inv_sym * _rfft(y.reshape(shape))
-        u += _irfft(geom, yhat)
-        spent += 1
-        check = _tr_m_hessian(geom, coef, yhat)
-        check -= check.mean()
-        r -= check
+        y += step
+        r -= check(step)
         last, norm = norm, float(np.linalg.norm(r))
     status = "converged" if norm <= atol else "unconverged" if norm >= last else "budget"
+    u = _irfft(geom, inv * y.view(np.complex128).reshape(inv.shape))
     return u, _KrylovStats(spent, dtype, status, norm / bnorm)
 
 

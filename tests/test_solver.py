@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from jdhym import hermitian, solver
+from jdhym import fields, hermitian, solver
 from jdhym.errors import (ConeBreachError, ContinuationError, DataError,
                           DomainError, EllipticityLostError, NotKahlerError,
                           PreconditionError, UsageError)
@@ -439,6 +439,24 @@ class TestStepMemory:
         assert rep.success
         assert (peak - start) / (8 * geom.grid_size) <= 36.0
         assert krylov and max(krylov) <= 21.5, krylov
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 8), (2, 16)])
+    def test_a_cold_solve_stays_under_the_estimate(self, n, N):
+        # the tracemalloc peak of criterion 5's instance, measured from before
+        # its inputs are built, since estimate_peak_bytes counts them; n = 2,
+        # N = 8 is the thin case (about 72 of its 80 grid arrays)
+        geom = TorusGeometry(n, N)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            chi, omega0, phistar, f, c = manufactured_j_instance(geom)
+            rep = newton_solve(make_j_problem(chi, omega0, f, c), ScalarField.zeros(geom),
+                               SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.success
+        assert peak - start < solver.estimate_peak_bytes(geom)
 
     def test_a_problem_holds_two_grid_arrays_beyond_its_inputs(self):
         # det chi and the gauge weight det omega0; the problem reads the
@@ -1206,6 +1224,50 @@ class TestLinearSolve:
                                         config, rtol)
         assert stats.status == "converged" and stats.rtol_reached <= rtol
         assert stats.dtype == dtype and stats.applications > solver.RESTART + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rtol", [solver.FLOAT32_RTOL, 1e-10])
+    def test_rhs_mean_is_not_solved_for(self, n, rtol):
+        # a Newton right-hand side carries the multiplier as its mean, which
+        # the mask drops: the solve is the one of the mean-zero right-hand side
+        geom, rows = j_newton_rows(n, 60 + n)
+        rhs = white_noise_rhs(geom, 70 + n)
+        u, stats = solver._solve_linear(geom, rows, rhs, SolverConfig(), rtol)
+        shifted, moved = solver._solve_linear(geom, rows, rhs + 3.0, SolverConfig(), rtol)
+        assert (moved.status, moved.applications) == (stats.status, stats.applications)
+        assert np.linalg.norm(shifted - u) <= rtol * np.linalg.norm(u)
+
+    @pytest.mark.parametrize("n, a, rtol", [
+        *((n, 0.0, rtol) for n in (1, 2, 3) for rtol in (solver.FLOAT32_RTOL, 1e-10)),
+        (1, 0.9, 1e-12), (1, 0.99, solver.FLOAT32_RTOL)])
+    def test_transforms_per_solve(self, monkeypatch, n, a, rtol):
+        # an application is n^2 inverse transforms and one forward one; the
+        # right-hand side takes one forward transform and u one inverse one,
+        # however many cycles run (a > 0: test_a_restart_converges's rows)
+        geom, rows = j_newton_rows(n, 60 + n)
+        x = np.arange(geom.N) / geom.N
+        rows = rows * (1.0 + a * np.cos(2.0 * np.pi * x)).reshape((-1,) + (1,) * (rows.ndim - 2))
+        rhs = white_noise_rhs(geom, 70 + n)
+        calls = []
+
+        class CountingFFT:
+            """``scipy.fft`` with the real transforms counted."""
+
+            def __getattr__(self, name):
+                fn = getattr(sfft, name)
+                if name not in ("rfftn", "irfftn"):
+                    return fn
+
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return fn(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(fields, "sfft", CountingFFT())
+        _, stats = solver._solve_linear(geom, rows, rhs, SolverConfig(), rtol)
+        assert stats.status == "converged"
+        assert (stats.applications > solver.RESTART + 1) == (a > 0.0)
+        assert len(calls) == stats.applications * (n * n + 1) + 2
 
     @staticmethod
     def refine(monkeypatch, scales, rest=1.0):
